@@ -3,6 +3,7 @@ package apps
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -127,6 +128,14 @@ func TestHTTPLBCacheServesHits(t *testing.T) {
 	status, first := c.roundTrip(t, "GET", "/hot.html")
 	if status != 200 || len(first) != 64 {
 		t.Fatalf("first GET: status %d, body %d bytes", status, len(first))
+	}
+	// The runtime forwards a response to the client before the fill
+	// installs it, so the entry may land a moment after the first reply.
+	for deadline := time.Now().Add(2 * time.Second); cc.Len() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("first response was never installed")
+		}
+		runtime.Gosched()
 	}
 	afterFill := backendReqs()
 

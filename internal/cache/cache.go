@@ -19,10 +19,11 @@
 // Sharding mirrors the PR-5 upstream layer: one shard per scheduler
 // worker, each holding a full replica of the key index (entries are
 // shared; maps are per shard), so a hit takes only the executing worker's
-// shard lock — uncontended against every other worker. Structural changes
-// (fill, invalidate, evict, clear) are serialised by one structure lock
-// and sweep all shards; they are miss-path events and orders of magnitude
-// rarer than hits.
+// shard lock — uncontended against every other worker — and reads
+// immutable data: an entry never changes once published, it is only ever
+// replaced. Structural changes (fill, revalidate, invalidate, evict,
+// clear) are serialised by one structure lock and sweep all shards; they
+// are miss-path events and orders of magnitude rarer than hits.
 //
 // The hit path performs zero heap allocations: the key lookup (including
 // the Vary secondary-key fold) runs against a per-shard scratch buffer,
@@ -139,14 +140,10 @@ type Config struct {
 	NegativeTTL time.Duration
 }
 
-// entry is one admitted response: a rendered wire image in a pooled
-// region, shared by every shard's map. Structural membership (index,
-// per-base list, segment lists, shard maps, resident-byte gauge) changes
-// only under Cache.fmu; hits is the lone hit-path write, an atomic.
-type entry struct {
-	skey string // full owned key (vary secondary segment included)
-	base string // variant-prefixed primary key (== skey when unvaried)
-
+// image is the retained bytes of one admitted response and the views a
+// protocol pre-rendered into them. Entry headers share it by value: every
+// header holds its own reference to region.
+type image struct {
 	raw     []byte // served response image (view into region)
 	notmod  []byte // pre-rendered validator-hit response (nil: none)
 	reval   []byte // pre-rendered upstream refresh request (nil: no SWR)
@@ -159,18 +156,26 @@ type entry struct {
 	hasTag   bool
 	ageOff   int // Age digit zone offset inside raw (-1: none)
 	negative bool
+}
 
-	born    int64 // install/extension stamp (UnixNano; Age base)
+// entry is one servable header over an image, shared by every shard's map
+// and immutable once published: a refill or an upstream 304 installs a new
+// entry instead of changing this one, so lookups read it under their shard
+// lock alone. The exceptions are hits — the lone hit-path write, an atomic
+// — and the segment membership (seg, prev, next), which only fmu holders
+// touch.
+type entry struct {
+	skey string // full owned key (vary secondary segment included)
+	base string // variant-prefixed primary key (== skey when unvaried)
+	image
+
+	born    int64 // install stamp (UnixNano; Age base)
 	expires int64 // freshness deadline
 	stale   int64 // hard serve deadline (== expires without reval/StaleTTL)
 
 	// hits counts lookups since install or last segment move: the lazy
-	// promotion signal the eviction scan consumes. Atomic because shards
-	// hit concurrently while fmu is not held.
+	// promotion signal the eviction scan consumes.
 	hits atomic.Uint32
-	// revalidating marks a claimed background refresh (fmu), keeping the
-	// stale window single-flight.
-	revalidating bool
 
 	seg        uint8
 	prev, next *entry // segment list links (fmu)
@@ -227,8 +232,8 @@ type Cache struct {
 
 	// fmu serialises structural state: the entry index, per-base lists,
 	// segment lists, vary rules, the in-flight fill table and the closed
-	// flag. Lock order is fmu → shard.mu; the hit path takes a shard lock
-	// only.
+	// flag. Writers take fmu, then each shard lock in turn; readers take
+	// their shard lock and read immutable data.
 	fmu     sync.Mutex
 	index   map[string]*entry
 	byBase  map[string][]*entry // variants sharing a base key
@@ -249,7 +254,7 @@ type Cache struct {
 	invalidations metrics.Counter
 	expired       metrics.Counter
 	aborts        metrics.Counter
-	revalidated   metrics.Counter // upstream 304s that extended an entry
+	revalidated   metrics.Counter // upstream 304s that re-headered an entry
 	staleServed   metrics.Counter // hits served past expires (SWR window)
 	variants      metrics.Counter // installs under a Vary secondary key
 	negHits       metrics.Counter // hits served from negative entries
@@ -337,8 +342,8 @@ func appendSKey(dst []byte, variant byte, scope, key []byte) []byte {
 // Get serves a hit for a ClassLookup or ClassCond request from worker's
 // shard, returning a self-contained response view (the caller owns one
 // reference), whether an entry was found, and — when the entry is serving
-// stale — the claimed background revalidation the caller must dispatch
-// upstream (nil when another lookup already claimed it). A ClassCond
+// stale — the claimed background revalidation whose request the caller must
+// send upstream (nil when another lookup already claimed it). A ClassCond
 // request whose validators match the entry's receives the pre-rendered 304
 // instead of the body. The miss path (including lazy expiry) is counted
 // here; callers follow a miss with Begin (ClassLookup) or forward
@@ -443,8 +448,7 @@ func (c *Cache) Invalidate(scope, key []byte) {
 	if len(key) == 0 {
 		return
 	}
-	var orphans []Waiter
-	var reqs []value.Value
+	var dead casualties
 	c.fmu.Lock()
 	touched := false
 	for _, v := range c.proto.Variants() {
@@ -454,35 +458,24 @@ func (c *Cache) Invalidate(scope, key []byte) {
 			touched = true
 		}
 		c.setVaryRuleLocked(base, "")
-		for skey, f := range c.flights {
-			if f.base != base {
-				continue
+		for _, f := range c.flights {
+			if f.base == base {
+				c.killLocked(f, &dead)
+				touched = true
 			}
-			delete(c.flights, skey)
-			orphans = append(orphans, f.waiters...)
-			f.waiters = nil
-			if !f.req.IsNull() {
-				reqs = append(reqs, f.req)
-				f.req = value.Null
-			}
-			touched = true
 		}
 	}
 	if touched {
 		c.invalidations.Inc()
 	}
 	c.fmu.Unlock()
-	for _, r := range reqs {
-		r.Release()
-	}
-	c.abortWaiters(orphans)
+	c.settle(dead)
 }
 
 // Clear removes every entry, every learned vary rule and kills every
 // in-flight fill (memcached flush_all; Close).
 func (c *Cache) Clear() {
-	var orphans []Waiter
-	var reqs []value.Value
+	var dead casualties
 	c.fmu.Lock()
 	for c.prob.head != nil {
 		c.removeLocked(c.prob.head)
@@ -493,21 +486,12 @@ func (c *Cache) Clear() {
 	for base := range c.varies {
 		c.setVaryRuleLocked(base, "")
 	}
-	for skey, f := range c.flights {
-		delete(c.flights, skey)
-		orphans = append(orphans, f.waiters...)
-		f.waiters = nil
-		if !f.req.IsNull() {
-			reqs = append(reqs, f.req)
-			f.req = value.Null
-		}
+	for _, f := range c.flights {
+		c.killLocked(f, &dead)
 	}
 	c.invalidations.Inc()
 	c.fmu.Unlock()
-	for _, r := range reqs {
-		r.Release()
-	}
-	c.abortWaiters(orphans)
+	c.settle(dead)
 }
 
 // Close clears the cache and stops admitting: subsequent Begin calls
@@ -546,9 +530,10 @@ func (c *Cache) setVaryRuleLocked(base, rule string) {
 	}
 }
 
-// install links a filled entry (fmu held): replaces the key's previous
-// entry, replicates into every shard map, enters probation and runs the
-// eviction scan past the byte budget.
+// install publishes an entry (fmu held) — the one way anything becomes
+// servable: it replaces the key's previous entry (releasing that header's
+// image reference), replicates into every shard map, enters probation and
+// runs the eviction scan past the byte budget.
 func (c *Cache) install(e *entry) {
 	if old := c.index[e.skey]; old != nil {
 		c.removeLocked(old)
@@ -564,9 +549,6 @@ func (c *Cache) install(e *entry) {
 	e.seg = segProbation
 	c.prob.pushTail(e)
 	c.resident += e.size
-	if e.skey != e.base {
-		c.variants.Inc()
-	}
 	c.evictLocked(e)
 }
 
@@ -651,69 +633,59 @@ func (c *Cache) removeLocked(e *entry) {
 	e.region.Release()
 }
 
-// newEntry copies a rendered store image into a pooled region and wires
-// the entry's serving-time views from the StoreInfo offsets (fmu held by
-// the caller; the copy itself is lock-free).
-func (c *Cache) newEntry(skey, base string, img []byte, si StoreInfo, ri RespInfo) *entry {
-	ref := buffer.Global.GetRef(len(img))
-	b := ref.Bytes()[:len(img)]
-	copy(b, img)
+// deadlines derives a new header's three stamps from one admission (or
+// one upstream 304, whose own max-age caps the extension): Age restarts at
+// now per RFC 9111 §4.2.3, freshness runs for the configured TTL capped by
+// the response's verdict, and a revalidatable positive image keeps serving
+// for StaleTTL past that.
+func (c *Cache) deadlines(img *image, ri RespInfo) (born, expires, stale int64) {
 	ttl := c.ttl
-	if ri.Negative {
+	if img.negative {
 		ttl = c.negTTL
 	}
 	if ri.TTL > 0 && ri.TTL < ttl {
 		ttl = ri.TTL
 	}
-	now := c.now()
-	e := &entry{
-		skey:     skey,
-		base:     base,
+	born = c.now()
+	expires = born + int64(ttl)
+	stale = expires
+	if len(img.reval) > 0 && !img.negative {
+		stale += int64(c.staleTTL)
+	}
+	return
+}
+
+// newEntry copies a rendered store image into a pooled region and wires
+// the entry's serving-time views from the StoreInfo offsets (fmu held by
+// the caller; the copy itself is lock-free).
+func (c *Cache) newEntry(skey, base string, buf []byte, si StoreInfo, ri RespInfo) *entry {
+	ref := buffer.Global.GetRef(len(buf))
+	b := ref.Bytes()[:len(buf)]
+	copy(b, buf)
+	img := image{
 		raw:      b[:si.ImageLen],
+		notmod:   sliceAt(b, si.NotModOff, si.NotModLen),
+		reval:    sliceAt(b, si.RevalOff, si.RevalLen),
+		etag:     sliceAt(b, si.ETagOff, si.ETagLen),
+		lastMod:  sliceAt(b, si.LastModOff, si.LastModLen),
 		region:   ref,
-		size:     int64(len(img)),
+		size:     int64(len(buf)),
 		tag:      ri.Tag,
 		hasTag:   ri.HasTag,
 		ageOff:   si.AgeOff,
 		negative: ri.Negative,
-		born:     now,
-		expires:  now + int64(ttl),
 	}
-	if si.NotModLen > 0 {
-		e.notmod = b[si.NotModOff : si.NotModOff+si.NotModLen]
-	}
-	if si.RevalLen > 0 {
-		e.reval = b[si.RevalOff : si.RevalOff+si.RevalLen]
-	}
-	if si.ETagLen > 0 {
-		e.etag = b[si.ETagOff : si.ETagOff+si.ETagLen]
-	}
-	if si.LastModLen > 0 {
-		e.lastMod = b[si.LastModOff : si.LastModOff+si.LastModLen]
-	}
-	e.stale = e.expires
-	if len(e.reval) > 0 && c.staleTTL > 0 && !ri.Negative {
-		e.stale += int64(c.staleTTL)
-	}
-	return e
+	born, expires, stale := c.deadlines(&img, ri)
+	return &entry{skey: skey, base: base, image: img, born: born, expires: expires, stale: stale}
 }
 
-// extendLocked re-arms a revalidated entry's deadlines after an upstream
-// 304 (fmu held): Age restarts from the validation instant per RFC 9111
-// §4.2.3, freshness gets a fresh TTL (capped by the 304's own max-age when
-// present).
-func (c *Cache) extendLocked(e *entry, ri RespInfo) {
-	ttl := c.ttl
-	if ri.TTL > 0 && ri.TTL < ttl {
-		ttl = ri.TTL
-	}
-	now := c.now()
-	e.born = now
-	e.expires = now + int64(ttl)
-	e.stale = e.expires
-	if len(e.reval) > 0 && c.staleTTL > 0 {
-		e.stale += int64(c.staleTTL)
-	}
+// reheader builds the entry an upstream 304 installs in old's place: fresh
+// deadlines over the same image, holding its own region reference (install
+// drops old's). Like any new entry it starts unhit, in probation.
+func (c *Cache) reheader(old *entry, ri RespInfo) *entry {
+	old.region.Retain()
+	born, expires, stale := c.deadlines(&old.image, ri)
+	return &entry{skey: old.skey, base: old.base, image: old.image, born: born, expires: expires, stale: stale}
 }
 
 // Counters snapshots the cache's counters (registered as "cache" in the

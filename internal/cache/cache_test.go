@@ -208,12 +208,7 @@ func TestSingleFlightStress(t *testing.T) {
 		t.Fatalf("fills = %d, want 1", cval(c.Counters(), "fills"))
 	}
 	c.Close()
-	after := buffer.Global.Counters()
-	gets := cval(after, "refgets") - cval(before, "refgets")
-	puts := cval(after, "refputs") - cval(before, "refputs")
-	if gets != puts {
-		t.Fatalf("pool ref leak: refgets delta %d != refputs delta %d", gets, puts)
-	}
+	requirePoolBalanced(t, before)
 }
 
 func checkServed(errs chan<- string, v value.Value, opaque uint32) {
@@ -413,6 +408,18 @@ func TestClosedCache(t *testing.T) {
 }
 
 // cval reads one counter from a set (test convenience).
+// requirePoolBalanced fails the test unless every pooled reference taken
+// since the before snapshot has been released (refgets == refputs).
+func requirePoolBalanced(t *testing.T, before metrics.CounterSet) {
+	t.Helper()
+	after := buffer.Global.Counters()
+	gets := cval(after, "refgets") - cval(before, "refgets")
+	puts := cval(after, "refputs") - cval(before, "refputs")
+	if gets != puts {
+		t.Fatalf("pool ref leak: refgets delta %d != refputs delta %d", gets, puts)
+	}
+}
+
 func cval(cs metrics.CounterSet, name string) uint64 {
 	v, _ := cs.Get(name)
 	return v

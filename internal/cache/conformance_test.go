@@ -430,16 +430,11 @@ func (h *confHarness) run(steps []confStep) {
 			if h.rv == nil {
 				t.Fatalf("step %d: revalResp step without a claimed revalidation", i)
 			}
-			// Dispatch exactly as the core does: fabricate the refresh
-			// request record and attach it so a replacing 200 can render the
-			// next generation's refresh image.
-			msg := HTTPGet{}.MakeReval(h.rv.Req, h.rv.Region)
-			if msg.IsNull() {
-				t.Fatalf("step %d: stored revalidation image did not parse", i)
-			}
-			if !h.rv.F.AttachRequest(msg) {
-				msg.Release()
-			}
+			// Dispatch exactly as the core does: the refresh request goes
+			// upstream (here: nowhere) and the caller's reference drops; the
+			// flight keeps its own so a replacing 200 can render the next
+			// generation's refresh image.
+			h.rv.Req.Release()
 			resp := decodeHTTP(t, false, s.revalResp)
 			ri := HTTPGet{}.Response(resp)
 			h.rv.F.Fill([]byte(s.revalResp), ri)
@@ -449,7 +444,7 @@ func (h *confHarness) run(steps []confStep) {
 			if h.rv == nil {
 				t.Fatalf("step %d: revalDie step without a claimed revalidation", i)
 			}
-			h.rv.Region.Release()
+			h.rv.Req.Release()
 			h.rv.F.Abort()
 			h.rv = nil
 		default:
@@ -457,7 +452,7 @@ func (h *confHarness) run(steps []confStep) {
 		}
 	}
 	if h.rv != nil {
-		h.rv.Region.Release()
+		h.rv.Req.Release()
 		h.rv.F.Abort()
 		h.rv = nil
 	}

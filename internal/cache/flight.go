@@ -34,6 +34,8 @@ type Waiter struct {
 // the upstream round trip and resolves it with Fill or Abort); later
 // misses for the same key join as waiters. A reval flight is the
 // background-refresh flavour, claimed by a stale hit instead of a miss.
+// While a flight sits in Cache.flights its key is claimed — which is also
+// what keeps a stale window's refresh single-flight.
 type Flight struct {
 	c       *Cache
 	skey    string // full owned key (vary secondary segment included)
@@ -45,10 +47,11 @@ type Flight struct {
 	start   int64  // leading-miss stamp (Begin → Fill into missLat)
 	waiters []Waiter
 
-	// req is the leader's retained request record (value.Null when the
-	// protocol set none): Fill's Store call renders Vary secondary keys
-	// and the next refresh request from it. Guarded by c.fmu; whoever
-	// clears it to Null owns the release.
+	// req is the retained request record — the leader's, or the refresh
+	// request a reval flight was claimed with (value.Null when the protocol
+	// set none): Fill's Store call renders Vary secondary keys and the
+	// next refresh request from it. Guarded by c.fmu; whoever clears it to
+	// Null owns the release.
 	req value.Value
 }
 
@@ -57,9 +60,6 @@ func (f *Flight) Key() []byte { return f.key }
 
 // Variant returns the flight's protocol variant.
 func (f *Flight) Variant() byte { return f.variant }
-
-// Reval reports whether this is a background-refresh flight.
-func (f *Flight) Reval() bool { return f.reval }
 
 // Begin joins or leads the key's flight after a miss. The leader
 // (leader=true) forwards its request upstream and must eventually call
@@ -109,61 +109,41 @@ func (c *Cache) Begin(info ReqInfo, w Waiter) (*Flight, bool) {
 	return f, true
 }
 
-// Reval is a claimed background revalidation: Req is the entry's
-// pre-rendered conditional refresh request, living in Region (ownership of
-// one retained reference transfers to the caller — Protocol.MakeReval
-// consumes it). The caller dispatches the request upstream and resolves F
-// with Fill or Abort; until then the stale entry keeps serving.
+// Reval is a claimed background revalidation: Req is the refresh request
+// record fabricated over the stale entry's pre-rendered conditional request
+// (the caller owns one reference). The caller sends it upstream and
+// resolves F with Fill or Abort; until then the stale entry keeps serving.
 type Reval struct {
-	F      *Flight
-	Req    []byte
-	Region value.Region
+	F   *Flight
+	Req value.Value
 }
 
 // claimReval registers the single background refresh of a stale entry.
-// Returns nil when the refresh is already claimed (or any flight owns the
-// key, or the cache closed): the stale window stays single-flight.
+// Returns nil when the key is already claimed by a flight, e is no longer
+// the published entry, the cache closed, or the protocol renders no
+// refresh request.
 func (c *Cache) claimReval(e *entry) *Reval {
 	c.fmu.Lock()
-	if c.closed || c.index[e.skey] != e || e.revalidating || c.flights[e.skey] != nil {
-		c.fmu.Unlock()
+	defer c.fmu.Unlock()
+	if c.closed || c.index[e.skey] != e || c.flights[e.skey] != nil {
 		return nil
 	}
-	e.revalidating = true
+	e.region.Retain() // consumed by MakeReval
+	req := c.proto.MakeReval(e.reval, e.region)
+	if req.IsNull() {
+		return nil
+	}
+	req.Retain() // the flight's reference; the caller owns the first
 	f := &Flight{
 		c:     c,
 		skey:  e.skey,
 		base:  e.base,
 		reval: true,
 		start: metrics.Now(),
-		req:   value.Null,
+		req:   req,
 	}
 	c.flights[e.skey] = f
-	e.region.Retain()
-	rv := &Reval{F: f, Req: e.reval, Region: e.region}
-	c.fmu.Unlock()
-	return rv
-}
-
-// AttachRequest hands the flight the fabricated refresh request record
-// built over Reval.Req, so a replacing 200 fill can render the next
-// generation's validators and refresh request from it. Ownership of one
-// reference transfers on true; on false (flight already resolved or
-// killed) the caller keeps it.
-func (f *Flight) AttachRequest(msg value.Value) bool {
-	c := f.c
-	c.fmu.Lock()
-	if c.flights[f.skey] != f {
-		c.fmu.Unlock()
-		return false
-	}
-	old := f.req
-	f.req = msg
-	c.fmu.Unlock()
-	if !old.IsNull() {
-		old.Release()
-	}
-	return true
+	return &Reval{F: f, Req: req}
 }
 
 // Fill resolves the flight with the upstream response's wire image. When
@@ -173,15 +153,21 @@ func (f *Flight) AttachRequest(msg value.Value) bool {
 // response carrying Vary updates the base key's learned rule: the entry
 // installs under the folded secondary key, and a rule *change* purges the
 // base's old-rule entries and aborts the waiters (their secondary keys
-// were computed under the stale rule). A flight already killed by
-// invalidation (or a closed cache) stores nothing — its waiters were
-// aborted at kill time. raw need only stay valid for the duration of the
-// call; the entry owns a pooled copy.
+// were computed under the stale rule).
+//
+// A reval flight differs in two places. An upstream 304 re-headers the
+// entry it refreshed instead of aborting; any other inadmissible answer —
+// error response, non-cacheable refresh — installs nothing either way,
+// which for a refresh means the stale entry serves on until its hard
+// deadline, the graceful-degradation half of stale-while-revalidate. And a
+// replacing 200 keeps the key the refresh was claimed under: its request
+// was fabricated from the entry, not sent by a client, so it carries no
+// headers to fold a vary rule over.
+//
+// A flight already killed by invalidation (or a closed cache) stores
+// nothing — its waiters were aborted at kill time. raw need only stay
+// valid for the duration of the call; the entry owns a pooled copy.
 func (f *Flight) Fill(raw []byte, ri RespInfo) {
-	if f.reval {
-		f.fillReval(raw, ri)
-		return
-	}
 	c := f.c
 	// Take the retained request under fmu first: a concurrent kill path
 	// releases f.req, so reading it unlocked would race. Clearing it to
@@ -194,6 +180,11 @@ func (f *Flight) Fill(raw []byte, ri RespInfo) {
 	req := f.req
 	f.req = value.Null
 	c.fmu.Unlock()
+	defer func() {
+		if !req.IsNull() {
+			req.Release()
+		}
+	}()
 
 	// Render the stored image outside every lock (Store may copy and
 	// allocate; misses are off the hit path).
@@ -205,7 +196,7 @@ func (f *Flight) Fill(raw []byte, ri RespInfo) {
 	skey := f.skey
 	var img []byte
 	var si StoreInfo
-	if admit {
+	if admit && !f.reval {
 		rule = normalizeVary(ri.Vary)
 		if rule != f.vrule {
 			if req.IsNull() && rule != "" {
@@ -230,50 +221,54 @@ func (f *Flight) Fill(raw []byte, ri RespInfo) {
 		admit = len(img) > 0
 	}
 
+	var dead casualties
 	c.fmu.Lock()
 	if c.flights[f.skey] != f {
 		c.fmu.Unlock()
-		if !req.IsNull() {
-			req.Release()
-		}
 		return
 	}
-	delete(c.flights, f.skey)
-	waiters := f.waiters
-	f.waiters = nil
+	c.killLocked(f, &dead)
 	var e *entry
-	deliver := true
-	if !c.closed && admit {
+	switch {
+	case c.closed:
+	case f.reval && ri.NotModified:
+		if cur := c.index[f.skey]; cur != nil {
+			e = c.reheader(cur, ri)
+			c.install(e)
+			c.revalidated.Inc()
+		}
+	case admit:
 		if rule != f.vrule {
 			c.setVaryRuleLocked(f.base, rule)
 			// Existing entries under the base were keyed by the old rule;
 			// purge them so new-rule lookups can't serve a mismatched
-			// variant. Waiters joined under the old rule too: abort them.
+			// variant.
 			for len(c.byBase[f.base]) > 0 {
 				c.removeLocked(c.byBase[f.base][0])
 			}
-			deliver = false
 		}
 		e = c.newEntry(skey, f.base, img, si, ri)
 		c.install(e)
 		c.fills.Inc()
-		if deliver && len(waiters) > 0 {
-			// Guard reference: keeps the entry's bytes valid across the
-			// delivery loop even if a concurrent fill evicts it.
-			e.region.Retain()
+		if skey != f.base {
+			c.variants.Inc()
 		}
 	}
-	c.fmu.Unlock()
-	if !req.IsNull() {
-		req.Release()
+	// Waiters joined under the flight's rule: a changed rule aborts them.
+	deliver := e != nil && rule == f.vrule && len(dead.waiters) > 0
+	if deliver {
+		// Guard reference: keeps the entry's bytes valid across the
+		// delivery loop even if a concurrent fill evicts it.
+		e.region.Retain()
 	}
+	c.fmu.Unlock()
 	now := metrics.Now()
 	c.missLat.Record(time.Duration(now - f.start))
-	if e == nil || !deliver {
-		c.abortWaiters(waiters)
+	if !deliver {
+		c.settle(dead)
 		return
 	}
-	for _, w := range waiters {
+	for _, w := range dead.waiters {
 		c.coalLat.Record(time.Duration(now - w.start))
 		w.Deliver(c.proto.MakeHit(Hit{
 			Raw: e.raw, Region: e.region,
@@ -281,138 +276,54 @@ func (f *Flight) Fill(raw []byte, ri RespInfo) {
 			AgeOff: e.ageOff, AgeSecs: 0,
 		}))
 	}
-	if len(waiters) > 0 {
-		e.region.Release()
-	}
-}
-
-// fillReval resolves a background refresh: an upstream 304 extends the
-// retained entry's freshness in place; an admissible 200 replaces it
-// (keyed under the same secondary key it was claimed with); anything else
-// — error response, non-cacheable refresh — leaves the stale entry
-// serving until its hard deadline, the graceful-degradation half of
-// stale-while-revalidate. Waiters (misses that arrived after the entry's
-// hard expiry) are delivered from the surviving entry or aborted.
-func (f *Flight) fillReval(raw []byte, ri RespInfo) {
-	c := f.c
-	c.fmu.Lock()
-	if c.flights[f.skey] != f {
-		c.fmu.Unlock()
-		return
-	}
-	req := f.req
-	f.req = value.Null
-	c.fmu.Unlock()
-
-	admit := ri.Admit && !ri.NotModified && len(raw) > 0 && len(raw) <= MaxEntryBytes
-	if ri.Negative && c.negTTL <= 0 {
-		admit = false
-	}
-	var img []byte
-	var si StoreInfo
-	if admit {
-		img, si = c.proto.Store(raw, ri, req)
-		if si.ImageLen == 0 {
-			si.ImageLen = len(img)
-			si.AgeOff = -1
-		}
-		admit = len(img) > 0
-	}
-
-	c.fmu.Lock()
-	if c.flights[f.skey] != f {
-		c.fmu.Unlock()
-		if !req.IsNull() {
-			req.Release()
-		}
-		return
-	}
-	delete(c.flights, f.skey)
-	waiters := f.waiters
-	f.waiters = nil
-	e := c.index[f.skey]
-	if e != nil {
-		e.revalidating = false
-	}
-	switch {
-	case c.closed:
-		e = nil
-	case ri.NotModified && e != nil:
-		c.extendLocked(e, ri)
-		c.revalidated.Inc()
-	case admit:
-		e = c.newEntry(f.skey, f.base, img, si, ri)
-		c.install(e)
-		c.fills.Inc()
-	default:
-		// Failed refresh: the stale entry (when still resident) keeps
-		// serving; a later stale hit re-claims the revalidation.
-		e = nil
-	}
-	if e != nil && len(waiters) > 0 {
-		e.region.Retain()
-	}
-	born := int64(0)
-	ageOff := -1
-	var eraw []byte
-	var region value.Region
-	if e != nil {
-		born, ageOff, eraw, region = e.born, e.ageOff, e.raw, e.region
-	}
-	c.fmu.Unlock()
-	if !req.IsNull() {
-		req.Release()
-	}
-	now := metrics.Now()
-	c.missLat.Record(time.Duration(now - f.start))
-	if e == nil {
-		c.abortWaiters(waiters)
-		return
-	}
-	age := (c.now() - born) / int64(time.Second)
-	for _, w := range waiters {
-		c.coalLat.Record(time.Duration(now - w.start))
-		w.Deliver(c.proto.MakeHit(Hit{
-			Raw: eraw, Region: region,
-			Tag: w.Tag, HasTag: w.HasTag,
-			AgeOff: ageOff, AgeSecs: age,
-		}))
-	}
-	if len(waiters) > 0 {
-		region.Release()
-	}
+	e.region.Release()
 }
 
 // Abort resolves the flight without a fill: every parked waiter
-// re-dispatches, and a reval flight hands the stale entry back its
-// revalidation claim. Safe to call on an already-resolved flight.
+// re-dispatches, and a stale entry whose refresh this was is free to be
+// claimed again. Safe to call on an already-resolved flight.
 func (f *Flight) Abort() {
 	c := f.c
+	var dead casualties
 	c.fmu.Lock()
-	if c.flights[f.skey] != f {
-		c.fmu.Unlock()
-		return
+	if c.flights[f.skey] == f {
+		c.killLocked(f, &dead)
 	}
-	delete(c.flights, f.skey)
-	if f.reval {
-		if e := c.index[f.skey]; e != nil {
-			e.revalidating = false
-		}
-	}
-	req := f.req
-	f.req = value.Null
-	waiters := f.waiters
-	f.waiters = nil
 	c.fmu.Unlock()
-	if !req.IsNull() {
-		req.Release()
-	}
-	c.abortWaiters(waiters)
+	c.settle(dead)
 }
 
-// abortWaiters fires Abort callbacks outside every cache lock.
-func (c *Cache) abortWaiters(waiters []Waiter) {
-	for _, w := range waiters {
+// casualties is what killed flights leave to settle outside the cache's
+// locks: parked waiters to abort and retained requests to release.
+type casualties struct {
+	waiters []Waiter
+	reqs    []value.Value
+}
+
+// killLocked drops f from the flight table (fmu held) and moves its
+// waiters and its retained request — unless a Fill in progress already
+// took that — into dead.
+func (c *Cache) killLocked(f *Flight, dead *casualties) {
+	delete(c.flights, f.skey)
+	if dead.waiters == nil {
+		dead.waiters = f.waiters // the common single-flight kill: no copy
+	} else {
+		dead.waiters = append(dead.waiters, f.waiters...)
+	}
+	f.waiters = nil
+	if !f.req.IsNull() {
+		dead.reqs = append(dead.reqs, f.req)
+		f.req = value.Null
+	}
+}
+
+// settle releases the requests and fires the Abort callbacks of killed
+// flights, outside every cache lock.
+func (c *Cache) settle(dead casualties) {
+	for _, r := range dead.reqs {
+		r.Release()
+	}
+	for _, w := range dead.waiters {
 		c.aborts.Inc()
 		if w.Abort != nil {
 			w.Abort()

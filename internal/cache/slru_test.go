@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"flick/internal/proto/memcache"
+	"flick/internal/value"
 )
 
 // oentry is the oracle's picture of one entry: identity, size and the
@@ -21,9 +22,9 @@ type oentry struct {
 // slruOracle is an executable-specification model of the cache's
 // segmented-LRU policy: plain slices for the two segment queues, a map for
 // membership, and a verbatim transcription of the documented rules —
-// install to probation's tail, promote hit probation entries at scan time,
-// demote protected overflow past 80% of the budget, evict unhit probation
-// head. The real cache must agree with it on membership, resident bytes
+// install to probation's tail (an upstream 304 re-installs the key's entry
+// at its old size), promote hit probation entries at scan time, demote
+// protected overflow past 80% of the budget, evict unhit probation head. The real cache must agree with it on membership, resident bytes
 // and protected bytes after every operation.
 type slruOracle struct {
 	index    map[string]*oentry
@@ -56,6 +57,14 @@ func (o *slruOracle) install(key string, size int64) {
 	o.prob = append(o.prob, e)
 	o.resident += size
 	o.evict(e)
+}
+
+// reval304 is an upstream 304 for key: a resident entry is re-installed
+// under a new header — unhit, at probation's tail, bytes unchanged.
+func (o *slruOracle) reval304(key string) {
+	if e := o.index[key]; e != nil {
+		o.install(key, e.size)
+	}
 }
 
 func (o *slruOracle) evict(keep *oentry) {
@@ -123,9 +132,20 @@ func snapshotSLRU(c *Cache) (membership map[string]int, resident, protB int64) {
 	return
 }
 
+// reval304 resolves a background refresh of skey with an upstream 304. The
+// memcached adapter renders no refresh request, so the flight is registered
+// by hand instead of being claimed by a stale lookup.
+func reval304(c *Cache, skey string) {
+	f := &Flight{c: c, skey: skey, base: skey, reval: true, req: value.Null}
+	c.fmu.Lock()
+	c.flights[skey] = f
+	c.fmu.Unlock()
+	f.Fill(nil, RespInfo{Match: true, NotModified: true})
+}
+
 // TestSegmentedLRUOracle drives the real cache and the oracle through the
 // same randomized (but seeded — the policy is deterministic for a given op
-// order) lookup/install sequence and requires byte-for-byte agreement on
+// order) lookup/install/revalidate sequence and requires byte-for-byte agreement on
 // membership, segment placement, resident bytes and protected bytes after
 // every operation. Scan resistance falls out: a one-touch scan can never
 // displace an entry the oracle keeps.
@@ -142,7 +162,8 @@ func TestSegmentedLRUOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xF11C))
 	for op := 0; op < 4000; op++ {
 		i := rng.Intn(keys)
-		if rng.Intn(10) < 7 {
+		switch kind := rng.Intn(10); {
+		case kind < 7:
 			v, real, _ := c.Get(0, lookupInfo(memcache.OpGetK, key2(i), uint32(i)))
 			if real {
 				v.Release()
@@ -151,9 +172,12 @@ func TestSegmentedLRUOracle(t *testing.T) {
 			if real != model {
 				t.Fatalf("op %d: get(%s) real=%v oracle=%v", op, key2(i), real, model)
 			}
-		} else {
+		case kind < 9:
 			fill(t, c, memcache.OpGetK, key2(i), uint32(i), fmt.Sprintf("val-%02d", i))
 			o.install(skeyOf(i), unit)
+		default:
+			reval304(c, skeyOf(i))
+			o.reval304(skeyOf(i))
 		}
 
 		membership, resident, protB := snapshotSLRU(c)
@@ -176,6 +200,9 @@ func TestSegmentedLRUOracle(t *testing.T) {
 	}
 	if ev := cval(c.Counters(), "evictions"); ev == 0 {
 		t.Fatal("sequence exercised no evictions — budget too large to test the policy")
+	}
+	if rv := cval(c.Counters(), "revalidated"); rv == 0 {
+		t.Fatal("sequence re-headered no resident entry")
 	}
 }
 

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -73,15 +74,7 @@ func TestStaleRevalidateStress(t *testing.T) {
 					claims.Add(1)
 					time.Sleep(200 * time.Microsecond) // slow upstream
 					inflight.Add(-1)
-					msg := HTTPGet{}.MakeReval(rv.Req, rv.Region)
-					if msg.IsNull() {
-						violations.Add(1)
-						rv.F.Abort()
-						continue
-					}
-					if !rv.F.AttachRequest(msg) {
-						msg.Release()
-					}
+					rv.Req.Release()
 					if i%3 == 0 {
 						// Upstream died: the refresh fails, stale keeps serving.
 						rv.F.Abort()
@@ -124,12 +117,7 @@ func TestStaleRevalidateStress(t *testing.T) {
 
 	c.Close()
 	req.Release()
-	after := buffer.Global.Counters()
-	gets := cval(after, "refgets") - cval(before, "refgets")
-	puts := cval(after, "refputs") - cval(before, "refputs")
-	if gets != puts {
-		t.Fatalf("pool ref leak: refgets delta %d != refputs delta %d", gets, puts)
-	}
+	requirePoolBalanced(t, before)
 }
 
 // TestRevalUpstreamDeathServesStale is the deterministic fault-injection
@@ -163,13 +151,10 @@ func TestRevalUpstreamDeathServesStale(t *testing.T) {
 	}
 	v.Release()
 	// ...and the upstream dies before answering.
-	msg := HTTPGet{}.MakeReval(rv.Req, rv.Region)
-	if msg.IsNull() {
-		t.Fatal("revalidation image did not parse")
+	if uri := string(rv.Req.Field("uri").AsBytes()); uri != "/a" {
+		t.Fatalf("refresh request uri = %q, want /a", uri)
 	}
-	if !rv.F.AttachRequest(msg) {
-		msg.Release()
-	}
+	rv.Req.Release()
 	rv.F.Abort()
 
 	// Graceful degradation: the stale entry still serves, and the claim
@@ -184,10 +169,7 @@ func TestRevalUpstreamDeathServesStale(t *testing.T) {
 	}
 
 	// This time the upstream answers: a 304 restores freshness.
-	msg = HTTPGet{}.MakeReval(rv.Req, rv.Region)
-	if !rv.F.AttachRequest(msg) {
-		msg.Release()
-	}
+	rv.Req.Release()
 	rv.F.Fill([]byte(notMod304), RespInfo{Match: true, NotModified: true})
 	v, ok, rv = c.Get(0, info)
 	if !ok || rv != nil {
@@ -206,7 +188,7 @@ func TestRevalUpstreamDeathServesStale(t *testing.T) {
 		t.Fatal("want stale hit with claim inside the window")
 	}
 	v.Release()
-	rv.Region.Release()
+	rv.Req.Release()
 	rv.F.Abort()
 	clock.Store(int64(47 * time.Second))
 	if _, ok, _ := c.Get(0, info); ok {
@@ -218,4 +200,145 @@ func TestRevalUpstreamDeathServesStale(t *testing.T) {
 	if got := cval(c.Counters(), "stale_served"); got != 3 {
 		t.Fatalf("stale_served = %d, want 3", got)
 	}
+}
+
+// TestGetVsRevalidate304Race is the regression for the data race that kept
+// the race gate red: one goroutine serves hits from its own shard while
+// another resolves revalidations with upstream 304s. Lookups hold only a
+// shard lock, so anything a 304 changes about a published entry is a race
+// the detector reports here; it passes because a 304 publishes a new entry
+// instead.
+func TestGetVsRevalidate304Race(t *testing.T) {
+	c := newTestCache(t, Config{Proto: HTTPGet{}, Workers: 2,
+		TTL: 10 * time.Second, StaleTTL: time.Hour})
+	var clock atomic.Int64
+	c.now = clock.Load
+
+	req := decodeHTTP(t, true, reqA)
+	defer req.Release()
+	info := HTTPGet{}.Request(req)
+	f, leader := c.Begin(info, Waiter{})
+	if !leader {
+		t.Fatal("expected to lead")
+	}
+	resp := decodeHTTP(t, false, respSWR)
+	f.Fill([]byte(respSWR), HTTPGet{}.Response(resp))
+	resp.Release()
+
+	stop := make(chan struct{})
+	var reads atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // reader: hammers Get under its shard lock only
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			v, ok, rv := c.Get(1, info)
+			if ok {
+				v.Release()
+			}
+			if rv != nil {
+				rv.Req.Release()
+				rv.F.Abort()
+			}
+			reads.Add(1)
+		}
+	}()
+
+	for i := 1; i <= 200; i++ {
+		// Let the reader get a lookup in between 304s, then step past the
+		// last one's max-age=1 extension so the entry is stale again.
+		for n := reads.Load(); reads.Load() == n; {
+			runtime.Gosched()
+		}
+		clock.Store(int64(i) * int64(2*time.Second))
+		v, ok, rv := c.Get(0, info)
+		if ok {
+			v.Release()
+		}
+		if rv != nil {
+			rv.Req.Release()
+			rv.F.Fill([]byte(notMod304), RespInfo{Match: true, NotModified: true})
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if cval(c.Counters(), "revalidated") == 0 {
+		t.Fatal("no upstream 304 was applied while the reader ran")
+	}
+}
+
+// TestHitViewOutlives304 pins the ownership side of the re-header: views
+// handed out before an upstream 304 — the patched body copy and the
+// synthesized 304, which aliases the entry's own region — stay
+// byte-identical and releasable after the old header is dropped, and even
+// after the new one is too; the pool balances once everything is released.
+func TestHitViewOutlives304(t *testing.T) {
+	before := buffer.Global.Counters()
+	c := New(Config{Proto: HTTPGet{}, Workers: 2, TTL: 10 * time.Second, StaleTTL: 30 * time.Second})
+	var clock atomic.Int64
+	c.now = clock.Load
+
+	req, cond := decodeHTTP(t, true, reqA), decodeHTTP(t, true, condV1)
+	info, cinfo := HTTPGet{}.Request(req), HTTPGet{}.Request(cond)
+	f, _ := c.Begin(info, Waiter{})
+	resp := decodeHTTP(t, false, respSWR)
+	f.Fill([]byte(respSWR), HTTPGet{}.Response(resp))
+	resp.Release()
+
+	body, ok1, _ := c.Get(0, info)
+	notmod, ok2, _ := c.Get(1, cinfo)
+	if !ok1 || !ok2 {
+		t.Fatalf("want two hits on the seeded entry, got %v %v", ok1, ok2)
+	}
+	wantBody := string(body.Field("_raw").AsBytes())
+	wantNotMod := string(notmod.Field("_raw").AsBytes())
+	check := func(when string) {
+		t.Helper()
+		if got := string(body.Field("_raw").AsBytes()); got != wantBody {
+			t.Fatalf("%s: body view changed:\n%q\nwant\n%q", when, got, wantBody)
+		}
+		if got := string(notmod.Field("_raw").AsBytes()); got != wantNotMod {
+			t.Fatalf("%s: 304 view changed:\n%q\nwant\n%q", when, got, wantNotMod)
+		}
+	}
+
+	resident := c.BytesResident()
+	clock.Store(int64(2 * time.Second))
+	v, ok, rv := c.Get(0, info)
+	if !ok || rv == nil {
+		t.Fatalf("want stale hit with claim, got ok=%v claimed=%v", ok, rv != nil)
+	}
+	v.Release()
+	rv.Req.Release()
+	rv.F.Fill([]byte(notMod304), RespInfo{Match: true, NotModified: true})
+	cs := c.Counters()
+	if cval(cs, "revalidated") != 1 || cval(cs, "fills") != 1 || c.Len() != 1 || c.BytesResident() != resident {
+		t.Fatalf("after 304: revalidated=%d fills=%d len=%d resident=%d, want 1 1 1 %d",
+			cval(cs, "revalidated"), cval(cs, "fills"), c.Len(), c.BytesResident(), resident)
+	}
+	check("old header dropped")
+
+	c.Invalidate(info.Scope, info.Key) // now the views are the image's only owners
+	for i := 0; i < 8; i++ {
+		// A region freed too early would be handed out and scribbled on here.
+		r := buffer.Global.GetRef(int(resident))
+		b := r.Bytes()
+		for j := range b {
+			b[j] = 'x'
+		}
+		r.Release()
+	}
+	check("new header dropped")
+	body.Release()
+	notmod.Release()
+
+	c.Close()
+	req.Release()
+	cond.Release()
+	requirePoolBalanced(t, before)
 }

@@ -252,14 +252,9 @@ func (inst *Instance) cacheClientRequest(ctx *ExecCtx, msg value.Value, out *Cha
 		crt.cc.Clear()
 		return false
 	}
-	view, ok, rv := crt.cc.Get(ctx.Worker(), info)
-	if rv != nil {
-		// Non-FIFO protocols never pre-render a refresh request, so a
-		// claimed revalidation can't be dispatched here: hand the claim
-		// back rather than leak the flight and the retained region.
-		rv.Region.Release()
-		rv.F.Abort()
-	}
+	// Non-FIFO protocols render no refresh request: their entries die at
+	// expiry, so a lookup here never claims a revalidation.
+	view, ok, _ := crt.cc.Get(ctx.Worker(), info)
 	if ok {
 		crt.hitCh.Push(view)
 		view.Release()
@@ -512,33 +507,17 @@ func (inst *Instance) cacheUpstreamRequest(ctx *ExecCtx, msg value.Value, port i
 	return false
 }
 
-// dispatchReval turns a claimed background revalidation into an upstream
-// round trip on the port that served the stale hit: the protocol fabricates
-// a request record over the entry's pre-rendered conditional GET (consuming
-// the Reval's retained region reference), the flight keeps a reference so a
-// replacing 200 fill can render the next generation's refresh request, and
-// the record is routed to the port's output node, where the revalq identity
-// match parks it as a pending-only slotReval.
+// dispatchReval sends a claimed background revalidation upstream on the
+// port that served the stale hit: the refresh request record is routed to
+// the port's output node, where the revalq identity match parks it as a
+// pending-only slotReval.
 func (inst *Instance) dispatchReval(cp *cachePort, rv *rcache.Reval) {
 	crt := inst.crt
-	msg := crt.proto.MakeReval(rv.Req, rv.Region)
-	if msg.IsNull() || cp.reqCh == nil {
-		if !msg.IsNull() {
-			msg.Release()
-		}
-		rv.F.Abort()
-		return
-	}
 	crt.mu.Lock()
-	cp.revalq = append(cp.revalq, revalDispatch{id: cacheMsgID(msg), f: rv.F})
-	cp.reqCh.Push(msg)
+	cp.revalq = append(cp.revalq, revalDispatch{id: cacheMsgID(rv.Req), f: rv.F})
+	cp.reqCh.Push(rv.Req)
 	crt.mu.Unlock()
-	if !rv.F.AttachRequest(msg) {
-		// Flight already killed (a write raced the claim): the fabricated
-		// request still completes its round trip, and the dead flight's
-		// Fill is a no-op.
-		msg.Release()
-	}
+	rv.Req.Release()
 }
 
 // cacheFifoResponse routes one decoded backend response (FIFO) through the

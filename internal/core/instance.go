@@ -326,6 +326,12 @@ func (inst *Instance) Bind(port int, conn net.Conn) {
 // goroutines start for kernel connections, and every input task is
 // scheduled once to consume any pending bytes.
 func (inst *Instance) Start() {
+	// Start counts as one more live task until it returns: a peer that
+	// already hung up lets the first scheduled input task shut the whole
+	// graph down, and without the hold the pool could Reset and rebind the
+	// instance while the loop below is still reading it.
+	inst.liveTasks.Add(1)
+	defer inst.taskDone()
 	inst.active.Store(true)
 	for _, n := range inst.tmpl.nodes {
 		if n.Kind != NodeInput {
@@ -335,7 +341,11 @@ func (inst *Instance) Start() {
 		task := inst.tasks[n.ID]
 		if st.conn == nil {
 			// Unbound input (write-only benchmark graphs): treat as EOF.
+			// Under st.mu: a shutdown begun by an earlier input's EOF may
+			// already be running this task.
+			st.mu.Lock()
 			st.eof = true
+			st.mu.Unlock()
 			inst.sched.Schedule(task)
 			continue
 		}

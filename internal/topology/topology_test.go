@@ -129,6 +129,14 @@ func TestFileSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	trigger <- struct{}{}
+	// The send only hands the reload over: wait for it to read the bad
+	// file before replacing it.
+	for deadline := time.Now().Add(2 * time.Second); errs.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("bad file never reported through OnError")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if err := os.WriteFile(path, []byte("c:1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
