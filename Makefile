@@ -38,9 +38,12 @@ race:
 	GO=$(GO) ./scripts/race_gate.sh $(RACE_PKGS)
 
 # Soak of the cache's concurrency tests: lookups vs fills, invalidation and
-# upstream 304s, 20 runs each (also run by the CI race job).
+# upstream 304s, 20 runs each; then the latency histogram's record-vs-
+# snapshot invariant (no quantile above max), 200 runs without -race so
+# the interleavings are dense (~10 s). Also run by the CI race job.
 race-soak:
 	$(GO) test -race -count=20 -run 'Stress|Race|Reval' ./internal/cache/
+	$(GO) test -count=200 -run RecordVsSnapshot ./internal/metrics/
 
 # The nested benchmark module's own vet and tests (< 10 s). It compiles
 # against internal/cache, internal/upstream and the codecs, so it also
@@ -54,12 +57,12 @@ bench:
 bench-smoke:
 	$(GO) test -bench=BenchmarkSchedulerScaling -benchtime=100x -run='^$$' .
 
-# Connection-churn smoke: shared upstream pool vs per-client dials, small
-# parameters (also run by the CI bench-smoke job).
+# Connection-churn smoke through the per-worker sharded upstream pools,
+# small parameters (also run by the CI bench-smoke job).
 bench-churn:
 	$(GO) run ./cmd/flickbench -quick churn
 
-# Live-topology smoke: consistent-hash ring vs mod-B across a B→B+1
+# Live-topology smoke: the consistent-hash ring across a B→B+1
 # scale-out under load, plus the hot-key skew pair whose max-load column
 # separates the plain ring from the bounded-load ring (also run by the
 # CI bench-smoke job).

@@ -231,28 +231,6 @@ func BenchmarkAblationTimeslice(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationAffinity compares hash-pinned worker queues + stealing
-// against a single shared queue.
-func BenchmarkAblationAffinity(b *testing.B) {
-	for _, affinity := range []bool{true, false} {
-		name := "affinity"
-		if !affinity {
-			name = "shared-queue"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				pts := bench.RunAffinityAblation(8, 256, 64)
-				idx := 0
-				if !affinity {
-					idx = 1
-				}
-				b.ReportMetric(float64(pts[idx].Total.Microseconds()), "µs-total")
-				b.ReportMetric(float64(pts[idx].Stats.Stolen), "steals")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationGraphPool compares pooled against per-connection graph
 // construction under non-persistent load.
 func BenchmarkAblationGraphPool(b *testing.B) {

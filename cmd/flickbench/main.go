@@ -7,14 +7,13 @@
 //	flickbench fig6          Hadoop aggregator core scaling
 //	flickbench fig7          scheduling-policy fairness
 //	flickbench schedscale    scheduler worker-count scaling sweep
-//	flickbench churn         connection churn: shared upstream pool vs per-client dials
-//	flickbench rebalance     live B→B+1 scale-out: consistent-hash ring vs mod-B
+//	flickbench churn         connection churn through the per-worker upstream pools
+//	flickbench rebalance     live B→B+1 scale-out through the consistent-hash ring
 //	flickbench hotkey        hot-key sweep: cached vs plain proxy under zipfian keys
 //	flickbench ablations     design-choice ablations
 //	flickbench all           everything above
 //
 // -quick shrinks every experiment for a fast sanity pass;
-// -no-upstream-pool makes fig4/fig5 dial backends per client (ablation);
 // -real-origin fronts stock net/http origins serving chunked responses in
 // fig4 (each cell first proves byte-identical passthrough against a direct
 // fetch); -quiet-batch turns each churn connection into a GetQ/GetQ/Noop
@@ -36,8 +35,6 @@ func main() {
 		quick   = flag.Bool("quick", false, "small parameters for a fast pass")
 		dur     = flag.Duration("duration", 2*time.Second, "duration per measured cell")
 		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "FLICK worker threads")
-		noPool  = flag.Bool("no-upstream-pool", false, "dial backends per client instead of sharing pipelined upstream connections")
-		upShard = flag.Int("upstream-shards", 0, "upstream pool shards for fig4/fig5 (0: one per worker; 1: single shared pool)")
 		realOrg = flag.Bool("real-origin", false, "fig4: front stock net/http origins serving chunked responses (verifies byte-identical passthrough)")
 		quietB  = flag.Bool("quiet-batch", false, "churn: each connection issues a GetQ/GetQ/Noop quiet batch instead of one GET (pins backends=1)")
 	)
@@ -88,14 +85,12 @@ func main() {
 	run("fig4", func() error {
 		for _, persistent := range []bool{true, false} {
 			pts, err := bench.RunFig4(bench.Fig4Config{
-				Clients:        clients,
-				Backends:       10,
-				Persistent:     persistent,
-				Duration:       *dur,
-				Workers:        *workers,
-				NoUpstreamPool: *noPool,
-				UpstreamShards: *upShard,
-				RealOrigin:     *realOrg,
+				Clients:    clients,
+				Backends:   10,
+				Persistent: persistent,
+				Duration:   *dur,
+				Workers:    *workers,
+				RealOrigin: *realOrg,
 			})
 			if err != nil {
 				return err
@@ -107,12 +102,10 @@ func main() {
 
 	run("fig5", func() error {
 		pts, err := bench.RunFig5(bench.Fig5Config{
-			Cores:          cores,
-			Clients:        128,
-			Backends:       10,
-			Duration:       *dur,
-			NoUpstreamPool: *noPool,
-			UpstreamShards: *upShard,
+			Cores:    cores,
+			Clients:  128,
+			Backends: 10,
+			Duration: *dur,
 		})
 		if err != nil {
 			return err
@@ -192,11 +185,11 @@ func main() {
 		var pts []bench.RebalancePoint
 		for _, sys := range []bench.System{bench.SysFlick, bench.SysFlickMTCP} {
 			rc.System = sys
-			pair, err := bench.RunRebalancePair(rc)
+			pt, err := bench.RunRebalance(rc)
 			if err != nil {
 				return err
 			}
-			pts = append(pts, pair...)
+			pts = append(pts, pt)
 		}
 		// Hot-key skew: plain ring vs bounded-load ring (the max-load
 		// column is where they separate).
@@ -224,11 +217,11 @@ func main() {
 		var pts []bench.ChurnPoint
 		for _, sys := range []bench.System{bench.SysFlick, bench.SysFlickMTCP} {
 			cc.System = sys
-			rows, err := bench.RunChurnSweep(cc)
+			pt, err := bench.RunChurn(cc)
 			if err != nil {
 				return err
 			}
-			pts = append(pts, rows...)
+			pts = append(pts, pt)
 		}
 		fmt.Println(bench.ChurnTable(pts))
 		return nil
@@ -266,7 +259,6 @@ func main() {
 
 	run("ablations", func() error {
 		fmt.Println(bench.TimesliceTable(bench.RunTimesliceAblation(nil, *workers)))
-		fmt.Println(bench.AffinityTable(bench.RunAffinityAblation(*workers, 128, 64)))
 		pool, err := bench.RunGraphPoolAblation(64, *dur)
 		if err != nil {
 			return err

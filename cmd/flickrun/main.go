@@ -71,9 +71,7 @@ func main() {
 		service = flag.String("service", "web", "service: web | httplb | memcachedproxy | memcachedrouter | hadoopagg")
 		listen  = flag.String("listen", "127.0.0.1:8080", "listen address")
 		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "worker threads")
-		noPool  = flag.Bool("no-upstream-pool", false, "dial backends per client instead of sharing pipelined upstream connections")
 		upSize  = flag.Int("upstream-pool-size", 0, "shared upstream sockets per backend per shard (0: default)")
-		upShard = flag.Int("upstream-shards", 0, "upstream pool shards (0: one per worker; 1: single shared pool)")
 		liveTop = flag.Bool("live-topology", false, "route via a consistent-hash ring and accept topology updates while serving")
 		maxBack = flag.Int("max-backends", 0, "channel-array capacity for -live-topology (0: current backend count)")
 		topFile = flag.String("topology-file", "", "topology file (\"addr\" or \"addr weight\" per line), re-read on SIGHUP")
@@ -120,9 +118,7 @@ func main() {
 		fatal(err)
 	}
 	svc.Upstream = apps.UpstreamOptions{
-		Disable:       *noPool,
 		PoolSize:      *upSize,
-		Shards:        *upShard,
 		ProbeInterval: *probeIv,
 	}
 	svc.Topology = apps.TopologyOptions{
@@ -148,8 +144,7 @@ func main() {
 		svc.Name, deployed.Addr(), *workers, len(svc.Graph.Template.Nodes()))
 
 	if m := deployed.Upstreams(); m != nil {
-		fmt.Printf("flickrun: shared upstream pool enabled, %d shard(s) (disable with -no-upstream-pool; -upstream-shards 1 unshards)\n",
-			m.Shards())
+		fmt.Printf("flickrun: shared upstream pool enabled, %d shard(s), one per worker\n", m.Shards())
 		if *probeIv > 0 {
 			fmt.Printf("flickrun: health probes every %v\n", *probeIv)
 		}

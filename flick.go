@@ -145,10 +145,6 @@ type PlatformOptions struct {
 	InProcessNet bool
 	// Quantum overrides the cooperative timeslice (0: the default 50µs).
 	Quantum PolicyQuantum
-	// SharedQueue disables task→worker affinity and funnels every task
-	// through one shared queue (the §5 ablation; useful for measuring the
-	// value of the sharded scheduler on a given workload).
-	SharedQueue bool
 }
 
 // SchedStats is a snapshot of the platform scheduler's activity counters:
@@ -179,18 +175,9 @@ func NewPlatform(opts PlatformOptions) *Platform {
 	if pol.Name == "" {
 		pol = core.Cooperative
 	}
-	var schedOpts []core.Option
-	if opts.SharedQueue {
-		schedOpts = append(schedOpts, core.WithoutAffinity())
-	}
 	return &Platform{
-		inner: core.NewPlatform(core.Config{
-			Workers:      workers,
-			Transport:    tr,
-			Policy:       pol,
-			SchedOptions: schedOpts,
-		}),
-		tr: tr,
+		inner: core.NewPlatform(core.Config{Workers: workers, Transport: tr, Policy: pol}),
+		tr:    tr,
 	}
 }
 

@@ -66,29 +66,25 @@ func TestPlatformSchedStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shared := range []bool{false, true} {
-		p := NewPlatform(PlatformOptions{Workers: 2, InProcessNet: true, SharedQueue: shared})
-		d, err := p.Deploy(svc, "echo:stats", nil)
-		if err != nil {
-			p.Close()
-			t.Fatal(err)
-		}
-		conn, err := p.Dial("echo:stats")
-		if err != nil {
-			p.Close()
-			t.Fatal(err)
-		}
-		fmt.Fprintln(conn, "ping")
-		if _, err := bufio.NewReader(conn).ReadString('\n'); err != nil {
-			t.Fatalf("shared=%v: %v", shared, err)
-		}
-		st := p.SchedStats()
-		if st.Scheduled == 0 || st.Executed == 0 {
-			t.Fatalf("shared=%v: scheduler stats did not move: %+v", shared, st)
-		}
-		conn.Close()
-		d.Close()
-		p.Close()
+	p := NewPlatform(PlatformOptions{Workers: 2, InProcessNet: true})
+	defer p.Close()
+	d, err := p.Deploy(svc, "echo:stats", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	conn, err := p.Dial("echo:stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintln(conn, "ping")
+	if _, err := bufio.NewReader(conn).ReadString('\n'); err != nil {
+		t.Fatal(err)
+	}
+	st := p.SchedStats()
+	if st.Scheduled == 0 || st.Executed == 0 {
+		t.Fatalf("scheduler stats did not move: %+v", st)
 	}
 }
 

@@ -69,7 +69,7 @@ type TopologyView struct {
 	// holding more backends are refused with 409.
 	Capacity int `json:"capacity"`
 	// Router names the installed routing topology ("ring",
-	// "bounded-ring", "mod").
+	// "bounded-ring", "static").
 	Router string `json:"router"`
 	// BoundedLoadC is the bounded-load factor c when Router is
 	// "bounded-ring" (0 otherwise).

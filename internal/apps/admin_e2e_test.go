@@ -32,7 +32,7 @@ func TestAdminScaleOutZeroErrors(t *testing.T) {
 		clients = 8
 		keys    = 64
 	)
-	tb := newTopologyTestbed(t, total, initial, keys, false)
+	tb := newTopologyTestbed(t, total, initial, keys)
 	ctl := NewControl(tb.mp, tb.svc, tb.p)
 	srv, err := ctl.ServeAdmin("127.0.0.1:0")
 	if err != nil {
@@ -157,7 +157,7 @@ func TestAdminScaleOutZeroErrors(t *testing.T) {
 // TestAdminCapacityConflict: PUTting more backends than the compiled
 // capacity answers 409 and leaves the serving topology untouched.
 func TestAdminCapacityConflict(t *testing.T) {
-	tb := newTopologyTestbed(t, 2, 2, 16, false)
+	tb := newTopologyTestbed(t, 2, 2, 16)
 	ctl := NewControl(tb.mp, tb.svc, tb.p)
 	srv, err := ctl.ServeAdmin("127.0.0.1:0")
 	if err != nil {
@@ -191,7 +191,7 @@ func TestAdminCapacityConflict(t *testing.T) {
 // weighted topology file lands through Control.Follow in the same ring
 // the admin API reports, weight 0 draining its backend.
 func TestControlFollowWeightedFile(t *testing.T) {
-	tb := newTopologyTestbed(t, 3, 3, 16, false)
+	tb := newTopologyTestbed(t, 3, 3, 16)
 	ctl := NewControl(tb.mp, tb.svc, tb.p)
 
 	path := filepath.Join(t.TempDir(), "backends.txt")

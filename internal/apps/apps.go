@@ -88,28 +88,14 @@ fun respond: (req: request) -> (response)
 `
 
 // UpstreamOptions groups the shared-upstream-layer knobs of a Service.
-// The zero value selects the defaults every knob had as a flat field:
-// pool enabled, upstream.Config sizing, one shard per scheduler worker,
-// probing off.
+// The zero value selects upstream.Config sizing with probing off. Every
+// request/response service pools its backend connections, with one pool
+// shard per platform scheduler worker so the backend write path of a
+// task graph never takes a lock contended by another core.
 type UpstreamOptions struct {
-	// Disable turns off the shared upstream connection layer for
-	// request/response services, restoring one dedicated backend socket
-	// per accepted client (the ablation the connection-churn benchmark
-	// measures against). Set before Deploy.
-	Disable bool
 	// PoolSize overrides the shared-socket count per backend address per
 	// shard (0: upstream.Config default).
 	PoolSize int
-	// Shards sets the upstream layer's pool shard count. 0 (the
-	// default) shards one pool set per platform scheduler worker, so the
-	// backend write path of a task graph never takes a lock contended by
-	// another core; 1 restores the single shared pool (the ablation
-	// `flickbench churn` measures against); any other value is used
-	// verbatim. Set before Deploy.
-	Shards int
-	// Window overrides the per-socket in-flight request window
-	// (0: upstream.Config default).
-	Window int
 	// ProbeInterval enables proactive upstream health probes at the
 	// given period (0: disabled). Probing needs the shared upstream
 	// layer and a service protocol with a no-op request (all
@@ -118,8 +104,8 @@ type UpstreamOptions struct {
 }
 
 // TopologyOptions groups the live-backend-topology knobs of a Service.
-// The zero value is the static deployment every knob's flat-field zero
-// selected: fixed backend census, hash-mod-B off the compiled array.
+// The zero value is the static deployment: fixed backend census,
+// hash-mod-B off the compiled array.
 type TopologyOptions struct {
 	// Live opts the service into a live backend set: keys route
 	// through a consistent-hash ring (backend.Ring) instead of
@@ -129,21 +115,12 @@ type TopologyOptions struct {
 	// Service.UpdateBackends / apps UpdateBackends while serving. Set
 	// before Deploy.
 	Live bool
-	// VNodes overrides the ring's virtual-node count per backend
-	// (0: backend.DefaultVNodes).
-	VNodes int
-	// Mod selects the hash-mod-B ablation router for a Live service:
-	// the live-update plumbing stays, but a topology change reshuffles
-	// nearly the whole key space — the baseline `flickbench rebalance`
-	// measures the ring against.
-	Mod bool
 	// BoundedLoadC, when > 0, routes through a bounded-load ring
 	// (backend.BoundedRing) with load factor c: a key's hash owner is
 	// skipped while its in-flight share exceeds c× its fair share, the
-	// walk settling on the next ring successor with headroom. Requires
-	// the shared upstream layer (its per-address in-flight gauge is the
-	// load signal); without it the plain ring is used. 1.25 is a good
-	// first value (see PERFORMANCE.md).
+	// walk settling on the next ring successor with headroom. The load
+	// signal is the shared upstream layer's per-address in-flight gauge.
+	// 1.25 is a good first value (see PERFORMANCE.md).
 	BoundedLoadC float64
 }
 
@@ -253,18 +230,13 @@ func (s *Service) Deploy(p *core.Platform, listenAddr string, backendAddrs []str
 		// dialling each backend afresh (the Shared/streaming services —
 		// the Hadoop aggregator's reducer feed — keep dedicated sockets).
 		hasBackends := len(cfg.BackendAddrs) > 0 || len(liveAddrs) > 0
-		if hasBackends && s.reqFramer != nil && s.respFramer != nil && !s.Upstream.Disable {
-			shards := s.Upstream.Shards
-			if shards <= 0 {
-				// Default: one pool shard per scheduler worker, so each
-				// graph's backend writes stay on the leasing worker's core.
-				shards = p.Scheduler().Workers()
-			}
+		if hasBackends && s.reqFramer != nil && s.respFramer != nil {
 			ucfg := upstream.Config{
-				Transport:      p.Transport(),
-				Size:           s.Upstream.PoolSize,
-				Shards:         shards,
-				Window:         s.Upstream.Window,
+				Transport: p.Transport(),
+				Size:      s.Upstream.PoolSize,
+				// One pool shard per scheduler worker, so each graph's
+				// backend writes stay on the leasing worker's core.
+				Shards:         p.Scheduler().Workers(),
 				RequestFramer:  s.reqFramer,
 				ResponseFramer: s.respFramer,
 			}
@@ -321,14 +293,11 @@ func (s *Service) Deploy(p *core.Platform, listenAddr string, backendAddrs []str
 }
 
 // router builds the service's routing topology over addrs per its
-// options: hash-mod-B ablation, plain ring, weighted ring, or — when
-// BoundedLoadC is set and an upstream manager supplies the in-flight
-// gauge — a weighted bounded-load ring. weights nil means uniform.
+// options: plain ring, weighted ring, or — when BoundedLoadC is set and an
+// upstream manager supplies the in-flight gauge — a weighted bounded-load
+// ring. weights nil means uniform.
 func (s *Service) router(addrs []string, weights []int, m *upstream.Manager) core.Topology {
-	if s.Topology.Mod {
-		return backend.NewModTable(addrs)
-	}
-	ring := backend.NewWeightedRing(addrs, weights, s.Topology.VNodes)
+	ring := backend.NewWeightedRing(addrs, weights, 0)
 	if s.Topology.BoundedLoadC > 0 && m != nil {
 		return backend.NewBoundedRing(ring, s.Topology.BoundedLoadC, m.InflightFor)
 	}
@@ -337,7 +306,7 @@ func (s *Service) router(addrs []string, weights []int, m *upstream.Manager) cor
 
 // UpdateBackends applies a new backend address list (uniform weights) to
 // a deployed live-topology service: it builds the router matching the
-// service's topology options (ring or mod ablation) and swaps it in on
+// service's topology options (plain or bounded-load ring) and swaps it in on
 // the live core.Service. Growing the set is a non-event — new connections
 // route through the new ring, running graphs finish on the sockets they
 // hold; shrinking additionally drains the removed backends' upstream

@@ -138,26 +138,13 @@ func (c *Control) View() admin.TopologyView {
 	case nil:
 		v.Router = "static"
 		return v
-	default: // *backend.ModTable and any other plain Topology
-		v.Router = "mod"
-		addrs = t.Backends()
-		weights = make([]int, len(addrs))
-		shares = make([]float64, len(addrs))
-		for i := range addrs {
-			weights[i] = 1
-			shares[i] = 1 / float64(len(addrs))
-		}
 	}
 	m := c.deployed.Upstreams()
 	for i, a := range addrs {
-		row := admin.BackendView{Addr: a, Weight: weights[i], Share: shares[i]}
-		if m != nil {
-			row.Health = m.HealthFor(a)
-			row.Inflight = m.InflightFor(a)
-		} else {
-			row.Health = "unmanaged" // per-connection dialling: no pool to ask
-		}
-		v.Backends = append(v.Backends, row)
+		v.Backends = append(v.Backends, admin.BackendView{
+			Addr: a, Weight: weights[i], Share: shares[i],
+			Health: m.HealthFor(a), Inflight: m.InflightFor(a),
+		})
 	}
 	return v
 }

@@ -11,17 +11,17 @@
 //
 // # Deployment options
 //
-// A Service carries the knobs the benchmarks ablate, grouped into two
-// nested option structs whose zero values are the defaults. Upstream
-// (UpstreamOptions) configures the shared connection layer: Disable
-// (dedicated backend sockets per client instead of the shared pipelined
-// pool), PoolSize/Window/Shards sizing, and ProbeInterval (proactive
-// upstream health probes using the service protocol's no-op request).
-// Topology (TopologyOptions) configures routing: Live (consistent-hash
-// ring routing with hot UpdateBackends, where the compiled channel-array
-// size is capacity rather than census), VNodes, Mod (the hash-mod-B
-// ablation) and BoundedLoadC (consistent hashing with bounded loads over
-// the upstream layer's in-flight gauge).
+// A Service carries its deployment knobs in nested option structs whose
+// zero values are the defaults. Every request/response service with
+// backends pools its backend connections in the shared upstream layer,
+// one pool shard per scheduler worker. Upstream (UpstreamOptions) sizes
+// that layer: PoolSize, and ProbeInterval (proactive upstream health
+// probes using the service protocol's no-op request). Topology
+// (TopologyOptions) configures routing: Live (consistent-hash ring
+// routing with hot UpdateBackends, where the compiled channel-array size
+// is capacity rather than census) and BoundedLoadC (consistent hashing
+// with bounded loads over the upstream layer's in-flight gauge). Cache
+// (CacheOptions) enables the in-network response cache.
 //
 // # Control plane
 //

@@ -22,7 +22,7 @@ func TestScaleInUnderConnectLoadZeroClientErrors(t *testing.T) {
 		keys    = 64
 		flips   = 30
 	)
-	tb := newTopologyTestbed(t, total, total, keys, false)
+	tb := newTopologyTestbed(t, total, total, keys)
 
 	var (
 		stop     atomic.Bool

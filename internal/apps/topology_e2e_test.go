@@ -28,7 +28,7 @@ type topologyTestbed struct {
 	keys  [][]byte
 }
 
-func newTopologyTestbed(t *testing.T, nTotal, nInitial, nKeys int, mod bool) *topologyTestbed {
+func newTopologyTestbed(t *testing.T, nTotal, nInitial, nKeys int) *topologyTestbed {
 	t.Helper()
 	tb := &topologyTestbed{u: netstack.NewUserNet()}
 	tb.p = core.NewPlatform(core.Config{Workers: 4, Transport: tb.u})
@@ -55,7 +55,6 @@ func newTopologyTestbed(t *testing.T, nTotal, nInitial, nKeys int, mod bool) *to
 		t.Fatal(err)
 	}
 	mp.Topology.Live = true
-	mp.Topology.Mod = mod
 	tb.mp = mp
 	svc, err := mp.Deploy(tb.p, "topo-proxy:1", tb.addrs[:nInitial])
 	if err != nil {
@@ -101,7 +100,7 @@ func TestLiveScaleOutZeroErrors(t *testing.T) {
 		clients = 8
 		keys    = 64
 	)
-	tb := newTopologyTestbed(t, total, initial, keys, false)
+	tb := newTopologyTestbed(t, total, initial, keys)
 
 	var (
 		stop     atomic.Bool
@@ -164,7 +163,7 @@ func TestLiveScaleOutZeroErrors(t *testing.T) {
 // backend's shared sockets and subsequent traffic avoids it entirely.
 func TestLiveScaleInDrainsUpstream(t *testing.T) {
 	const keys = 64
-	tb := newTopologyTestbed(t, 3, 3, keys, false)
+	tb := newTopologyTestbed(t, 3, 3, keys)
 
 	// Touch every key once so all three backends hold sockets.
 	for i, k := range tb.keys {
@@ -204,7 +203,7 @@ func TestLiveScaleInDrainsUpstream(t *testing.T) {
 // key to exactly the backend the service's ring predicts.
 func TestCompiledProxyRoutesViaRing(t *testing.T) {
 	const keys = 48
-	tb := newTopologyTestbed(t, 3, 3, keys, false)
+	tb := newTopologyTestbed(t, 3, 3, keys)
 	ring := backend.NewRing(tb.addrs, 0) // same parameters as the service's
 
 	expect := make([]uint64, 3)
@@ -284,30 +283,6 @@ func TestHTTPLBLiveTopologyNoBlackhole(t *testing.T) {
 		raw.Close()
 		if !bytes.HasPrefix(buf[:got], []byte("HTTP/1.1 200")) {
 			t.Fatalf("connection %d: unexpected response %q", i, buf[:min(got, 40)])
-		}
-	}
-}
-
-// TestCompiledProxyModAblationRoutesByModulo: with ModTopology the same
-// service routes by hash mod B over the live backend count.
-func TestCompiledProxyModAblationRoutesByModulo(t *testing.T) {
-	const keys = 48
-	tb := newTopologyTestbed(t, 3, 2, keys, true) // B=2 live of 3 compiled
-
-	expect := make([]uint64, 3)
-	base := make([]uint64, 3)
-	for b, srv := range tb.srvs {
-		base[b] = srv.Requests()
-	}
-	for i, k := range tb.keys {
-		expect[uint64(backend.KeyHash(k))%2]++
-		if err := tb.get(k, fmt.Sprintf("value-%04d", i)); err != nil {
-			t.Fatalf("GET: %v", err)
-		}
-	}
-	for b, srv := range tb.srvs {
-		if got := srv.Requests() - base[b]; got != expect[b] {
-			t.Fatalf("backend %d served %d requests, mod-2 predicts %d", b, got, expect[b])
 		}
 	}
 }

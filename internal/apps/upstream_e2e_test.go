@@ -15,6 +15,45 @@ import (
 	"flick/internal/proto/memcache"
 )
 
+// churnKey is short-lived client i's key.
+func churnKey(i int) []byte { return []byte(fmt.Sprintf("churn-key-%03d", i)) }
+
+// getkOnce dials addr, issues one GETK for key, and returns the raw
+// bytes of the one complete binary-protocol response frame.
+func getkOnce(u *netstack.UserNet, addr string, key []byte) ([]byte, error) {
+	raw, err := u.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	defer raw.Close()
+	wire, err := memcache.Codec.Encode(nil, memcache.Request(memcache.OpGetK, key, nil))
+	if err != nil {
+		return nil, err
+	}
+	if _, err := raw.Write(wire); err != nil {
+		return nil, err
+	}
+	raw.SetReadDeadline(time.Now().Add(10 * time.Second))
+	// Read one complete frame (24-byte header + body length at bytes 8..11).
+	resp := make([]byte, 0, 256)
+	buf := make([]byte, 4096)
+	for {
+		n, err := raw.Read(buf)
+		if n > 0 {
+			resp = append(resp, buf[:n]...)
+		}
+		if len(resp) >= 24 {
+			body := int(uint32(resp[8])<<24 | uint32(resp[9])<<16 | uint32(resp[10])<<8 | uint32(resp[11]))
+			if len(resp) >= 24+body {
+				return resp[:24+body], nil
+			}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("short response (%d bytes): %w", len(resp), err)
+		}
+	}
+}
+
 // driveShortLivedClients churns C short-lived clients through the proxy:
 // each dials, issues one GETK for its own key, captures the raw response
 // bytes, and disconnects. Responses are returned keyed by client index.
@@ -27,43 +66,7 @@ func driveShortLivedClients(t *testing.T, u *netstack.UserNet, addr string, clie
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			raw, err := u.Dial(addr)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer raw.Close()
-			wire, err := memcache.Codec.Encode(nil, memcache.Request(memcache.OpGetK, []byte(fmt.Sprintf("churn-key-%03d", i)), nil))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if _, err := raw.Write(wire); err != nil {
-				errs[i] = err
-				return
-			}
-			raw.SetReadDeadline(time.Now().Add(10 * time.Second))
-			// Read one complete binary-protocol frame (24-byte header +
-			// body length at bytes 8..11).
-			resp := make([]byte, 0, 256)
-			buf := make([]byte, 4096)
-			for {
-				n, err := raw.Read(buf)
-				if n > 0 {
-					resp = append(resp, buf[:n]...)
-				}
-				if len(resp) >= 24 {
-					body := int(uint32(resp[8])<<24 | uint32(resp[9])<<16 | uint32(resp[10])<<8 | uint32(resp[11]))
-					if len(resp) >= 24+body {
-						out[i] = resp[:24+body]
-						return
-					}
-				}
-				if err != nil {
-					errs[i] = fmt.Errorf("short response (%d bytes): %w", len(resp), err)
-					return
-				}
-			}
+			out[i], errs[i] = getkOnce(u, addr, churnKey(i))
 		}(i)
 	}
 	wg.Wait()
@@ -78,10 +81,9 @@ func driveShortLivedClients(t *testing.T, u *netstack.UserNet, addr string, clie
 // TestProxyUpstreamPoolBoundsBackendConns is the shared-upstream
 // acceptance gate: the memcached proxy under C=32 short-lived clients
 // over B=4 backends must hold backend-side accepted connections to
-// pool-size × shards × B (not C × B) — pool×B exactly for the unsharded
-// pool, which this test pins explicitly — and answer byte-identically in
-// all three configurations (per-worker sharded, single shared pool,
-// per-client dials).
+// pool-size × shards × B (not C × B), with one pool shard per worker, and
+// answer each client byte-identically to the same GETK sent straight to
+// the shard its key hashes to.
 func TestProxyUpstreamPoolBoundsBackendConns(t *testing.T) {
 	const (
 		clients  = 32
@@ -89,98 +91,77 @@ func TestProxyUpstreamPoolBoundsBackendConns(t *testing.T) {
 		poolSize = 2
 		workers  = 4
 	)
-	run := func(t *testing.T, noPool bool, shards int) (responses [][]byte, accepts uint64) {
-		u := netstack.NewUserNet()
-		p := core.NewPlatform(core.Config{Workers: workers, Transport: u})
-		defer p.Close()
-		kv := map[string]string{}
-		for i := 0; i < clients; i++ {
-			kv[fmt.Sprintf("churn-key-%03d", i)] = fmt.Sprintf("value-for-%03d", i)
-		}
-		var srvs []*backend.MemcachedServer
-		addrs := make([]string, backends)
-		for b := 0; b < backends; b++ {
-			srv, err := backend.NewMemcachedServer(u, fmt.Sprintf("shard:%d", b))
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv.Preload(kv)
-			defer srv.Close()
-			srvs = append(srvs, srv)
-			addrs[b] = srv.Addr()
-		}
-		mp, err := MemcachedProxy(backends)
+	u := netstack.NewUserNet()
+	p := core.NewPlatform(core.Config{Workers: workers, Transport: u})
+	defer p.Close()
+	kv := map[string]string{}
+	for i := 0; i < clients; i++ {
+		kv[string(churnKey(i))] = fmt.Sprintf("value-for-%03d", i)
+	}
+	var srvs []*backend.MemcachedServer
+	addrs := make([]string, backends)
+	for b := 0; b < backends; b++ {
+		srv, err := backend.NewMemcachedServer(u, fmt.Sprintf("shard:%d", b))
 		if err != nil {
 			t.Fatal(err)
 		}
-		mp.Upstream.Disable = noPool
-		mp.Upstream.PoolSize = poolSize
-		mp.Upstream.Shards = shards
-		svc, err := mp.Deploy(p, "proxy:churn", addrs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer svc.Close()
+		srv.Preload(kv)
+		defer srv.Close()
+		srvs = append(srvs, srv)
+		addrs[b] = srv.Addr()
+	}
+	mp, err := MemcachedProxy(backends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mp.Upstream.PoolSize = poolSize
+	svc, err := mp.Deploy(p, "proxy:churn", addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
 
-		responses = driveShortLivedClients(t, u, "proxy:churn", clients)
-		// Accept loops may still be draining backlogs (a client only waits
-		// for the shard its key hashes to); settle before snapshotting.
-		deadline := time.Now().Add(2 * time.Second)
-		for {
-			var cur uint64
-			for _, srv := range srvs {
-				cur += srv.Accepts()
-			}
-			if cur == accepts || time.Now().After(deadline) {
-				accepts = cur
-				break
-			}
+	proxied := driveShortLivedClients(t, u, "proxy:churn", clients)
+	// Accept loops may still be draining backlogs (a client only waits
+	// for the shard its key hashes to); settle before snapshotting.
+	var accepts uint64
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		var cur uint64
+		for _, srv := range srvs {
+			cur += srv.Accepts()
+		}
+		if cur == accepts || time.Now().After(deadline) {
 			accepts = cur
-			time.Sleep(10 * time.Millisecond)
+			break
 		}
-		if noPool && svc.Upstreams() != nil {
-			t.Fatal("ablation deployed with an upstream manager")
+		accepts = cur
+		time.Sleep(10 * time.Millisecond)
+	}
+	m := svc.Upstreams()
+	if m == nil {
+		t.Fatal("request/response service deployed without an upstream manager")
+	}
+	if got := m.Shards(); got != workers {
+		t.Fatalf("manager has %d shards, want one per worker (%d)", got, workers)
+	}
+	if conns := m.Conns(); conns > poolSize*workers*backends {
+		t.Fatalf("upstream holds %d sockets, want <= %d", conns, poolSize*workers*backends)
+	}
+	// Pools hold one socket set per worker, so the bound scales with the
+	// core count — still independent of the client count C.
+	if accepts > uint64(poolSize*workers*backends) {
+		t.Fatalf("proxy opened %d backend connections, want <= pool×shards×B = %d",
+			accepts, poolSize*workers*backends)
+	}
+	for i := range proxied {
+		key := churnKey(i)
+		direct, err := getkOnce(u, addrs[backend.KeyHash(key)%backends], key)
+		if err != nil {
+			t.Fatalf("direct GETK %s: %v", key, err)
 		}
-		if !noPool {
-			if svc.Upstreams() == nil {
-				t.Fatal("pooled deployment has no upstream manager")
-			}
-			if got := svc.Upstreams().Shards(); got != shards {
-				t.Fatalf("manager has %d shards, want %d", got, shards)
-			}
-			if conns := svc.Upstreams().Conns(); conns > poolSize*shards*backends {
-				t.Fatalf("upstream holds %d sockets, want <= %d", conns, poolSize*shards*backends)
-			}
-		}
-		return responses, accepts
-	}
-
-	sharded, shardedAccepts := run(t, false, workers)
-	pooled, pooledAccepts := run(t, false, 1)
-	ablated, ablatedAccepts := run(t, true, 1)
-
-	if pooledAccepts > uint64(poolSize*backends) {
-		t.Fatalf("pooled proxy opened %d backend connections, want <= pool×B = %d",
-			pooledAccepts, poolSize*backends)
-	}
-	// Sharded pools hold one socket set per worker, so the bound scales
-	// with the core count — still independent of the client count C.
-	if shardedAccepts > uint64(poolSize*workers*backends) {
-		t.Fatalf("sharded proxy opened %d backend connections, want <= pool×shards×B = %d",
-			shardedAccepts, poolSize*workers*backends)
-	}
-	if ablatedAccepts != uint64(clients*backends) {
-		t.Fatalf("ablation opened %d backend connections, want C×B = %d",
-			ablatedAccepts, clients*backends)
-	}
-	for i := range pooled {
-		if !bytes.Equal(pooled[i], ablated[i]) {
-			t.Fatalf("client %d responses diverge:\npooled:  %q\nablated: %q",
-				i, pooled[i], ablated[i])
-		}
-		if !bytes.Equal(sharded[i], pooled[i]) {
-			t.Fatalf("client %d responses diverge:\nsharded: %q\nshared:  %q",
-				i, sharded[i], pooled[i])
+		if !bytes.Equal(proxied[i], direct) {
+			t.Fatalf("client %d responses diverge:\nproxied: %q\ndirect:  %q", i, proxied[i], direct)
 		}
 	}
 }

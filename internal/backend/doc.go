@@ -15,8 +15,8 @@
 //
 // Ring is a consistent-hash ring with virtual nodes (DefaultVNodes per
 // backend): adding or removing a backend remaps only ~1/B of the key
-// space, where hash-mod-B reshuffles almost all of it. ModTable is the
-// mod-B ablation with the same live-update plumbing. Both implement
+// space, where hash-mod-B reshuffles almost all of it. BoundedRing caps
+// each backend's in-flight share on top of a Ring. Both implement
 // core.Topology and are immutable — a topology change builds a new value
 // and swaps it onto the running service (core.Service.UpdateBackends), so
 // in-flight task graphs keep routing against the set they were bound to.

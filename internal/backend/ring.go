@@ -238,31 +238,6 @@ func (r *Ring) walk(hash int64, accept func(idx int) bool) int {
 	return r.points[start].idx
 }
 
-// ModTable is the mod-B ablation topology: the live-update plumbing of a
-// Ring (ordered address list, swap on UpdateBackends) with plain
-// hash-mod-B routing, so benchmarks can measure exactly what consistent
-// hashing buys during a scale-out. ModTable implements core.Topology.
-type ModTable struct {
-	addrs []string
-}
-
-// NewModTable builds the ablation router over addrs.
-func NewModTable(addrs []string) *ModTable {
-	return &ModTable{addrs: append([]string(nil), addrs...)}
-}
-
-// Backends returns the ordered backend address list. The slice is shared —
-// callers must not mutate it.
-func (m *ModTable) Backends() []string { return m.addrs }
-
-// Route maps a key hash to hash mod B.
-func (m *ModTable) Route(hash int64) int {
-	if len(m.addrs) == 0 {
-		return 0
-	}
-	return int(uint64(hash) % uint64(len(m.addrs)))
-}
-
 // LoadFunc reports a backend's current load — for the platform, the
 // shared upstream layer's in-flight request count for the address
 // (upstream.Manager.InflightFor). Implementations must be safe for
@@ -367,8 +342,8 @@ func (b *BoundedRing) Route(hash int64) int {
 	})
 }
 
-// Router is the routing half of a topology (satisfied by Ring, ModTable
-// and BoundedRing); MovedFraction compares two of them.
+// Router is the routing half of a topology (satisfied by Ring and
+// BoundedRing); MovedFraction compares two of them.
 type Router interface {
 	Route(hash int64) int
 	Backends() []string

@@ -22,8 +22,8 @@ func testAddrs(n int) []string {
 }
 
 // TestRingKeysMovedOnScaleOut pins the headline property: growing the ring
-// B→B+1 remaps about 1/(B+1) of the key space, while mod-B remaps B/(B+1)
-// of it (~80% at B=4).
+// B→B+1 remaps about 1/(B+1) of the key space (hash-mod-B would remap
+// B/(B+1) of it, ~80% at B=4).
 func TestRingKeysMovedOnScaleOut(t *testing.T) {
 	keys := testKeys(20000)
 	addrs := testAddrs(5)
@@ -39,15 +39,7 @@ func TestRingKeysMovedOnScaleOut(t *testing.T) {
 		t.Fatalf("ring moved %.1f%% of keys on 4→5 scale-out — suspiciously below the ideal %.1f%% (keys not actually rebalancing?)",
 			100*ringMoved, 100*ideal)
 	}
-
-	mod4 := NewModTable(addrs[:4])
-	mod5 := NewModTable(addrs)
-	modMoved := MovedFraction(mod4, mod5, keys)
-	if modMoved < 0.6 {
-		t.Fatalf("mod-B moved only %.1f%% of keys on 4→5 — expected ~80%%", 100*modMoved)
-	}
-	t.Logf("4→5 scale-out: ring moved %.1f%% (ideal %.1f%%), mod moved %.1f%%",
-		100*ringMoved, 100*ideal, 100*modMoved)
+	t.Logf("4→5 scale-out: ring moved %.1f%% (ideal %.1f%%)", 100*ringMoved, 100*ideal)
 }
 
 // TestRingRemovalMovesOnlyVictimKeys asserts the defining consistency
@@ -126,8 +118,5 @@ func TestRingRouteInRange(t *testing.T) {
 	empty := NewRing(nil, 16)
 	if empty.Route(42) != 0 {
 		t.Fatal("empty ring should route to 0")
-	}
-	if NewModTable(nil).Route(42) != 0 {
-		t.Fatal("empty mod table should route to 0")
 	}
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"flick/internal/apps"
@@ -15,8 +14,7 @@ import (
 )
 
 // Ablations quantify the design choices DESIGN.md calls out: the timeslice
-// quantum, task→worker affinity, graph pooling, and application-specific
-// parser pruning.
+// quantum, graph pooling, and application-specific parser pruning.
 
 // TimeslicePoint reports the fairness/throughput trade-off for one quantum.
 type TimeslicePoint struct {
@@ -61,80 +59,6 @@ func TimesliceTable(points []TimeslicePoint) *Table {
 	for _, p := range points {
 		t.Add(p.Quantum.String(), p.LightCompletion.Round(time.Millisecond).String(),
 			p.Total.Round(time.Millisecond).String())
-	}
-	return t
-}
-
-// AffinityPoint compares per-worker queues + stealing vs one shared queue.
-type AffinityPoint struct {
-	Affinity bool
-	Total    time.Duration
-	// Stats carries the scheduler counter snapshot (steals, parks,
-	// wakeups, inbox overflow) for the contention analysis.
-	Stats core.SchedStats
-}
-
-// RunAffinityAblation runs a task soup under both queueing disciplines.
-func RunAffinityAblation(workers, tasks, items int) []AffinityPoint {
-	run := func(affinity bool) AffinityPoint {
-		var opts []core.Option
-		if !affinity {
-			opts = append(opts, core.WithoutAffinity())
-		}
-		s := core.NewScheduler(workers, core.Cooperative, opts...)
-		var wg sync.WaitGroup
-		payload := value.Bytes(make([]byte, 4<<10))
-		start := time.Now()
-		for i := 0; i < tasks; i++ {
-			work := core.NewChan(items)
-			for j := 0; j < items; j++ {
-				work.Push(payload)
-			}
-			work.Close()
-			wg.Add(1)
-			task := s.NewTask("soup", func(ctx *core.ExecCtx) core.RunResult {
-				for {
-					v, ok, closed := work.Pop()
-					if closed {
-						wg.Done()
-						return core.RunDone
-					}
-					if !ok {
-						return core.RunIdle
-					}
-					sum := 0
-					for _, b := range v.B {
-						sum += int(b)
-					}
-					_ = sum
-					if ctx.CountItem() {
-						return core.RunYield
-					}
-				}
-			})
-			s.Schedule(task)
-		}
-		s.Start()
-		wg.Wait()
-		total := time.Since(start)
-		st := s.Stats()
-		s.Stop()
-		return AffinityPoint{Affinity: affinity, Total: total, Stats: st}
-	}
-	return []AffinityPoint{run(true), run(false)}
-}
-
-// AffinityTable renders the comparison.
-func AffinityTable(points []AffinityPoint) *Table {
-	t := &Table{
-		Title:   "Ablation: task→worker affinity vs shared queue",
-		Columns: []string{"affinity", "total", "steals", "parks", "wakeups", "overflow"},
-		Notes:   []string{"hash-pinned queues reduce cross-worker cache traffic (§5); stealing covers imbalance"},
-	}
-	for _, p := range points {
-		t.Add(fmt.Sprint(p.Affinity), p.Total.Round(time.Millisecond).String(),
-			fmt.Sprint(p.Stats.Stolen), fmt.Sprint(p.Stats.Parks),
-			fmt.Sprint(p.Stats.Wakeups), fmt.Sprint(p.Stats.Overflow))
 	}
 	return t
 }

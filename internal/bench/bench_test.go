@@ -201,16 +201,6 @@ func TestTimesliceAblation(t *testing.T) {
 	}
 }
 
-func TestAffinityAblation(t *testing.T) {
-	pts := RunAffinityAblation(4, 32, 16)
-	if len(pts) != 2 || pts[0].Total <= 0 || pts[1].Total <= 0 {
-		t.Fatalf("points = %+v", pts)
-	}
-	if s := AffinityTable(pts).String(); !strings.Contains(s, "affinity") {
-		t.Fatal("table")
-	}
-}
-
 func TestSchedulerScaling(t *testing.T) {
 	var pts []SchedScalePoint
 	for _, w := range []int{1, 2} {
@@ -234,19 +224,6 @@ func TestSchedulerScaling(t *testing.T) {
 	}
 	if s := SchedScaleTable(pts).String(); !strings.Contains(s, "workers") {
 		t.Fatal("table")
-	}
-}
-
-func TestSchedulerScalingSharedQueue(t *testing.T) {
-	p := RunSchedulerScaling(SchedScaleConfig{
-		Workers:        2,
-		Sources:        2,
-		Stages:         4,
-		ItemsPerSource: 64,
-		SharedQueue:    true,
-	})
-	if p.Items != 2*64 {
-		t.Fatalf("processed %d items, want %d", p.Items, 2*64)
 	}
 }
 

@@ -17,10 +17,10 @@ import (
 // ChurnConfig parameterises the connection-churn experiment: C concurrent
 // short-lived clients churn through Conns total connections against the
 // Memcached proxy over B backends, each connection performing a single GET.
-// This is the workload where per-client backend dialling hurts most — every
-// accepted client pays B upstream TCP set-ups — and where the shared
-// upstream connection layer collapses the upstream socket count from C×B
-// to pool×B.
+// This is the workload where per-client backend dialling would hurt most —
+// every accepted client would pay B upstream TCP set-ups — and where the
+// shared upstream connection layer bounds the upstream socket count at
+// pool×shards×B, with one pool shard per scheduler worker.
 type ChurnConfig struct {
 	System   System
 	Clients  int // concurrent short-lived clients (C)
@@ -28,14 +28,7 @@ type ChurnConfig struct {
 	Backends int // memcached shards (B)
 	Keys     int // key-space size
 	PoolSize int // upstream sockets per backend per shard (0: default)
-	// UpstreamShards is the upstream pool shard count, with the same zero
-	// value as everywhere else (apps.Service, Fig4Config, Fig5Config,
-	// -upstream-shards): 0 shards one pool set per scheduler worker; 1 is
-	// the single shared pool (RunChurnPair's and RunChurnSweep's baseline
-	// rows pass 1 explicitly).
-	UpstreamShards int
-	NoUpstreamPool bool
-	Workers        int
+	Workers  int
 	// QuietBatch switches each churned connection from a single GET to a
 	// moxi-style quiet-get batch — GetQ (hit), GetQ (miss), Noop — which
 	// the shared upstream layer frames as ONE FIFO unit. Forces
@@ -48,8 +41,7 @@ type ChurnConfig struct {
 // ChurnPoint is one measured configuration.
 type ChurnPoint struct {
 	System   System
-	Pooled   bool
-	Shards   int // upstream pool shards (0 when the pool is disabled)
+	Shards   int // upstream pool shards (one per scheduler worker)
 	Clients  int
 	Conns    int
 	Backends int
@@ -60,13 +52,12 @@ type ChurnPoint struct {
 	SetupMean time.Duration
 	SetupP99  time.Duration
 	Errors    uint64
-	// BackendConns counts connections accepted across all backends: C×B
-	// under per-client dialling, bounded by pool×B with shared upstreams.
+	// BackendConns counts connections accepted across all backends,
+	// bounded by pool×shards×B.
 	BackendConns uint64
-	// UpstreamConns is the layer's live shared-socket count (0 when
-	// disabled).
+	// UpstreamConns is the layer's live shared-socket count.
 	UpstreamConns int
-	// Upstream is the layer's counter snapshot (empty when disabled).
+	// Upstream is the layer's counter snapshot.
 	Upstream metrics.CounterSet
 }
 
@@ -123,9 +114,7 @@ func RunChurn(cfg ChurnConfig) (ChurnPoint, error) {
 		closeAll()
 		return ChurnPoint{}, err
 	}
-	mp.Upstream.Disable = cfg.NoUpstreamPool
 	mp.Upstream.PoolSize = cfg.PoolSize
-	mp.Upstream.Shards = cfg.UpstreamShards
 	svc, err := mp.Deploy(p, listenAddr(tr, "churn-proxy:11211"), addrs)
 	if err != nil {
 		p.Close()
@@ -169,7 +158,6 @@ func RunChurn(cfg ChurnConfig) (ChurnPoint, error) {
 
 	pt := ChurnPoint{
 		System:   cfg.System,
-		Pooled:   !cfg.NoUpstreamPool,
 		Clients:  cfg.Clients,
 		Conns:    cfg.Clients * per,
 		Backends: cfg.Backends,
@@ -269,80 +257,20 @@ func churnOnceQuiet(dial func(string) (net.Conn, error), addr string, key []byte
 	return nil
 }
 
-// RunChurnPair measures the pooled configuration and the per-client-dial
-// ablation back to back (one binary, same parameters). The pooled row
-// pins the single shared pool (shards=1) unless cfg.UpstreamShards says
-// otherwise — the pool×B socket bound this pair historically gates only
-// holds unsharded.
-func RunChurnPair(cfg ChurnConfig) ([]ChurnPoint, error) {
-	var out []ChurnPoint
-	for _, noPool := range []bool{false, true} {
-		c := cfg
-		c.NoUpstreamPool = noPool
-		if c.UpstreamShards <= 0 {
-			c.UpstreamShards = 1
-		}
-		pt, err := RunChurn(c)
-		if err != nil {
-			return out, fmt.Errorf("bench: churn (noPool=%v): %w", noPool, err)
-		}
-		out = append(out, pt)
-	}
-	return out, nil
-}
-
-// RunChurnSweep measures the three upstream configurations back to back:
-// per-worker sharded pools (one shard per scheduler worker), the single
-// shared pool, and the per-client-dial ablation. The sharded-vs-shared
-// delta is the per-worker-sharding claim: same socket discipline, but the
-// write path of each worker's graphs stops contending on one FIFO lock.
-func RunChurnSweep(cfg ChurnConfig) ([]ChurnPoint, error) {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 4 // RunChurn's default
-	}
-	rows := []struct {
-		name   string
-		shards int
-		noPool bool
-	}{
-		{"sharded", workers, false},
-		{"shared", 1, false},
-		{"per-client", 0, true},
-	}
-	var out []ChurnPoint
-	for _, r := range rows {
-		c := cfg
-		c.UpstreamShards = r.shards
-		c.NoUpstreamPool = r.noPool
-		pt, err := RunChurn(c)
-		if err != nil {
-			return out, fmt.Errorf("bench: churn (%s): %w", r.name, err)
-		}
-		out = append(out, pt)
-	}
-	return out, nil
-}
-
 // ChurnTable renders the experiment.
 func ChurnTable(points []ChurnPoint) *Table {
 	t := &Table{
-		Title: "Connection churn — sharded / shared upstream pools vs per-client dials",
-		Columns: []string{"system", "upstreams", "shards", "clients", "backends", "conns",
+		Title: "Connection churn — per-worker sharded upstream pools",
+		Columns: []string{"system", "shards", "clients", "backends", "conns",
 			"conn/s", "setup-mean", "setup-p99", "errors", "be-conns", "up-socks", "upstream"},
 		Notes: []string{
-			"be-conns: connections accepted backend-side (C×B per-client-dial, pool×shards×B pooled)",
+			"be-conns: connections accepted backend-side (bounded by pool×shards×B; C×B without the pool)",
 			"setup: dial → first response, the per-connection set-up cost the pool amortises",
 			"shardhits/shardsteals: leases served by the caller's own shard vs borrowed from a sibling",
 		},
 	}
 	for _, p := range points {
-		mode := "pooled"
-		shards := fmt.Sprint(p.Shards)
-		if !p.Pooled {
-			mode, shards = "per-client", "-"
-		}
-		t.Add(string(p.System), mode, shards, fmt.Sprint(p.Clients), fmt.Sprint(p.Backends),
+		t.Add(string(p.System), fmt.Sprint(p.Shards), fmt.Sprint(p.Clients), fmt.Sprint(p.Backends),
 			fmt.Sprint(p.Conns), fmtReqs(p.Throughput), fmtDur(p.SetupMean),
 			fmtDur(p.SetupP99), fmt.Sprint(p.Errors), fmt.Sprint(p.BackendConns),
 			fmt.Sprint(p.UpstreamConns), fmtUpstream(p.Upstream))

@@ -5,57 +5,56 @@ import (
 )
 
 // TestChurnSmoke runs the connection-churn experiment small, over the
-// user-space stack, and asserts the headline claim: shared upstreams bound
-// backend-side connections at pool×B while the ablation pays C×B, with no
-// errors either way.
+// user-space stack, and asserts the shipped configuration's contract: no
+// errors, backend-side connections bounded by pool×shards×B with one shard
+// per worker, leases reused across churning clients, and every lease
+// served by the caller's own shard while all backends are healthy.
 func TestChurnSmoke(t *testing.T) {
 	const (
 		clients  = 8
 		conns    = 64
 		backends = 2
-		poolSize = 2
+		poolSize = 1
+		workers  = 2
 	)
-	pts, err := RunChurnPair(ChurnConfig{
+	pt, err := RunChurn(ChurnConfig{
 		System:   SysFlickMTCP,
 		Clients:  clients,
 		Conns:    conns,
 		Backends: backends,
 		PoolSize: poolSize,
-		Workers:  2,
+		Workers:  workers,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 2 {
-		t.Fatalf("got %d points, want 2", len(pts))
+	if pt.Errors != 0 {
+		t.Fatalf("%+v: %d errors", pt, pt.Errors)
 	}
-	pooled, ablated := pts[0], pts[1]
-	if !pooled.Pooled || ablated.Pooled {
-		t.Fatalf("point order: %+v", pts)
+	if pt.Throughput == 0 {
+		t.Fatalf("%+v: no throughput", pt)
 	}
-	for _, p := range pts {
-		if p.Errors != 0 {
-			t.Fatalf("%+v: %d errors", p, p.Errors)
-		}
-		if p.Throughput == 0 {
-			t.Fatalf("%+v: no throughput", p)
-		}
+	if pt.Shards != workers {
+		t.Fatalf("shards = %d, want one per worker (%d)", pt.Shards, workers)
 	}
-	if pooled.BackendConns > uint64(poolSize*backends) {
-		t.Fatalf("pooled backend conns = %d, want <= %d", pooled.BackendConns, poolSize*backends)
+	if pt.BackendConns > uint64(poolSize*workers*backends) {
+		t.Fatalf("backend conns = %d, want <= pool×shards×B = %d",
+			pt.BackendConns, poolSize*workers*backends)
 	}
-	if ablated.BackendConns != uint64(ablated.Conns*backends) {
-		t.Fatalf("ablated backend conns = %d, want C×B = %d",
-			ablated.BackendConns, ablated.Conns*backends)
+	if pt.UpstreamConns == 0 || pt.Upstream.Len() == 0 {
+		t.Fatalf("point carries no upstream telemetry: %+v", pt)
 	}
-	if pooled.UpstreamConns == 0 || pooled.Upstream.Len() == 0 {
-		t.Fatalf("pooled point carries no upstream telemetry: %+v", pooled)
+	if reuse, _ := pt.Upstream.Get("reuse"); reuse == 0 {
+		t.Fatalf("no lease reuse recorded under churn: %s", pt.Upstream)
 	}
-	if reuse, _ := pooled.Upstream.Get("reuse"); reuse == 0 {
-		t.Fatalf("no lease reuse recorded under churn: %s", pooled.Upstream)
+	if hits, _ := pt.Upstream.Get("shardhits"); hits == 0 {
+		t.Fatalf("no shardhits recorded: %s", pt.Upstream)
+	}
+	if steals, _ := pt.Upstream.Get("shardsteals"); steals != 0 {
+		t.Fatalf("healthy backends should need no shardsteals, got %d: %s", steals, pt.Upstream)
 	}
 	// The table renders the upstream column for regression visibility.
-	tab := ChurnTable(pts)
+	tab := ChurnTable([]ChurnPoint{pt})
 	found := false
 	for _, c := range tab.Columns {
 		if c == "upstream" {
@@ -94,57 +93,49 @@ func TestChurnQuietBatchSmoke(t *testing.T) {
 	}
 }
 
-// TestChurnSweepSmoke runs the three-way sweep (per-worker sharded /
-// single shared pool / per-client dials) small and asserts the sharded
-// row's contract: no errors, socket count bounded by pool×shards×B, every
-// lease accounted to a shard (shardhits + shardsteals = leases served).
+// TestChurnSweepSmoke sweeps the worker count and asserts that the pool's
+// shard count follows it: one worker gives a single shared pool, two give
+// one shard per worker. Every row keeps the churn contract — no errors,
+// sockets bounded by pool×shards×B, every lease served by the caller's own
+// shard (shardhits > 0, shardsteals == 0) while all backends are healthy.
 func TestChurnSweepSmoke(t *testing.T) {
 	const (
 		clients  = 8
 		conns    = 64
 		backends = 2
 		poolSize = 1
-		workers  = 2
 	)
-	pts, err := RunChurnSweep(ChurnConfig{
-		System:   SysFlickMTCP,
-		Clients:  clients,
-		Conns:    conns,
-		Backends: backends,
-		PoolSize: poolSize,
-		Workers:  workers,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 3 {
-		t.Fatalf("got %d points, want 3 (sharded, shared, per-client)", len(pts))
-	}
-	sharded, shared, ablated := pts[0], pts[1], pts[2]
-	if sharded.Shards != workers || shared.Shards != 1 || ablated.Pooled {
-		t.Fatalf("row order/config: %+v", pts)
-	}
-	for _, p := range pts {
-		if p.Errors != 0 {
-			t.Fatalf("%+v: %d errors", p, p.Errors)
+	for _, workers := range []int{1, 2} {
+		pt, err := RunChurn(ChurnConfig{
+			System:   SysFlickMTCP,
+			Clients:  clients,
+			Conns:    conns,
+			Backends: backends,
+			PoolSize: poolSize,
+			Workers:  workers,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if p.Throughput == 0 {
-			t.Fatalf("%+v: no throughput", p)
+		if pt.Shards != workers {
+			t.Fatalf("workers=%d: shards = %d, want one per worker", workers, pt.Shards)
 		}
-	}
-	if sharded.BackendConns > uint64(poolSize*workers*backends) {
-		t.Fatalf("sharded backend conns = %d, want <= pool×shards×B = %d",
-			sharded.BackendConns, poolSize*workers*backends)
-	}
-	hits, _ := sharded.Upstream.Get("shardhits")
-	steals, _ := sharded.Upstream.Get("shardsteals")
-	if hits == 0 {
-		t.Fatalf("sharded run recorded no shardhits: %s", sharded.Upstream)
-	}
-	if steals != 0 {
-		t.Fatalf("healthy backends should need no shardsteals, got %d: %s", steals, sharded.Upstream)
-	}
-	if h, _ := shared.Upstream.Get("shardhits"); h == 0 {
-		t.Fatalf("shared-pool run recorded no shardhits: %s", shared.Upstream)
+		if pt.Errors != 0 {
+			t.Fatalf("workers=%d: %+v: %d errors", workers, pt, pt.Errors)
+		}
+		if pt.Throughput == 0 {
+			t.Fatalf("workers=%d: %+v: no throughput", workers, pt)
+		}
+		if pt.BackendConns > uint64(poolSize*workers*backends) {
+			t.Fatalf("workers=%d: backend conns = %d, want <= pool×shards×B = %d",
+				workers, pt.BackendConns, poolSize*workers*backends)
+		}
+		if hits, _ := pt.Upstream.Get("shardhits"); hits == 0 {
+			t.Fatalf("workers=%d: no shardhits recorded: %s", workers, pt.Upstream)
+		}
+		if steals, _ := pt.Upstream.Get("shardsteals"); steals != 0 {
+			t.Fatalf("workers=%d: healthy backends should need no shardsteals, got %d: %s",
+				workers, steals, pt.Upstream)
+		}
 	}
 }

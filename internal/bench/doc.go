@@ -4,12 +4,12 @@
 // aggregator core scaling), Figure 7 (scheduling-policy fairness), plus
 // the post-paper experiments — scheduler scaling (schedscale), connection
 // churn over the shared upstream layer (churn), the live-topology
-// rebalance (rebalance: consistent-hash ring vs mod-B during a B→B+1
-// scale-out under load) — and the design-choice ablations. Each runner
-// builds the complete testbed in-process — middlebox under test, origin
-// servers and client fleet — over the transport that matches the measured
-// configuration (kernel loopback for "FLICK"/baselines, the user-space
-// stack for "FLICK mTCP").
+// rebalance (rebalance: the consistent-hash ring during a B→B+1
+// scale-out under load) — and the design-choice ablations (timeslice,
+// graph pool, parser pruning). Each runner builds the complete testbed
+// in-process — middlebox under test, origin servers and client fleet —
+// over the transport that matches the measured configuration (kernel
+// loopback for "FLICK"/baselines, the user-space stack for "FLICK mTCP").
 //
 // Absolute numbers are not comparable to the paper's 16-core Xeon testbed
 // with 10 GbE; the reproduction targets the figures' shapes (who wins, by

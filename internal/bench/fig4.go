@@ -23,11 +23,6 @@ type Fig4Config struct {
 	Duration   time.Duration
 	Workers    int // FLICK worker threads / Nginx workers
 	Payload    int // response body bytes (paper: 137)
-	// NoUpstreamPool restores per-client backend dialling (ablation).
-	NoUpstreamPool bool
-	// UpstreamShards overrides the upstream pool shard count (0: one
-	// shard per worker; 1: the single shared pool).
-	UpstreamShards int
 	// RealOrigin swaps the synthetic backends for stock net/http origins
 	// serving chunked transfer-encoding, and drives the load at the
 	// chunked route. Before measuring, every cell diffs a through-proxy
@@ -51,7 +46,7 @@ type Fig4Point struct {
 	// Pool is the buffer-pool counter delta over the measurement window.
 	Pool metrics.CounterSet
 	// Upstream is the shared-upstream-layer counter delta (empty for
-	// baselines and the per-client-dial ablation).
+	// baselines).
 	Upstream metrics.CounterSet
 	// Live is the middlebox's own decode→flush latency histogram over the
 	// window — the live pipeline the admin /latency endpoint serves
@@ -136,8 +131,6 @@ func buildLBTestbed(cfg Fig4Config, sys System, tr netstack.Transport) (*lbTestb
 			tb.close()
 			return nil, err
 		}
-		lb.Upstream.Disable = cfg.NoUpstreamPool
-		lb.Upstream.Shards = cfg.UpstreamShards
 		svc, err := lb.Deploy(p, listenAddr(tr, "lb:80"), addrs)
 		if err != nil {
 			p.Close()
@@ -228,7 +221,7 @@ func Fig4Table(points []Fig4Point, persistent bool) *Table {
 		notes = []string{
 			"paper shape: FLICK-kernel BELOW Apache/Nginx (no backend connection reuse);",
 			"FLICK mTCP ≈2.5× Nginx and ≈2.1× Apache; FLICK variants keep the lowest latency",
-			"the shared upstream pool adds the reuse the paper's FLICK lacked: compare -no-upstream-pool",
+			"the shared upstream pool adds the reuse the paper's FLICK lacked",
 		}
 	}
 	t := &Table{

@@ -21,11 +21,6 @@ type Fig5Config struct {
 	Backends int   // memcached shards (paper: 10)
 	Keys     int   // key-space size
 	Duration time.Duration
-	// NoUpstreamPool restores per-client backend dialling (ablation).
-	NoUpstreamPool bool
-	// UpstreamShards overrides the upstream pool shard count (0: one
-	// shard per worker; 1: the single shared pool).
-	UpstreamShards int
 }
 
 // Fig5Point is one measured cell.
@@ -41,8 +36,8 @@ type Fig5Point struct {
 	AllocsPerOp float64
 	// Pool is the buffer-pool counter delta over the measurement window.
 	Pool metrics.CounterSet
-	// Upstream is the shared-upstream-layer counter delta (empty for Moxi
-	// and the per-client-dial ablation).
+	// Upstream is the shared-upstream-layer counter delta (empty for
+	// Moxi).
 	Upstream metrics.CounterSet
 }
 
@@ -113,8 +108,6 @@ func runFig5Cell(cfg Fig5Config, sys System, cores int) (Fig5Point, error) {
 			closeAll()
 			return Fig5Point{}, err
 		}
-		mp.Upstream.Disable = cfg.NoUpstreamPool
-		mp.Upstream.Shards = cfg.UpstreamShards
 		svc, err := mp.Deploy(p, listenAddr(tr, "proxy:11211"), addrs)
 		if err != nil {
 			p.Close()

@@ -18,10 +18,9 @@ import (
 // RebalanceConfig parameterises the live scale-out experiment: C
 // reconnecting clients GET uniformly over the key space against the
 // Memcached proxy while the backend set grows B→B+1 mid-run through
-// Service.UpdateBackends. Measured per topology (consistent-hash ring vs
-// the hash-mod-B ablation): the fraction of the key space the update
-// remaps, request errors across the update (the headline: zero), and how
-// quickly the new backend picks up traffic.
+// Service.UpdateBackends. Measured: the fraction of the key space the
+// consistent-hash ring remaps, request errors across the update (the
+// headline: zero), and how quickly the new backend picks up traffic.
 type RebalanceConfig struct {
 	System        System
 	Clients       int           // concurrent reconnecting clients (C)
@@ -30,7 +29,6 @@ type RebalanceConfig struct {
 	ReqsPerConn   int           // GETs per client connection (reconnect after)
 	Duration      time.Duration // total load window; the update fires at the midpoint
 	Workers       int
-	Mod           bool          // hash-mod-B ablation instead of the ring
 	ProbeInterval time.Duration // upstream health probes (0: off)
 	// HotKeyFrac skews the workload: roughly this fraction of GETs hit one
 	// hot key (0: uniform). Skew is what separates the bounded-load ring
@@ -46,11 +44,10 @@ type RebalanceConfig struct {
 // RebalancePoint is one measured topology.
 type RebalancePoint struct {
 	System   System
-	Ring     bool
 	Backends int // initial B (scaled out to B+1)
 	// MovedFrac is the fraction of the key space the B→B+1 update remaps
 	// (computed over the benchmark's exact key set with the service's own
-	// routers — backend.KeyHash matches the language's hash builtin).
+	// ring — backend.KeyHash matches the language's hash builtin).
 	MovedFrac float64
 	// Requests/Errors count completed GETs and failures across the whole
 	// window, including the live update.
@@ -68,7 +65,7 @@ type RebalancePoint struct {
 	// drives a plain ring's value toward B·hotfrac).
 	MaxLoad float64
 	// Upstream is the shared layer's counter snapshot (probes, drained,
-	// redials... — empty when the layer is disabled).
+	// redials...).
 	Upstream metrics.CounterSet
 }
 
@@ -131,7 +128,6 @@ func RunRebalance(cfg RebalanceConfig) (RebalancePoint, error) {
 		return RebalancePoint{}, err
 	}
 	mp.Topology.Live = true
-	mp.Topology.Mod = cfg.Mod
 	mp.Topology.BoundedLoadC = cfg.BoundedLoadC
 	mp.Upstream.ProbeInterval = cfg.ProbeInterval
 	svc, err := mp.Deploy(p, listenAddr(tr, "rebal-proxy:11211"), addrs[:cfg.Backends])
@@ -195,13 +191,12 @@ func RunRebalance(cfg RebalanceConfig) (RebalancePoint, error) {
 
 	pt := RebalancePoint{
 		System:         cfg.System,
-		Ring:           !cfg.Mod,
 		Backends:       cfg.Backends,
 		Requests:       reqs.Value(),
 		Errors:         errs.Value(),
 		NewBackendReqs: srvs[total-1].Requests() - newBase,
 		Throughput:     float64(reqs.Value()) / cfg.Duration.Seconds(),
-		Bounded:        cfg.BoundedLoadC > 0 && !cfg.Mod,
+		Bounded:        cfg.BoundedLoadC > 0,
 		Upstream:       upstreamCounters(svc),
 	}
 	// Max-load over the initial backends (the added backend only serves
@@ -219,14 +214,9 @@ func RunRebalance(cfg RebalanceConfig) (RebalancePoint, error) {
 		pt.MaxLoad = float64(maxServed) * float64(cfg.Backends) / float64(sumServed)
 	}
 	// The analytic remap cost over the exact key set, using the same
-	// router construction the service itself deploys.
-	if cfg.Mod {
-		pt.MovedFrac = backend.MovedFraction(
-			backend.NewModTable(addrs[:cfg.Backends]), backend.NewModTable(addrs), keys)
-	} else {
-		pt.MovedFrac = backend.MovedFraction(
-			backend.NewRing(addrs[:cfg.Backends], 0), backend.NewRing(addrs, 0), keys)
-	}
+	// ring construction the service itself deploys.
+	pt.MovedFrac = backend.MovedFraction(
+		backend.NewRing(addrs[:cfg.Backends], 0), backend.NewRing(addrs, 0), keys)
 	closeAll()
 	return pt, nil
 }
@@ -267,21 +257,6 @@ func rebalanceConn(dial func(string) (net.Conn, error), addr string,
 	return n, nil
 }
 
-// RunRebalancePair measures the ring and the mod-B ablation back to back.
-func RunRebalancePair(cfg RebalanceConfig) ([]RebalancePoint, error) {
-	var out []RebalancePoint
-	for _, mod := range []bool{false, true} {
-		c := cfg
-		c.Mod = mod
-		pt, err := RunRebalance(c)
-		if err != nil {
-			return out, fmt.Errorf("bench: rebalance (mod=%v): %w", mod, err)
-		}
-		out = append(out, pt)
-	}
-	return out, nil
-}
-
 // RunRebalanceSkewPair measures the plain ring against the bounded-load
 // ring under a hot-key workload: same scale-out, same skew, the only
 // difference being whether the hash owner's in-flight excess spills to
@@ -291,7 +266,6 @@ func RunRebalanceSkewPair(cfg RebalanceConfig) ([]RebalancePoint, error) {
 	if cfg.HotKeyFrac <= 0 {
 		cfg.HotKeyFrac = 0.5
 	}
-	cfg.Mod = false
 	var out []RebalancePoint
 	for _, c := range []float64{0, backend.DefaultBoundedLoadC} {
 		run := cfg
@@ -308,7 +282,7 @@ func RunRebalanceSkewPair(cfg RebalanceConfig) ([]RebalancePoint, error) {
 // RebalanceTable renders the experiment.
 func RebalanceTable(points []RebalancePoint) *Table {
 	t := &Table{
-		Title: "Live rebalance — consistent-hash ring vs mod-B on a B→B+1 scale-out",
+		Title: "Live rebalance — consistent-hash ring on a B→B+1 scale-out",
 		Columns: []string{"system", "topology", "backends", "keys-moved", "max-load", "req/s",
 			"requests", "errors", "new-be-reqs", "upstream"},
 		Notes: []string{
@@ -320,10 +294,7 @@ func RebalanceTable(points []RebalancePoint) *Table {
 	}
 	for _, p := range points {
 		topo := "ring"
-		switch {
-		case !p.Ring:
-			topo = "mod-B"
-		case p.Bounded:
+		if p.Bounded {
 			topo = "ring+bound"
 		}
 		t.Add(string(p.System), topo, fmt.Sprintf("%d→%d", p.Backends, p.Backends+1),

@@ -30,8 +30,6 @@ type SchedScaleConfig struct {
 	WorkPerItem int
 	// Policy is the scheduling discipline (zero value: Cooperative).
 	Policy core.Policy
-	// SharedQueue disables task→worker affinity (ablation).
-	SharedQueue bool
 }
 
 // SchedScalePoint is one measured cell.
@@ -91,11 +89,7 @@ func RunSchedulerScaling(cfg SchedScaleConfig) SchedScalePoint {
 	if pol.Name == "" {
 		pol = core.Cooperative
 	}
-	var opts []core.Option
-	if cfg.SharedQueue {
-		opts = append(opts, core.WithoutAffinity())
-	}
-	s := core.NewScheduler(cfg.Workers, pol, opts...)
+	s := core.NewScheduler(cfg.Workers, pol)
 
 	stageChans := make([]*core.Chan, cfg.Stages)
 	sinkChan := core.NewChan(1024)

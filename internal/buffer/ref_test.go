@@ -2,6 +2,8 @@ package buffer
 
 import (
 	"bytes"
+	"io"
+	"net"
 	"sync"
 	"testing"
 )
@@ -313,5 +315,51 @@ func TestScatterLargeCopySplitsTails(t *testing.T) {
 	}
 	if !bytes.Equal(out.Bytes(), big) {
 		t.Fatalf("large copy corrupted (%d bytes out)", out.Len())
+	}
+}
+
+// TestScatterWriteToKernelTCPZeroAlloc pins the vectored flush onto a
+// kernel TCP socket — net.Buffers' writev path — at zero allocations per
+// WriteTo. The peer reads only after the measurement: every flushed byte
+// fits in the loopback socket buffer, so no other goroutine runs (and
+// allocates) while AllocsPerRun counts.
+func TestScatterWriteToKernelTCPZeroAlloc(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	c, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	peer, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+
+	const runs = 100
+	head, body := []byte("HEAD:"), []byte("body-bytes;")
+	sc := NewScatter(NewPool(8))
+	allocs := testing.AllocsPerRun(runs, func() {
+		sc.AppendRef(head, nil)
+		sc.AppendRef(body, nil)
+		if _, err := sc.WriteTo(c); err != nil {
+			t.Fatalf("WriteTo: %v", err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Scatter.WriteTo on kernel TCP allocates %.2f/op, want 0", allocs)
+	}
+	// AllocsPerRun adds one warm-up call to the measured runs.
+	want := bytes.Repeat(append(append([]byte(nil), head...), body...), runs+1)
+	got := make([]byte, len(want))
+	if _, err := io.ReadFull(peer, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("peer read %q, want %q", got, want)
 	}
 }

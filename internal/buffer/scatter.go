@@ -25,6 +25,10 @@ type Scatter struct {
 	tlen    int            // write offset into the last tail
 	open    bool           // last segment aliases the last tail and may grow
 	total   int
+	// nb is WriteTo's vectored-write list. (*net.Buffers).WriteTo hands its
+	// receiver to the writer through an interface, so a local would escape
+	// and cost one allocation per flush; a field lives in the Scatter.
+	nb net.Buffers
 }
 
 // scatterTail is the pooled tail buffer size; segments copied into tails
@@ -110,8 +114,9 @@ func (s *Scatter) WriteTo(w io.Writer) (int64, error) {
 	if bw, ok := w.(batchWriter); ok {
 		n, err = bw.WriteBatch(s.segs)
 	} else {
-		nb := net.Buffers(s.segs)
-		n, err = nb.WriteTo(w)
+		s.nb = s.segs
+		n, err = s.nb.WriteTo(w)
+		s.nb = nil
 	}
 	s.Reset()
 	return n, err

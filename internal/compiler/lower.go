@@ -370,12 +370,11 @@ func (lw *lowerer) lowerBinary(x *lang.BinaryExpr) (exprFn, error) {
 // installed (Frame.route — set by the graph dispatcher from
 // core.Instance.Router). With a consistent-hash ring as router, a live
 // backend add/remove moves only ~1/(B+1) of the key space; without a
-// router (fixed topology, or the mod-B ablation's ModTable) routing is
-// byte-for-byte the old behaviour. The channel-array check happens at
-// run time on the len() argument's value — the array reaches function
-// bodies as an ordinary parameter, so only the runtime shape (a list of
-// ChanRefs) identifies it — which keeps `hash(x) mod len(some_string)`
-// on the plain modulo path.
+// router (fixed topology) routing is the plain modulo. The channel-array
+// check happens at run time on the len() argument's value — the array
+// reaches function bodies as an ordinary parameter, so only the runtime
+// shape (a list of ChanRefs) identifies it — which keeps
+// `hash(x) mod len(some_string)` on the plain modulo path.
 func (lw *lowerer) lowerRoutedMod(x *lang.BinaryExpr) (exprFn, bool, error) {
 	shadowed := func(name string) bool {
 		// Record constructors and user functions shadow builtins in call

@@ -32,8 +32,6 @@ type Config struct {
 	Policy Policy
 	// Transport carries all service traffic (nil: kernel TCP).
 	Transport netstack.Transport
-	// SchedOptions tweak the scheduler (ablations).
-	SchedOptions []Option
 }
 
 // NewPlatform creates and starts a platform.
@@ -47,7 +45,7 @@ func NewPlatform(cfg Config) *Platform {
 		tr = netstack.KernelTCP{}
 	}
 	p := &Platform{
-		sched:     NewScheduler(cfg.Workers, pol, cfg.SchedOptions...),
+		sched:     NewScheduler(cfg.Workers, pol),
 		transport: tr,
 	}
 	p.sched.Start()
@@ -136,8 +134,10 @@ type ServiceConfig struct {
 	// of the scheduler worker that will write it — the home worker of the
 	// port's output task (Instance.PortHomeWorker) — so the backend write
 	// path never takes a lock contended by another core. The service owns
-	// the manager and closes it on Service.Close. Nil keeps
-	// per-connection dialling (the ablation baseline).
+	// the manager and closes it on Service.Close. Nil keeps one dedicated
+	// backend socket per instance port: services without a request/response
+	// framing (facade-compiled programs, the Hadoop aggregator's streaming
+	// reducer feed) have no FIFO to multiplex on.
 	Upstreams *upstream.Manager
 	// Cache, when set, interposes the in-network response cache between
 	// client decode and backend dispatch on every PerConnection instance:

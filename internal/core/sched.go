@@ -51,17 +51,13 @@ func CooperativeQuantum(q time.Duration) Policy {
 //     contention-free and thieves have something to steal; batches are
 //     served in FIFO order (LIFO within a batch), bounding how long any
 //     task can wait behind later arrivals to drainBatch activations.
-//   - Task→worker affinity is a hash of the task id (§5); WithoutAffinity
-//     funnels everything through worker 0's inbox instead (ablation).
+//   - Task→worker affinity is a hash of the task id (§5).
 //   - Idle workers park individually on a per-worker condition variable.
 //     An atomic idle bitmap lets producers wake exactly one sleeper with a
 //     claim CAS instead of broadcasting to the whole pool.
 type Scheduler struct {
 	workers []*worker
 	policy  Policy
-	// affinity false routes every schedule through worker 0's inbox
-	// (ablation: the value of per-worker queues).
-	affinity bool
 
 	// idle is the worker-parking bitmap: bit w of word w/64 is set while
 	// worker w is parked (or committing to park). Producers claim a
@@ -121,29 +117,17 @@ const drainBatch = 16
 // with workload periodicity).
 const fairnessTick = 61
 
-// Option configures a scheduler.
-type Option func(*Scheduler)
-
-// WithoutAffinity funnels all tasks through worker 0's inbox, relying on
-// stealing to spread load (ablation baseline).
-func WithoutAffinity() Option {
-	return func(s *Scheduler) { s.affinity = false }
-}
-
 // NewScheduler creates a scheduler with nWorkers worker goroutines (<=0
 // selects GOMAXPROCS) under the given policy. Call Start to run it.
-func NewScheduler(nWorkers int, policy Policy, opts ...Option) *Scheduler {
+func NewScheduler(nWorkers int, policy Policy) *Scheduler {
 	if nWorkers <= 0 {
 		nWorkers = runtime.GOMAXPROCS(0)
 	}
-	s := &Scheduler{policy: policy, affinity: true}
+	s := &Scheduler{policy: policy}
 	for i := 0; i < nWorkers; i++ {
 		s.workers = append(s.workers, newWorker())
 	}
 	s.idle = make([]atomic.Uint64, (nWorkers+63)/64)
-	for _, o := range opts {
-		o(s)
-	}
 	return s
 }
 
@@ -254,17 +238,13 @@ func (s *Scheduler) enqueue(t *Task) { s.enqueueFrom(t, -1) }
 // wakeup: it is awake and finds the task on its next loop, and waking a
 // sleeper here would just migrate the task off its home worker.
 func (s *Scheduler) enqueueFrom(t *Task, from int) {
-	target := 0
-	if s.affinity {
-		target = t.home
-	}
-	tw := s.workers[target]
+	tw := s.workers[t.home]
 	tw.scheduled.Add(1)
 	if !tw.inbox.push(t) {
 		s.overflow.Add(1)
 	}
-	if from != target {
-		s.wakeOne(target)
+	if from != t.home {
+		s.wakeOne(t.home)
 	}
 }
 
@@ -365,8 +345,7 @@ func (w *worker) park() {
 //
 //  1. its own deque (contention-free owner pop);
 //  2. its own inbox, draining a batch into the deque;
-//  3. under WithoutAffinity, the shared inbox on worker 0;
-//  4. a stealing sweep over every other worker's deque, then inbox.
+//  3. a stealing sweep over every other worker's deque, then inbox.
 //
 // Every fairnessTick-th call inverts the order — foreign queues first — so
 // a worker whose own queues are kept permanently non-empty by requeueing
@@ -384,12 +363,6 @@ func (s *Scheduler) find(wid int) *Task {
 	}
 	if t := s.drainInbox(wid); t != nil {
 		return t
-	}
-	if !s.affinity && wid != 0 {
-		if t := s.workers[0].inbox.pop(); t != nil {
-			me.stolen.Add(1)
-			return t
-		}
 	}
 	return s.stealSweep(wid)
 }

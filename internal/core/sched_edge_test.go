@@ -123,41 +123,8 @@ func TestStopNeverStarted(t *testing.T) {
 	}
 }
 
-// TestWithoutAffinityRouting asserts the ablation's routing invariant
-// directly: every enqueue lands in worker 0's inbox, all other workers'
-// queues stay empty.
-func TestWithoutAffinityRouting(t *testing.T) {
-	s := NewScheduler(4, Cooperative, WithoutAffinity())
-	var wg sync.WaitGroup
-	for i := 0; i < 32; i++ {
-		wg.Add(1)
-		task := s.NewTask("t", func(ctx *ExecCtx) RunResult {
-			wg.Done()
-			return RunDone
-		})
-		s.Schedule(task)
-	}
-	if s.workers[0].inbox.empty() {
-		t.Fatal("worker 0's inbox is empty under WithoutAffinity")
-	}
-	for w := 1; w < 4; w++ {
-		if !s.workers[w].inbox.empty() || s.workers[w].dq.size() != 0 {
-			t.Fatalf("worker %d received work under WithoutAffinity", w)
-		}
-	}
-	s.Start()
-	defer s.Stop()
-	waitDone(t, &wg, 5*time.Second)
-	// Workers 1..3 can only have run tasks by pulling from the shared
-	// queue, which counts as stealing.
-	st := s.Stats()
-	if st.Executed != 32 {
-		t.Fatalf("executed = %d, want 32", st.Executed)
-	}
-}
-
-// TestAffinityRouting is the inverse: with affinity on, each task lands in
-// its home worker's inbox.
+// TestAffinityRouting asserts the routing invariant directly: each task
+// lands in its home worker's inbox.
 func TestAffinityRouting(t *testing.T) {
 	s := NewScheduler(4, Cooperative)
 	task := newHomeTask(t, s, 2, func(ctx *ExecCtx) RunResult { return RunDone })

@@ -146,22 +146,6 @@ func TestWorkStealing(t *testing.T) {
 	}
 }
 
-func TestWithoutAffinityStillRuns(t *testing.T) {
-	s := NewScheduler(4, Cooperative, WithoutAffinity())
-	s.Start()
-	defer s.Stop()
-	var wg sync.WaitGroup
-	for i := 0; i < 32; i++ {
-		wg.Add(1)
-		task := s.NewTask("t", func(ctx *ExecCtx) RunResult {
-			wg.Done()
-			return RunDone
-		})
-		s.Schedule(task)
-	}
-	waitDone(t, &wg, time.Second)
-}
-
 func waitDone(t *testing.T, wg *sync.WaitGroup, timeout time.Duration) {
 	t.Helper()
 	done := make(chan struct{})

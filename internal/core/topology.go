@@ -15,11 +15,11 @@ var ErrCapacity = errors.New("core: topology exceeds compiled backend capacity")
 
 // Topology is a live backend set for a PerConnection service: an ordered
 // address list plus a stable key→index mapping over it. backend.Ring (a
-// consistent-hash ring with virtual nodes) is the production
-// implementation; backend.ModTable is the hash-mod-B ablation. A Topology
-// value is immutable — changing the backend set builds a new Topology and
-// applies it with Service.UpdateBackends, so every task graph routes
-// against exactly the backend set it was bound to.
+// consistent-hash ring with virtual nodes) and backend.BoundedRing are
+// the implementations. A Topology value is immutable — changing the
+// backend set builds a new Topology and applies it with
+// Service.UpdateBackends, so every task graph routes against exactly the
+// backend set it was bound to.
 type Topology interface {
 	// Backends returns the ordered backend address list. Element i is
 	// bound to ServiceConfig.BackendPorts[i] at dispatch.

@@ -104,20 +104,25 @@ func bucketLower(i int) uint64 {
 }
 
 // Record adds one latency observation.
+//
+// Ordering invariant: maxNs is raised before the bucket is incremented.
+// Readers load the buckets first and Max second, so any observation a
+// reader sees in a bucket is already covered by the max it reads next —
+// a snapshot never reports a quantile above its max.
 func (h *Histogram) Record(d time.Duration) {
 	ns := uint64(d.Nanoseconds())
 	if d < 0 {
 		ns = 0
 	}
-	h.buckets[bucketIndex(ns)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(ns)
 	for {
 		cur := h.maxNs.Load()
 		if ns <= cur || h.maxNs.CompareAndSwap(cur, ns) {
 			break
 		}
 	}
+	h.buckets[bucketIndex(ns)].Add(1)
+	h.count.Add(1)
+	h.sum.Add(ns)
 }
 
 // Count returns the number of recorded observations.

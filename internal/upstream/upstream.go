@@ -426,7 +426,8 @@ func (m *Manager) HealthFor(addr string) string {
 // Conns reports the number of live shared sockets across all shards and
 // pools — including the sockets of retired pools still draining (open OS
 // sockets are open OS sockets) — the quantity the connection-churn
-// benchmark compares against C×B per-client dialling.
+// benchmark bounds at pool×shards×B, where per-client dialling would
+// hold C×B.
 func (m *Manager) Conns() int {
 	live := 0
 	for _, sh := range m.shards {
@@ -644,6 +645,10 @@ type conn struct {
 	// wmu serialises socket writes. It is held across FIFO reservation AND
 	// the write itself, so FIFO order always matches socket byte order.
 	wmu sync.Mutex
+	// wbuf is writeRaw's vectored-write list (guarded by wmu). A local
+	// net.Buffers escapes through the writer interface and costs one
+	// allocation per write; a field lives in the conn.
+	wbuf net.Buffers
 
 	mu       sync.Mutex // fifo ring, window accounting, session set, broken
 	cond     *sync.Cond // window space / failure wakeup
@@ -844,8 +849,10 @@ func (c *conn) writeRaw(bufs [][]byte) (int64, error) {
 	if bw, ok := c.raw.(netstack.BatchWriter); ok {
 		return bw.WriteBatch(bufs)
 	}
-	nb := net.Buffers(bufs)
-	return nb.WriteTo(c.raw)
+	c.wbuf = bufs
+	n, err := c.wbuf.WriteTo(c.raw)
+	c.wbuf = nil
+	return n, err
 }
 
 // fail breaks the shared socket: in-flight FIFO entries are dropped, every
