@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check test race race-soak bench-selftest bench bench-smoke bench-churn bench-rebalance bench-hotkey bench-shard admin-smoke origin-smoke check-docs fuzz-smoke ci
+.PHONY: all build vet fmt fmt-check test alloc-gate race race-soak bench-selftest bench bench-smoke bench-churn bench-rebalance bench-hotkey bench-shard admin-smoke origin-smoke check-docs fuzz-smoke ci
 
 all: build test
 
@@ -22,6 +22,13 @@ fmt-check:
 
 test:
 	$(GO) test ./...
+
+# Allocation gate: every zero-allocation pin — codecs, leased upstream
+# session, kernel-TCP scatter write, cache hits, histogram Record, the
+# compiled pipeline and the whole proxied request — under its own name, so
+# an allocation regression fails as one instead of inside tier-1 output.
+alloc-gate:
+	$(GO) test -count=1 -run 'ZeroAlloc|Allocs' ./...
 
 # Race matrix: the packages whose tests share state across goroutines —
 # scheduler, refcounted buffers, codecs, client fleets, upstream pools,
@@ -118,4 +125,4 @@ fuzz-smoke:
 	$(GO) test ./internal/proto/hadoop -run='^$$' -fuzz=FuzzHadoopDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/grammar -run='^$$' -fuzz=FuzzGrammarRoundTrip -fuzztime=$(FUZZTIME)
 
-ci: build vet fmt-check check-docs test race race-soak bench-selftest bench-smoke bench-churn bench-rebalance bench-hotkey bench-shard admin-smoke origin-smoke fuzz-smoke
+ci: build vet fmt-check check-docs test alloc-gate race race-soak bench-selftest bench-smoke bench-churn bench-rebalance bench-hotkey bench-shard admin-smoke origin-smoke fuzz-smoke

@@ -38,6 +38,10 @@
 //	curl -X PUT -d '{"backends":["127.0.0.1:11212",{"addr":"127.0.0.1:11214","weight":2}]}' \
 //	    http://127.0.0.1:7070/topology
 //
+// -cpuprofile FILE records a pprof CPU profile of the serving process; it is
+// stopped and flushed when the process is interrupted (SIGINT), so a run
+// ended by SIGKILL leaves no profile.
+//
 // The process serves until interrupted.
 package main
 
@@ -48,6 +52,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"runtime/pprof"
 	"syscall"
 	"time"
 
@@ -86,9 +91,18 @@ func main() {
 		cacheSW = flag.Duration("cache-stale-ttl", 0, "serve stale entries for this long past expiry while revalidating in the background (0: disabled)")
 		cacheNG = flag.Duration("cache-negative-ttl", 0, "response cache negative-entry TTL (0: default; <0: disabled)")
 		reqlog  = flag.Int("reqlog", 0, "log every Nth request's latency (0: disabled; unsampled requests stay zero-alloc)")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file, flushed on interrupt")
 	)
 	flag.Var(&backends, "backend", "backend address (repeatable)")
 	flag.Parse()
+
+	if *cpuProf != "" {
+		stop, perr := startCPUProfile(*cpuProf)
+		if perr != nil {
+			fatal(perr)
+		}
+		defer stop()
+	}
 
 	capacity := len(backends)
 	if *liveTop && *maxBack > capacity {
@@ -236,6 +250,25 @@ func main() {
 		fmt.Printf("  %-16s %s\n", h.Name, h.Latency)
 	}
 	fmt.Println("\nflickrun: shutting down")
+}
+
+// startCPUProfile starts profiling the process's CPU into path and returns
+// the function that stops the profile and closes the file.
+func startCPUProfile(path string) (stop func(), err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("cpuprofile: %w", err)
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "flickrun: cpuprofile: %v\n", err)
+		}
+	}, nil
 }
 
 func fatal(err error) {

@@ -225,6 +225,15 @@ func TestMemcachedProxyCacheInvalidateOnSet(t *testing.T) {
 	if v := get(1); v != "old-value" {
 		t.Fatalf("first GET = %q", v)
 	}
+	// The runtime forwards a response to the client before the fill
+	// installs it, so the entry may land a moment after the first reply.
+	cc := svc.ResponseCache()
+	for deadline := time.Now().Add(2 * time.Second); !counterAtLeast(cc.Counters(), "fills", 1); {
+		if time.Now().After(deadline) {
+			t.Fatalf("first response was never installed: %s", cc.Counters())
+		}
+		runtime.Gosched()
+	}
 	before := s.Requests()
 	if v := get(2); v != "old-value" {
 		t.Fatalf("cached GET = %q", v)

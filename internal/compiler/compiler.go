@@ -49,9 +49,8 @@ type Config struct {
 // Program is a compiled FLICK program: executable functions plus one task
 // graph template per process.
 type Program struct {
-	checked  *types.Checked
-	funDecls map[string]*lang.FunDecl
-	funs     map[string]*compiledFun
+	checked *types.Checked
+	funs    map[string]*compiledFun
 
 	descs     map[string]*value.RecordDesc
 	ctorSlots map[string][]int
@@ -75,7 +74,6 @@ func Compile(src string, cfg Config) (*Program, error) {
 	}
 	p := &Program{
 		checked:   checked,
-		funDecls:  checked.Funs,
 		funs:      map[string]*compiledFun{},
 		descs:     map[string]*value.RecordDesc{},
 		ctorSlots: map[string][]int{},
@@ -87,13 +85,16 @@ func Compile(src string, cfg Config) (*Program, error) {
 	if err := p.resolveCodecs(cfg); err != nil {
 		return nil, err
 	}
+	// Every function gets its compiledFun before any body is lowered, so
+	// call sites bind callees directly (lowerCall).
+	for name := range checked.Funs {
+		p.funs[name] = &compiledFun{name: name}
+	}
 	lw := &lowerer{prog: p}
 	for name, f := range checked.Funs {
-		cf, err := lw.lowerFun(f)
-		if err != nil {
+		if err := lw.lowerFun(f, p.funs[name]); err != nil {
 			return nil, err
 		}
-		p.funs[name] = cf
 	}
 	for _, proc := range checked.Prog.Procs {
 		pg, err := p.buildProcGraph(proc, cfg)
@@ -142,8 +143,7 @@ func (p *Program) CallFunction(name string, args ...value.Value) (value.Value, e
 	if len(args) != f.nParams {
 		return value.Null, fmt.Errorf("compiler: %q takes %d arguments, got %d", name, f.nParams, len(args))
 	}
-	fr := Frame{}
-	return f.call(&fr, args), nil
+	return newScratch(nil).apply(f, args...), nil
 }
 
 // Globals exposes a process's shared global values (diagnostics/tests).

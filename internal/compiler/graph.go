@@ -90,6 +90,7 @@ func (p *Program) buildProcGraph(proc *lang.ProcDecl, cfg Config) (*ProcGraph, e
 	// store").
 	p.gslots[proc.Name] = map[string]int{}
 	var globalVals []value.Value
+	gsc := newScratch(nil)
 	for _, s := range proc.Body {
 		g, ok := s.(*lang.GlobalStmt)
 		if !ok {
@@ -101,9 +102,8 @@ func (p *Program) buildProcGraph(proc *lang.ProcDecl, cfg Config) (*ProcGraph, e
 		if err != nil {
 			return nil, err
 		}
-		fr := Frame{}
 		p.gslots[proc.Name][g.Name] = len(globalVals)
-		globalVals = append(globalVals, init(&fr))
+		globalVals = append(globalVals, init(&gsc.top))
 	}
 	p.globals[proc.Name] = globalVals
 
@@ -161,7 +161,7 @@ func (p *Program) portCodecs(ch *lang.ChanParam, cfg Config) (grammar.WireFormat
 
 // stageSpec is one compiled pipeline stage.
 type stageSpec struct {
-	fun  string
+	fun  *compiledFun
 	args []exprFn
 }
 
@@ -270,7 +270,7 @@ func (p *Program) buildPipeNode(proc *lang.ProcDecl, tmpl *core.Template,
 	lw.pushScope()
 	var stages []stageSpec
 	for _, st := range pipe.Stages {
-		spec := stageSpec{fun: st.Name}
+		spec := stageSpec{fun: p.funs[st.Name]}
 		for _, a := range st.Args {
 			af, err := lw.lowerExpr(a)
 			if err != nil {
@@ -286,23 +286,17 @@ func (p *Program) buildPipeNode(proc *lang.ProcDecl, tmpl *core.Template,
 		dstEdge = planned[dstName].first
 	}
 
-	prog := p
-	procName := proc.Name
+	globals := p.globals[proc.Name]
 	comp.Fn = func(ctx *core.NodeCtx, v value.Value, _ int) {
-		fr := Frame{
-			globals: prog.globals[procName],
-			emit:    ctx.Emit,
-			instID:  ctx.Instance().ID(),
-			route:   ctx.Instance().Router(),
-		}
+		sc := nodeScratch(ctx, globals)
 		cur := v
 		for _, st := range stages {
-			vals := make([]value.Value, 0, len(st.args)+1)
-			for _, af := range st.args {
-				vals = append(vals, af(&fr))
+			fr := sc.enter(st.fun)
+			for i, af := range st.args {
+				fr.locals[i] = af(&sc.top)
 			}
-			vals = append(vals, cur)
-			cur = prog.funs[st.fun].call(&fr, vals)
+			fr.locals[len(st.args)] = cur
+			cur = st.fun.call(fr)
 		}
 		if dstEdge >= 0 {
 			ctx.Emit(dstEdge, cur)
@@ -377,9 +371,8 @@ func (p *Program) buildFoldt(proc *lang.ProcDecl, tmpl *core.Template,
 		return fmt.Errorf("compiler: foldt destination %q must be a scalar writable channel", x.Dst)
 	}
 
-	prog := p
-	procName := proc.Name
-	combine, order := x.Combine, x.Order
+	globals := p.globals[proc.Name]
+	combine, order := p.funs[x.Combine], p.funs[x.Order]
 
 	makeCombine := func(level, i, fanIn int) *core.Node {
 		n := tmpl.AddCompute(fmt.Sprintf("combine_L%d_%d", level, i), nil)
@@ -388,9 +381,8 @@ func (p *Program) buildFoldt(proc *lang.ProcDecl, tmpl *core.Template,
 		}
 		n.Fn = func(ctx *core.NodeCtx, v value.Value, _ int) {
 			st := ctx.State.(*foldtState)
-			fr := Frame{globals: prog.globals[procName], emit: ctx.Emit,
-				instID: ctx.Instance().ID(), route: ctx.Instance().Router()}
-			key := prog.funs[order].call(&fr, []value.Value{v}).AsString()
+			sc := nodeScratch(ctx, globals)
+			key := sc.apply(order, v).AsString()
 			if prev, ok := st.acc[key]; ok {
 				// Own unconditionally: a combine function may return v
 				// itself, a record carrying v's region, or a nested view of
@@ -398,7 +390,7 @@ func (p *Program) buildFoldt(proc *lang.ProcDecl, tmpl *core.Template,
 				// the pooled bytes die when the runtime releases v after
 				// this activation, and only an unconditional deep copy
 				// cannot be fooled by region-less aliases.
-				st.acc[key] = value.Owned(prog.funs[combine].call(&fr, []value.Value{prev, v}))
+				st.acc[key] = value.Owned(sc.apply(combine, prev, v))
 			} else {
 				// The accumulator outlives this task activation, but v's
 				// byte views die with the pooled wire buffer when the

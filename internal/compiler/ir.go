@@ -16,25 +16,89 @@ import (
 	"strconv"
 	"strings"
 
+	"flick/internal/core"
 	"flick/internal/value"
 )
 
-// Frame is one function activation: a fixed-size local slot array plus the
-// per-node emission hook and per-instance identity. Frames are small and
-// stack-allocated per call.
+// Frame is one function activation: its local slot array and the
+// evaluation state it shares with every other frame of the same compute
+// node. Frames are reused rather than allocated per call — the scratch keeps
+// one per call depth — so a call costs what a stack frame would. A frame's
+// locals are cleared when its call returns, so a reused frame never pins a
+// message value.
 type Frame struct {
-	locals  []value.Value
+	locals []value.Value
+	sc     *scratch
+	ret    value.Value
+}
+
+// scratch is the evaluation state of one compute node of one instance: the
+// pipeline's top frame (stage arguments evaluate there), the node context
+// sends go through, and a stack of callee frames indexed by call depth. The
+// checker rejects recursion (types.checkNoRecursion), so call depth is
+// bounded by the program's longest call chain: frames are added on first
+// use and reused for the life of the instance (core.NodeCtx.Scratch).
+type scratch struct {
+	top    Frame
+	frames []*Frame
+	depth  int // frames[:depth] belong to live calls
+
 	globals []value.Value // shared per deployed program
-	emit    func(out int, v value.Value)
-	instID  int64
+	// node is the executing compute node's context, through which sends
+	// emit (nil outside a deployed graph: sends are dropped).
+	node   *core.NodeCtx
+	instID int64
 	// route, when non-nil, is the instance's backend-topology router
 	// (core.Instance.Router): the `hash(k) mod len(backends)` idiom routes
 	// through it (consistent-hash ring) instead of plain modulo, so a
 	// live backend change moves ~1/(B+1) of the key space. Nil preserves
 	// mod-B over the compiled channel-array capacity.
-	route  func(hash int64) int
-	ret    value.Value
-	retSet bool
+	route func(hash int64) int
+}
+
+func newScratch(globals []value.Value) *scratch {
+	sc := &scratch{globals: globals}
+	sc.top.sc = sc
+	return sc
+}
+
+// nodeScratch returns the compute node's scratch bound to the current
+// activation, building it on the instance's first message.
+func nodeScratch(ctx *core.NodeCtx, globals []value.Value) *scratch {
+	sc, _ := ctx.Scratch.(*scratch)
+	if sc == nil {
+		sc = newScratch(globals)
+		ctx.Scratch = sc
+	}
+	inst := ctx.Instance()
+	sc.node, sc.instID, sc.route = ctx, inst.ID(), inst.Router()
+	return sc
+}
+
+// enter claims the frame for a call of f, one level below the innermost
+// live call. The call site evaluates f's arguments straight into the
+// frame's first locals — calls nested in those arguments claim deeper
+// frames — and then runs f with call.
+func (sc *scratch) enter(f *compiledFun) *Frame {
+	if sc.depth == len(sc.frames) || cap(sc.frames[sc.depth].locals) < f.nLocals {
+		sc.grow(f.nLocals)
+	}
+	fr := sc.frames[sc.depth]
+	sc.depth++
+	fr.locals = fr.locals[:f.nLocals]
+	return fr
+}
+
+// grow makes room for n locals in the frame at the current depth, adding
+// the frame on the first call that reaches the depth. It runs only until
+// the instance has executed its deepest and widest calls once.
+func (sc *scratch) grow(n int) {
+	if sc.depth == len(sc.frames) {
+		sc.frames = append(sc.frames, &Frame{sc: sc})
+	}
+	if fr := sc.frames[sc.depth]; cap(fr.locals) < n {
+		fr.locals = make([]value.Value, n)
+	}
 }
 
 // exprFn evaluates an expression.
@@ -51,20 +115,24 @@ type compiledFun struct {
 	body    []stmtFn
 }
 
-// call invokes a compiled function with already-evaluated arguments.
-func (f *compiledFun) call(parent *Frame, args []value.Value) value.Value {
-	fr := Frame{
-		locals:  make([]value.Value, f.nLocals),
-		globals: parent.globals,
-		emit:    parent.emit,
-		instID:  parent.instID,
-		route:   parent.route,
-	}
+// apply calls f with already-evaluated arguments.
+func (sc *scratch) apply(f *compiledFun, args ...value.Value) value.Value {
+	fr := sc.enter(f)
 	copy(fr.locals, args)
+	return f.call(fr)
+}
+
+// call runs f in fr — claimed by enter, arguments in place — and releases
+// the frame.
+func (f *compiledFun) call(fr *Frame) value.Value {
 	for _, s := range f.body {
-		s(&fr)
+		s(fr)
 	}
-	return fr.ret
+	ret := fr.ret
+	clear(fr.locals)
+	fr.ret = value.Null
+	fr.sc.depth--
+	return ret
 }
 
 // ChanRef is the runtime representation of a scalar channel value: the

@@ -49,8 +49,8 @@ func (lw *lowerer) lookup(name string) (int, bool) {
 	return 0, false
 }
 
-// lowerFun compiles one function declaration.
-func (lw *lowerer) lowerFun(f *lang.FunDecl) (*compiledFun, error) {
+// lowerFun compiles one function declaration into cf.
+func (lw *lowerer) lowerFun(f *lang.FunDecl, cf *compiledFun) error {
 	lw.scopes = nil
 	lw.nSlots, lw.max = 0, 0
 	lw.pushScope()
@@ -59,16 +59,11 @@ func (lw *lowerer) lowerFun(f *lang.FunDecl) (*compiledFun, error) {
 	}
 	body, err := lw.lowerBlock(f.Body)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	cf := &compiledFun{
-		name:    f.Name,
-		nParams: len(f.Params),
-		nLocals: lw.max,
-		body:    body,
-	}
+	cf.nParams, cf.nLocals, cf.body = len(f.Params), lw.max, body
 	lw.popScope()
-	return cf, nil
+	return nil
 }
 
 func (lw *lowerer) lowerBlock(stmts []lang.Stmt) ([]stmtFn, error) {
@@ -140,10 +135,7 @@ func (lw *lowerer) lowerStmt(s lang.Stmt) (stmtFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(fr *Frame) {
-			fr.ret = e(fr)
-			fr.retSet = true
-		}, nil
+		return func(fr *Frame) { fr.ret = e(fr) }, nil
 	}
 	return nil, fmt.Errorf("compiler: unsupported statement at %s", s.Position())
 }
@@ -204,12 +196,12 @@ func (lw *lowerer) lowerSend(valExpr, dstExpr lang.Expr) (stmtFn, error) {
 	}
 	return func(fr *Frame) {
 		d := dst(fr)
-		if ref, ok := d.X.(ChanRef); ok && fr.emit != nil {
+		if ref, ok := d.X.(ChanRef); ok && fr.sc.node != nil {
 			// No copy: emitted values carry their backing region (whole
 			// pooled records via NewOwned, field/element views via
 			// value.Borrow in the access lowerings), and Chan.Push retains
 			// that region for the downstream consumer.
-			fr.emit(ref.Out, val(fr))
+			fr.sc.node.Emit(ref.Out, val(fr))
 		}
 	}, nil
 }
@@ -239,7 +231,7 @@ func (lw *lowerer) lowerExpr(e lang.Expr) (exprFn, error) {
 		}
 		if lw.globalIdx != nil {
 			if gi, ok := lw.globalIdx[x.Name]; ok {
-				return func(fr *Frame) value.Value { return fr.globals[gi] }, nil
+				return func(fr *Frame) value.Value { return fr.sc.globals[gi] }, nil
 			}
 		}
 		// Niladic builtins usable without parentheses.
@@ -247,7 +239,7 @@ func (lw *lowerer) lowerExpr(e lang.Expr) (exprFn, error) {
 		case "empty_dict":
 			return func(*Frame) value.Value { return value.NewDict() }, nil
 		case "instance_id":
-			return func(fr *Frame) value.Value { return value.Int(fr.instID) }, nil
+			return func(fr *Frame) value.Value { return value.Int(fr.sc.instID) }, nil
 		}
 		return nil, fmt.Errorf("compiler: unresolved name %q at %s", x.Name, x.Pos)
 
@@ -367,7 +359,7 @@ func (lw *lowerer) lowerBinary(x *lang.BinaryExpr) (exprFn, error) {
 //	instance_id() mod len(backends)      (HTTP LB: per-connection)
 //
 // and lowers them through the instance's topology router when one is
-// installed (Frame.route — set by the graph dispatcher from
+// installed (scratch.route — set by the graph dispatcher from
 // core.Instance.Router). With a consistent-hash ring as router, a live
 // backend add/remove moves only ~1/(B+1) of the key space; without a
 // router (fixed topology) routing is the plain modulo. The channel-array
@@ -382,7 +374,7 @@ func (lw *lowerer) lowerRoutedMod(x *lang.BinaryExpr) (exprFn, bool, error) {
 		if _, isCtor := lw.prog.descs[name]; isCtor {
 			return true
 		}
-		_, isFun := lw.prog.funDecls[name]
+		_, isFun := lw.prog.funs[name]
 		return isFun
 	}
 	var seed exprFn // produces the value the router maps to a backend
@@ -394,7 +386,7 @@ func (lw *lowerer) lowerRoutedMod(x *lang.BinaryExpr) (exprFn, bool, error) {
 		}
 		seed = func(fr *Frame) value.Value { return value.Int(hashValue(arg(fr))) }
 	case ok && hcall.Name == "instance_id" && len(hcall.Args) == 0 && !shadowed("instance_id"):
-		seed = func(fr *Frame) value.Value { return value.Int(fr.instID) }
+		seed = func(fr *Frame) value.Value { return value.Int(fr.sc.instID) }
 	default:
 		return nil, false, nil
 	}
@@ -409,8 +401,8 @@ func (lw *lowerer) lowerRoutedMod(x *lang.BinaryExpr) (exprFn, bool, error) {
 	return func(fr *Frame) value.Value {
 		h := seed(fr).AsInt()
 		xs := larg(fr)
-		if fr.route != nil && isChanList(xs) {
-			return value.Int(int64(fr.route(h)))
+		if fr.sc.route != nil && isChanList(xs) {
+			return value.Int(int64(fr.sc.route(h)))
 		}
 		n := lenValue(xs)
 		if n == 0 {
@@ -446,9 +438,10 @@ func (lw *lowerer) lowerCall(x *lang.CallExpr) (exprFn, error) {
 		}, nil
 	}
 
-	// User function (lazy resolution supports any declaration order; the
-	// checker has rejected recursion so resolution terminates).
-	if _, ok := lw.prog.funDecls[x.Name]; ok {
+	// User function. Every function has its compiledFun before any body
+	// is lowered (Compile), so the callee binds here whatever the
+	// declaration order; its body may still be empty at this point.
+	if callee, ok := lw.prog.funs[x.Name]; ok {
 		args := make([]exprFn, len(x.Args))
 		for i, a := range x.Args {
 			f, err := lw.lowerExpr(a)
@@ -457,14 +450,12 @@ func (lw *lowerer) lowerCall(x *lang.CallExpr) (exprFn, error) {
 			}
 			args[i] = f
 		}
-		prog := lw.prog
-		name := x.Name
 		return func(fr *Frame) value.Value {
-			vals := make([]value.Value, len(args))
+			cfr := fr.sc.enter(callee)
 			for i, af := range args {
-				vals[i] = af(fr)
+				cfr.locals[i] = af(fr)
 			}
-			return prog.funs[name].call(fr, vals)
+			return callee.call(cfr)
 		}, nil
 	}
 
@@ -492,7 +483,7 @@ func (lw *lowerer) lowerCall(x *lang.CallExpr) (exprFn, error) {
 	case "empty_dict":
 		return func(*Frame) value.Value { return value.NewDict() }, nil
 	case "instance_id":
-		return func(fr *Frame) value.Value { return value.Int(fr.instID) }, nil
+		return func(fr *Frame) value.Value { return value.Int(fr.sc.instID) }, nil
 	case "string_to_int":
 		return func(fr *Frame) value.Value { return value.Int(stringToInt(args[0](fr).AsString())) }, nil
 	case "int_to_string":
@@ -515,8 +506,7 @@ func (lw *lowerer) lowerCall(x *lang.CallExpr) (exprFn, error) {
 
 // lowerIter compiles map/filter/fold.
 func (lw *lowerer) lowerIter(x *lang.CallExpr) (exprFn, error) {
-	fname := x.Args[0].(*lang.Ident).Name
-	prog := lw.prog
+	f := lw.prog.funs[x.Args[0].(*lang.Ident).Name]
 	switch x.Name {
 	case "map":
 		list, err := lw.lowerExpr(x.Args[1])
@@ -530,7 +520,7 @@ func (lw *lowerer) lowerIter(x *lang.CallExpr) (exprFn, error) {
 				// Detach per element: a body returning a region-backed view
 				// would leave the result list with elements whose lifetime
 				// the list's (nil) region cannot express.
-				out[i] = value.Detach(prog.funs[fname].call(fr, []value.Value{value.Borrow(el, xs.O)}))
+				out[i] = value.Detach(fr.sc.apply(f, value.Borrow(el, xs.O)))
 			}
 			return value.List(out...)
 		}, nil
@@ -543,7 +533,7 @@ func (lw *lowerer) lowerIter(x *lang.CallExpr) (exprFn, error) {
 			xs := list(fr)
 			var out []value.Value
 			for _, el := range xs.L {
-				if prog.funs[fname].call(fr, []value.Value{value.Borrow(el, xs.O)}).AsBool() {
+				if fr.sc.apply(f, value.Borrow(el, xs.O)).AsBool() {
 					out = append(out, el)
 				}
 			}
@@ -564,7 +554,7 @@ func (lw *lowerer) lowerIter(x *lang.CallExpr) (exprFn, error) {
 			a := acc(fr)
 			xs := list(fr)
 			for _, el := range xs.L {
-				a = prog.funs[fname].call(fr, []value.Value{a, value.Borrow(el, xs.O)})
+				a = fr.sc.apply(f, a, value.Borrow(el, xs.O))
 			}
 			return a
 		}, nil

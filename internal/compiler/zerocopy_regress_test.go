@@ -59,8 +59,10 @@ func TestConstructorOwnsPooledArgs(t *testing.T) {
 	req := phttp.RequestDesc.NewOwned(ref)
 	req.SetField("uri", value.Bytes(ref.Bytes()[:len(uri)]))
 
-	fr := Frame{globals: prog.globals["echo"]}
-	resp := prog.funs["respond"].call(&fr, []value.Value{req})
+	resp, err := prog.CallFunction("respond", req)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// The runtime releases the request after the compute activation; the
 	// pool's LIFO free list hands the same buffer to the next network read.
@@ -224,9 +226,10 @@ func TestDictAssignOwnsFieldView(t *testing.T) {
 	const uri = "/pooled-uri-0001"
 	req := pooledRequest(pool, uri)
 
-	fr := Frame{globals: prog.globals["cached"]}
 	cache := prog.globals["cached"][0]
-	prog.funs["remember"].call(&fr, []value.Value{cache, req})
+	if _, err := prog.CallFunction("remember", cache, req); err != nil {
+		t.Fatal(err)
+	}
 
 	req.Release()
 	next := pool.GetRef(64) // LIFO reuse of the request's recycled buffer
@@ -254,8 +257,10 @@ func TestSetFieldOwnsCrossMessageView(t *testing.T) {
 	resp.SetField("status", value.Int(200))
 	resp.SetField("_raw", value.Bytes([]byte("HTTP/1.1 200 OK\r\n\r\nstale")))
 
-	fr := Frame{globals: prog.globals["cached"]}
-	out := prog.funs["retag"].call(&fr, []value.Value{req, resp})
+	out, err := prog.CallFunction("retag", req, resp)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	req.Release()
 	next := pool.GetRef(64)

@@ -265,6 +265,16 @@ func (inst *Instance) cacheClientRequest(ctx *ExecCtx, msg value.Value, out *Cha
 		// response passes through unadmitted, so no flight is led.
 		return false
 	}
+	return inst.cacheBeginMiss(info, msg)
+}
+
+// cacheBeginMiss leads or joins the flight of a non-FIFO lookup miss.
+// Returns true when the request coalesced onto another request's flight.
+// It is split from cacheClientRequest so that only misses pay for the
+// waiter closures: capturing info moves it to the heap, and a hit must not
+// allocate.
+func (inst *Instance) cacheBeginMiss(info rcache.ReqInfo, msg value.Value) bool {
+	crt := inst.crt
 	crt.mu.Lock()
 	gen := crt.gen
 	crt.mu.Unlock()

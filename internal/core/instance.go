@@ -101,7 +101,10 @@ const flushBytes = 64 << 10
 type computeState struct {
 	edgeClosed []bool
 	open       int
-	state      any
+	// nctx is handed to every activation's body, so running the node
+	// allocates nothing; its State is rebuilt per binding, its Scratch
+	// survives Reset.
+	nctx NodeCtx
 }
 
 // NewInstance builds a runtime graph. Validate the template first.
@@ -197,16 +200,19 @@ func (inst *Instance) initRuntime() {
 		case NodeCompute:
 			cs := inst.compRT[n.ID]
 			if cs == nil {
-				cs = &computeState{edgeClosed: make([]bool, len(n.ins))}
+				cs = &computeState{
+					edgeClosed: make([]bool, len(n.ins)),
+					nctx:       NodeCtx{inst: inst, node: n},
+				}
 				inst.compRT[n.ID] = cs
 			}
 			for i := range cs.edgeClosed {
 				cs.edgeClosed[i] = false
 			}
 			cs.open = len(n.ins)
-			cs.state = nil
+			cs.nctx.State = nil
 			if n.NewState != nil {
-				cs.state = n.NewState()
+				cs.nctx.State = n.NewState()
 			}
 		}
 	}
@@ -561,7 +567,7 @@ func (inst *Instance) runCompute(ctx *ExecCtx, n *Node) RunResult {
 	}
 	cs := inst.compRT[n.ID]
 	ins := inst.nodeIn[n.ID]
-	nctx := NodeCtx{inst: inst, node: n, State: cs.state, exec: ctx}
+	nctx := &cs.nctx
 	for {
 		for _, ch := range inst.nodeOut[n.ID] {
 			if ch.Saturated() {
@@ -575,7 +581,7 @@ func (inst *Instance) runCompute(ctx *ExecCtx, n *Node) RunResult {
 			}
 			v, ok, closed := ch.Pop()
 			if ok {
-				n.Fn(&nctx, v, i)
+				n.Fn(nctx, v, i)
 				// Drop the channel's reference. Emitted copies were
 				// re-retained by the downstream Push; values the body
 				// stored into globals were detached by Dict.Set.
@@ -591,7 +597,7 @@ func (inst *Instance) runCompute(ctx *ExecCtx, n *Node) RunResult {
 				cs.open--
 				progressed = true
 				if n.OnEOF != nil {
-					n.OnEOF(&nctx, i)
+					n.OnEOF(nctx, i)
 				}
 			}
 		}
@@ -728,12 +734,21 @@ func (st *outputState) flush() {
 	}
 }
 
-// NodeCtx is passed to compute bodies.
+// NodeCtx is passed to compute bodies. Each compute node of an instance
+// owns one, reused by every activation: it is valid only during the call,
+// and a body must not retain the pointer.
 type NodeCtx struct {
-	inst  *Instance
-	node  *Node
+	inst *Instance
+	node *Node
+	// State is the node's per-binding state (Node.NewState), rebuilt on
+	// every Reset.
 	State any
-	exec  *ExecCtx
+	// Scratch is working storage the body owns: nil on the instance's first
+	// activation, then kept across activations and Reset, so the body builds
+	// it once per pooled instance. Unlike State it must not carry values from
+	// one message to the next — the compiled program keeps its reusable call
+	// frames here.
+	Scratch any
 }
 
 // Emit pushes v onto the node's out-edge at index out (declaration order of

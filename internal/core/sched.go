@@ -88,6 +88,10 @@ type worker struct {
 	// worker is wedged in a long activation, or exited at Stop.
 	tick uint32
 
+	// ctx is the activation context run hands to every task body on this
+	// worker, overwritten per activation (see ExecCtx).
+	ctx ExecCtx
+
 	// Per-worker counters keep the hot path off shared cache lines; Stats
 	// sums them. scheduled counts enqueues TARGETING this worker — the
 	// enqueuer already touches this worker's inbox line in the same
@@ -451,15 +455,15 @@ func (s *Scheduler) run(t *Task, wid int) {
 	me := s.workers[wid]
 	me.executed.Add(1)
 	t.runs.Add(1)
-	ctx := ExecCtx{
+	ctx := &me.ctx
+	*ctx = ExecCtx{
 		sched:    s,
-		task:     t,
 		worker:   wid,
 		started:  time.Now(),
 		quantum:  s.policy.Quantum,
 		maxItems: s.policy.MaxItems,
 	}
-	res := t.fn(&ctx)
+	res := t.fn(ctx)
 	t.itemsRun.Add(uint64(ctx.items))
 
 	if res == RunDone {

@@ -94,9 +94,13 @@ func (t *Task) Done() bool { return t.done.Load() }
 
 // ExecCtx is passed to a running task body. It carries the scheduling
 // policy's bounds so bodies can cooperate.
+//
+// Each worker owns one ExecCtx and overwrites it for every activation, so
+// running a task allocates nothing. It is valid only during the activation:
+// a body must not retain it, or anything reached through it, after
+// returning.
 type ExecCtx struct {
 	sched    *Scheduler
-	task     *Task
 	worker   int
 	started  time.Time
 	quantum  time.Duration // 0 = unbounded
