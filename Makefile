@@ -45,12 +45,17 @@ race:
 	GO=$(GO) ./scripts/race_gate.sh $(RACE_PKGS)
 
 # Soak of the cache's concurrency tests: lookups vs fills, invalidation and
-# upstream 304s, 20 runs each; then the latency histogram's record-vs-
-# snapshot invariant (no quantile above max), 200 runs without -race so
-# the interleavings are dense (~10 s). Also run by the CI race job.
+# upstream 304s, 20 runs each; then, without -race so the interleavings
+# are dense, the latency histogram's record-vs-snapshot invariant (no
+# quantile above max, 200 runs, ~10 s) and the two instance-lifecycle
+# races: a failed dispatch's instance back in the pool before its client
+# sees the close (300 runs, < 1 s), and scale-in under connect load with
+# zero client errors (100 runs, ~20 s). Also run by the CI race job.
 race-soak:
 	$(GO) test -race -count=20 -run 'Stress|Race|Reval' ./internal/cache/
 	$(GO) test -count=200 -run RecordVsSnapshot ./internal/metrics/
+	$(GO) test -count=300 -run TestDispatchDialFailureReleasesInstance ./internal/core/
+	$(GO) test -count=100 -run TestScaleInUnderConnectLoadZeroClientErrors ./internal/apps/
 
 # The nested benchmark module's own vet and tests (< 10 s). It compiles
 # against internal/cache, internal/upstream and the codecs, so it also

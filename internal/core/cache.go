@@ -133,12 +133,10 @@ func cacheMsgID(msg value.Value) any {
 	return nil
 }
 
-// SetCache installs the service's response cache on this binding. Called
-// by the dispatcher between pool Get and Start (like Bind and SetRouter);
-// the runtime persists across Reset — only its per-binding state clears.
+// installCache installs the service's response cache (GraphPool.build).
 // Graphs without a primary in/out port pair are left uncached.
-func (inst *Instance) SetCache(c *rcache.Cache) {
-	if c == nil || inst.crt != nil {
+func (inst *Instance) installCache(c *rcache.Cache) {
+	if c == nil {
 		return
 	}
 	primary := -1

@@ -32,9 +32,11 @@
 // upstream sessions, drain delivered response views by reference); output
 // tasks accumulate encoded messages in a pooled scatter list — forwarded
 // messages as references to their original wire bytes — and flush with
-// one vectored write. An instance's Reset must only run after every task
-// finished (the pool guarantees it), which is what makes buffer reuse
-// across connections safe.
+// one vectored write. An instance is Reset only from the finished phase
+// (every task ended) or the bound phase (no task ever ran), and back in
+// idle no task body runs until the next Start — the one release path,
+// GraphPool.Put, guarantees it, and it is what makes buffer reuse across
+// connections safe.
 //
 // # Counters
 //

@@ -20,7 +20,8 @@ import (
 // node, one Chan per edge, with input/output nodes bound to network
 // connections through ports. Instances are reusable (Reset) to support the
 // graph dispatcher's pre-allocated pool (§5: "The platform maintains a
-// pre-allocated pool of task graphs to avoid the overhead of construction").
+// pre-allocated pool of task graphs to avoid the overhead of construction");
+// one state word tracks each trip from pool to pool (see phase).
 type Instance struct {
 	tmpl  *Template
 	sched *Scheduler
@@ -39,25 +40,69 @@ type Instance struct {
 	// is written between pool Get and Start and read by task bodies after
 	// Start, so it needs no extra synchronisation; Reset clears it.
 	router func(hash int64) int
-	// crt is the response-cache runtime (nil: uncached service). Like
-	// router it is installed between pool Get and Start (SetCache) and
-	// read by task bodies after Start; unlike router it persists across
-	// Reset — only its per-binding state clears (resetCache).
-	crt *cacheRT
-	// lrt is the live-latency runtime (nil: uninstrumented service). Like
-	// crt it is installed between pool Get and Start (SetLatency) and
-	// persists across Reset — only its stamp ring clears (resetLatency).
-	lrt       *latencyRT
-	id        int64
-	liveTasks atomic.Int32
-	shutdown  atomic.Bool
-	// active gates task bodies: false between Reset and the next Start,
-	// so stale wakeups from a previous binding (old connection callbacks,
-	// queued scheduler entries) cannot touch runtime state while the
-	// dispatcher rebinds the instance.
-	active   atomic.Bool
-	finished chan struct{}
-	onFinish func(*Instance)
+	// crt (response cache) and lrt (live latency) are installed once, when
+	// the pool builds the instance (nil: uncached, uninstrumented), and
+	// persist across Reset — only their per-binding state clears.
+	crt   *cacheRT
+	lrt   *latencyRT
+	pool  *GraphPool // where a finished instance goes (nil: NewInstance)
+	id    int64
+	state atomic.Uint64 // phase << 32 | live tasks; only transition writes it
+}
+
+// phase is an instance's place in its trip from pool to pool. The legal
+// edges (the edges table) and who takes each:
+//
+//	idle     → bound     the binding's first Bind
+//	bound    → idle      Reset: the dispatch failed before Start
+//	bound    → running   Start
+//	running  → draining  beginShutdown
+//	running  → finished  the last task ends without a shutdown
+//	draining → finished  the last task ends
+//	finished → idle      Reset: back in the pool
+//	running, draining → itself: one task ends
+type phase uint32
+
+const (
+	phaseIdle phase = iota
+	phaseBound
+	phaseRunning
+	phaseDraining
+	phaseFinished
+)
+
+var phaseNames = [...]string{"idle", "bound", "running", "draining", "finished"}
+
+func (p phase) String() string { return phaseNames[p] }
+
+// edges[from] has bit to set for each legal edge from → to.
+var edges = [...]uint8{
+	phaseIdle:     1 << phaseBound,
+	phaseBound:    1<<phaseIdle | 1<<phaseRunning,
+	phaseRunning:  1<<phaseRunning | 1<<phaseDraining | 1<<phaseFinished,
+	phaseDraining: 1<<phaseDraining | 1<<phaseFinished,
+	phaseFinished: 1 << phaseIdle,
+}
+
+// transition is the one writer of the state word: it CASes old to phase to
+// with live tasks, reporting false when another writer got there first. An
+// edge outside the table, or a self-edge that is not one task ending, is a
+// lifecycle bug and panics, as sync.WaitGroup does on a negative count.
+func (inst *Instance) transition(old uint64, to phase, live uint32) bool {
+	from := phase(old >> 32)
+	if edges[from]&(1<<to) == 0 || (from == to && live != uint32(old)-1) {
+		panic(fmt.Sprintf("core: illegal instance lifecycle edge %s → %s (live %d → %d)", from, to, uint32(old), live))
+	}
+	return inst.state.CompareAndSwap(old, uint64(to)<<32|uint64(live))
+}
+
+func (inst *Instance) phase() phase { return phase(inst.state.Load() >> 32) }
+
+// bindingLive is the task bodies' gate, one atomic load: in any phase but
+// running and draining a wakeup is stale (an earlier binding's callback).
+func (inst *Instance) bindingLive() bool {
+	p := inst.phase()
+	return p == phaseRunning || p == phaseDraining
 }
 
 var instanceIDs atomic.Int64
@@ -120,7 +165,6 @@ func NewInstance(tmpl *Template, sched *Scheduler) *Instance {
 		outputRT: make([]*outputState, len(tmpl.nodes)),
 		compRT:   make([]*computeState, len(tmpl.nodes)),
 		conns:    make([]net.Conn, len(tmpl.ports)),
-		finished: make(chan struct{}),
 	}
 	// Channels: one per edge, owned (as input) by the downstream node.
 	type edge struct{ from, to int }
@@ -158,20 +202,41 @@ func NewInstance(tmpl *Template, sched *Scheduler) *Instance {
 			ch.SetConsumer(t, sched)
 		}
 	}
-	inst.initRuntime()
+	inst.Reset()
 	return inst
 }
 
-// initRuntime (re)initialises per-run state; used at construction and
-// Reset. State objects (and in particular the 32 KiB per-input read
-// buffers and the byte queues' pooled chunks) are retained across resets —
-// reallocating them per connection was the dominant allocation source on
-// the non-persistent connection path.
-func (inst *Instance) initRuntime() {
-	inst.active.Store(false)
-	inst.liveTasks.Store(int32(len(inst.tmpl.nodes)))
-	inst.shutdown.Store(false)
-	inst.finished = make(chan struct{})
+// Reset clears a finished instance's binding — or a bound one's whose
+// dispatch failed before Start — and returns it to idle (an idle instance
+// stays idle). No task body runs in these phases, so a late wakeup from
+// the previous binding, which passes the scheduler's done check as soon as
+// done clears below, is inert instead of poisoning the fresh session.
+// State objects (notably the per-input byte queues' pooled chunks) are
+// kept: reallocating them per connection was the dominant allocation
+// source on the non-persistent connection path.
+func (inst *Instance) Reset() {
+	if w := inst.state.Load(); phase(w>>32) != phaseIdle {
+		inst.transition(w, phaseIdle, 0)
+	}
+	// Cache bookkeeping dies before the channels clear: the generation
+	// bump makes outstanding waiter deliveries inert, so whatever they
+	// pushed before losing the race is released by the channel Reset
+	// below, and nothing lands after it.
+	inst.resetCache()
+	if inst.lrt != nil {
+		inst.lrt.reset()
+	}
+	for _, t := range inst.tasks {
+		t.done.Store(false)
+		t.state.Store(int32(TaskIdle))
+	}
+	for _, chs := range inst.nodeIn {
+		for _, ch := range chs {
+			ch.Reset()
+		}
+	}
+	clear(inst.conns)
+	inst.router = nil
 	for _, n := range inst.tmpl.nodes {
 		switch n.Kind {
 		case NodeInput:
@@ -206,9 +271,7 @@ func (inst *Instance) initRuntime() {
 				}
 				inst.compRT[n.ID] = cs
 			}
-			for i := range cs.edgeClosed {
-				cs.edgeClosed[i] = false
-			}
+			clear(cs.edgeClosed)
 			cs.open = len(n.ins)
 			cs.nctx.State = nil
 			if n.NewState != nil {
@@ -218,55 +281,11 @@ func (inst *Instance) initRuntime() {
 	}
 }
 
-// Reset prepares a finished instance for reuse by the pool.
-//
-// Ordering matters: the active gate must drop BEFORE the tasks' done flags
-// clear. A late wakeup from the previous binding (an in-flight connection
-// callback) passes the scheduler's done check as soon as done flips false;
-// with active already false its activation is inert, instead of running
-// against the previous session's input state and poisoning the fresh one.
-func (inst *Instance) Reset() {
-	inst.active.Store(false)
-	// Cache bookkeeping dies before the channels clear: the generation
-	// bump makes outstanding waiter deliveries inert, so whatever they
-	// pushed before losing the race is released by the channel Reset
-	// below, and nothing lands after it.
-	inst.resetCache()
-	inst.resetLatency()
-	for _, t := range inst.tasks {
-		t.done.Store(false)
-		t.state.Store(int32(TaskIdle))
-	}
-	for _, chs := range inst.nodeIn {
-		for _, ch := range chs {
-			ch.Reset()
-		}
-	}
-	for i := range inst.conns {
-		inst.conns[i] = nil
-	}
-	inst.router = nil
-	inst.initRuntime()
-}
-
-// Template returns the blueprint this instance was built from.
-func (inst *Instance) Template() *Template { return inst.tmpl }
-
-// Task returns the runtime task of node id (diagnostics and tests).
-func (inst *Instance) Task(id int) *Task { return inst.tasks[id] }
-
-// SetOnFinish registers a completion callback (pool return).
-func (inst *Instance) SetOnFinish(fn func(*Instance)) { inst.onFinish = fn }
-
-// Finished returns a channel closed when every task of the instance has
-// terminated.
-func (inst *Instance) Finished() <-chan struct{} { return inst.finished }
-
 // DebugString renders the instance's runtime state for diagnostics.
 func (inst *Instance) DebugString() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "instance %d (%s) active=%v live=%d shutdown=%v\n",
-		inst.id, inst.tmpl.Name, inst.active.Load(), inst.liveTasks.Load(), inst.shutdown.Load())
+	w := inst.state.Load()
+	fmt.Fprintf(&sb, "instance %d (%s) phase=%s live=%d\n", inst.id, inst.tmpl.Name, phase(w>>32), uint32(w))
 	for _, n := range inst.tmpl.nodes {
 		t := inst.tasks[n.ID]
 		fmt.Fprintf(&sb, "  node %d %-8s %-16s state=%d done=%v runs=%d",
@@ -311,58 +330,63 @@ func (inst *Instance) PortHomeWorker(port int) int {
 	return 0
 }
 
-// Bind attaches a connection to a port. Call before Start.
+// Bind attaches conn to port (nil: unbound), closing what an earlier Bind
+// left there. Call before Start; the first Bind takes idle → bound.
 func (inst *Instance) Bind(port int, conn net.Conn) {
+	if w := inst.state.Load(); phase(w>>32) == phaseIdle {
+		inst.transition(w, phaseBound, 0)
+	}
+	if old := inst.conns[port]; old != nil && old != conn {
+		old.Close()
+	}
 	inst.conns[port] = conn
-	p := inst.tmpl.ports[port]
+	p, at := inst.tmpl.ports[port], port
+	if conn == nil {
+		at = -1
+	}
 	if p.In >= 0 {
 		st := inst.inputRT[p.In]
 		st.conn = conn
-		st.port = port
+		st.port = at
 		_, st.evt = conn.(netstack.Readable)
 	}
 	if p.Out >= 0 {
 		st := inst.outputRT[p.Out]
 		st.conn = conn
-		st.port = port
+		st.port = at
 	}
 }
 
-// Start activates the instance: event callbacks are registered, pump
+// Start activates a bound instance: event callbacks are registered, pump
 // goroutines start for kernel connections, and every input task is
-// scheduled once to consume any pending bytes.
+// scheduled once to consume any pending bytes. The binding is read only
+// while bound, when no task can run or finish; after bound → running a
+// graph whose peer already hung up may be recycled under the last loop,
+// which reads only the immutable task list.
 func (inst *Instance) Start() {
-	// Start counts as one more live task until it returns: a peer that
-	// already hung up lets the first scheduled input task shut the whole
-	// graph down, and without the hold the pool could Reset and rebind the
-	// instance while the loop below is still reading it.
-	inst.liveTasks.Add(1)
-	defer inst.taskDone()
-	inst.active.Store(true)
+	w := inst.state.Load()
 	for _, n := range inst.tmpl.nodes {
 		if n.Kind != NodeInput {
 			continue
 		}
 		st := inst.inputRT[n.ID]
-		task := inst.tasks[n.ID]
-		if st.conn == nil {
+		switch task := inst.tasks[n.ID]; {
+		case st.conn == nil:
 			// Unbound input (write-only benchmark graphs): treat as EOF.
-			// Under st.mu: a shutdown begun by an earlier input's EOF may
-			// already be running this task.
 			st.mu.Lock()
 			st.eof = true
 			st.mu.Unlock()
-			inst.sched.Schedule(task)
-			continue
-		}
-		if st.evt {
-			r := st.conn.(netstack.Readable)
-			sched, tsk := inst.sched, task
-			r.SetReadableCallback(func() { sched.Schedule(tsk) })
-		} else {
+		case st.evt:
+			st.conn.(netstack.Readable).SetReadableCallback(func() { inst.sched.Schedule(task) })
+		default:
 			go inst.pump(st, task)
 		}
-		inst.sched.Schedule(task)
+	}
+	inst.transition(w, phaseRunning, uint32(len(inst.tasks)))
+	for _, n := range inst.tmpl.nodes {
+		if n.Kind == NodeInput {
+			inst.sched.Schedule(inst.tasks[n.ID])
+		}
 	}
 }
 
@@ -393,28 +417,43 @@ func (inst *Instance) pump(st *inputState, task *Task) {
 }
 
 // taskDone runs (via Task.onDone, after the scheduler finalises the task's
-// state) exactly once per node when its task returns RunDone. When the last
-// task of the instance terminates the instance is finished and may be
-// recycled by the pool — the ordering guarantees no scheduler store can
-// clobber a Reset.
+// state) once per node when its task returns RunDone; the last one takes
+// the instance to finished and hands it to its pool, after every
+// scheduler store that could clobber the pool's Reset.
 func (inst *Instance) taskDone() {
-	if inst.liveTasks.Add(-1) == 0 {
-		close(inst.finished)
-		if inst.onFinish != nil {
-			inst.onFinish(inst)
+	for {
+		w := inst.state.Load()
+		to, live := phase(w>>32), uint32(w)-1
+		if live == 0 {
+			to = phaseFinished
+		}
+		if inst.transition(w, to, live) {
+			if to == phaseFinished && inst.pool != nil {
+				inst.pool.Put(inst)
+			}
+			return
 		}
 	}
 }
 
-// beginShutdown force-closes every connection; EOFs then propagate through
-// the dataflow and all tasks terminate. After the closes, event callbacks
-// are unregistered (late wakeups from this binding are additionally gated
-// by the active flag) and every input task is scheduled once so it observes
-// its connection's EOF even if its close event fired before the task was
-// ready for it.
+// beginShutdown takes a running instance to draining and force-closes
+// every connection; EOFs then propagate through the dataflow and all tasks
+// terminate. After the closes, event callbacks are unregistered and every
+// input task is scheduled once so it observes its connection's EOF even if
+// its close event fired before the task was ready for it. A bound instance
+// (Service.Close racing its dispatch) is closed alike, with no edge. A
+// caller outside the instance's tasks must keep it from being recycled
+// meanwhile (a closing service's pool drops finished instances).
 func (inst *Instance) beginShutdown() {
-	if !inst.shutdown.CompareAndSwap(false, true) {
-		return
+	for {
+		w := inst.state.Load()
+		p := phase(w >> 32)
+		if p == phaseBound || p == phaseRunning && inst.transition(w, phaseDraining, uint32(w)) {
+			break
+		}
+		if p != phaseRunning {
+			return // idle, finished, or another shutdown won
+		}
 	}
 	for _, c := range inst.conns {
 		if c != nil {
@@ -441,8 +480,8 @@ func (inst *Instance) Close() { inst.beginShutdown() }
 // runInput drains bytes from the connection, decodes complete messages and
 // pushes them downstream.
 func (inst *Instance) runInput(ctx *ExecCtx, n *Node) RunResult {
-	if !inst.active.Load() {
-		return RunIdle // stale wakeup while unbound (see Instance.active)
+	if !inst.bindingLive() {
+		return RunIdle // stale wakeup (see bindingLive)
 	}
 	st := inst.inputRT[n.ID]
 	out := inst.nodeOut[n.ID][0]
@@ -562,8 +601,8 @@ func (inst *Instance) finishInput(st *inputState, out *Chan) RunResult {
 // runCompute drains the node's in-edges round-robin, invoking the body per
 // value and the EOF hook per closed edge.
 func (inst *Instance) runCompute(ctx *ExecCtx, n *Node) RunResult {
-	if !inst.active.Load() {
-		return RunIdle // stale wakeup while unbound (see Instance.active)
+	if !inst.bindingLive() {
+		return RunIdle // stale wakeup (see bindingLive)
 	}
 	cs := inst.compRT[n.ID]
 	ins := inst.nodeIn[n.ID]
@@ -620,8 +659,8 @@ func (inst *Instance) runCompute(ctx *ExecCtx, n *Node) RunResult {
 // done) or the list passes the high-water mark. A burst of queued responses
 // therefore leaves in a single writev instead of a syscall per message.
 func (inst *Instance) runOutput(ctx *ExecCtx, n *Node) RunResult {
-	if !inst.active.Load() {
-		return RunIdle // stale wakeup while unbound (see Instance.active)
+	if !inst.bindingLive() {
+		return RunIdle // stale wakeup (see bindingLive)
 	}
 	st := inst.outputRT[n.ID]
 	ins := inst.nodeIn[n.ID]
@@ -757,11 +796,5 @@ func (c *NodeCtx) Emit(out int, v value.Value) {
 	c.inst.nodeOut[c.node.ID][out].Push(v)
 }
 
-// Outs returns the node's out-edge count.
-func (c *NodeCtx) Outs() int { return len(c.inst.nodeOut[c.node.ID]) }
-
 // Instance returns the enclosing instance.
 func (c *NodeCtx) Instance() *Instance { return c.inst }
-
-// Node returns the node being executed.
-func (c *NodeCtx) Node() *Node { return c.node }

@@ -137,11 +137,22 @@ func TestInstanceFinishesOnClientClose(t *testing.T) {
 		t.Fatalf("got %q", got)
 	}
 	client.Close()
-	select {
-	case <-inst.Finished():
-	case <-time.After(2 * time.Second):
+	if !waitPhase(inst, phaseFinished, 2*time.Second) {
 		t.Fatal("instance did not finish after client close")
 	}
+}
+
+// waitPhase polls inst until it reaches phase want, reporting false if the
+// timeout passes first.
+func waitPhase(inst *Instance, want phase, timeout time.Duration) bool {
+	deadline := time.Now().Add(timeout)
+	for inst.phase() != want {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return true
 }
 
 func TestInstanceResetReuse(t *testing.T) {
@@ -170,9 +181,7 @@ func TestInstanceResetReuse(t *testing.T) {
 			t.Fatalf("round %d: got %q", round, got)
 		}
 		client.Close()
-		select {
-		case <-inst.Finished():
-		case <-time.After(2 * time.Second):
+		if !waitPhase(inst, phaseFinished, 2*time.Second) {
 			t.Fatalf("round %d: did not finish", round)
 		}
 		inst.Reset()

@@ -120,26 +120,14 @@ func (rt *latencyRT) reset() {
 	rt.mu.Unlock()
 }
 
-// SetLatency installs the service's latency signal on this binding. Called
-// by the dispatcher between pool Get and Start (like SetCache); the runtime
-// persists across Reset — only the stamp ring clears. Graphs without a
-// primary in/out port pair (nothing to correlate) are left uninstrumented.
-func (inst *Instance) SetLatency(sl *ServiceLatency) {
-	if sl == nil || inst.lrt != nil {
-		return
-	}
+// installLatency installs the service's latency signal (GraphPool.build).
+// Graphs without a primary in/out port pair are left uninstrumented.
+func (inst *Instance) installLatency(sl *ServiceLatency) {
 	for i := range inst.tmpl.ports {
 		p := inst.tmpl.ports[i]
 		if p.Primary && p.In >= 0 && p.Out >= 0 {
 			inst.lrt = &latencyRT{sl: sl}
 			return
 		}
-	}
-}
-
-// resetLatency clears the binding's stamp ring (from Reset).
-func (inst *Instance) resetLatency() {
-	if inst.lrt != nil {
-		inst.lrt.reset()
 	}
 }

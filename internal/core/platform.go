@@ -190,6 +190,7 @@ func (p *Platform) Deploy(cfg ServiceConfig) (*Service, error) {
 		lat:      NewServiceLatency(cfg.Name, p.sched.Workers()),
 	}
 	s.pool.Disabled = cfg.DisablePool
+	s.pool.owner = s
 	if err := s.installTopology(&cfg); err != nil {
 		l.Close()
 		return nil, err
@@ -218,17 +219,16 @@ func (s *Service) Close() {
 		return
 	}
 	s.closed = true
-	shared := s.shared
-	s.shared = nil
-	live := make([]*Instance, 0, len(s.live))
+	live := make([]*Instance, 0, len(s.live)+1)
 	for inst := range s.live {
 		live = append(live, inst)
 	}
+	if s.shared != nil {
+		live = append(live, s.shared)
+		s.shared = nil
+	}
 	s.mu.Unlock()
 	s.listener.Close()
-	if shared != nil {
-		shared.Close()
-	}
 	for _, inst := range live {
 		inst.Close()
 	}
@@ -286,32 +286,18 @@ func (s *Service) acceptLoop() {
 			return
 		}
 		if s.cfg.Dispatch == PerConnection {
-			go func(conn net.Conn) {
-				if err := s.dispatch(conn); err != nil {
-					conn.Close()
-				}
-			}(conn)
-			continue
-		}
-		if err := s.dispatch(conn); err != nil {
+			go s.dispatchPerConn(conn)
+		} else if err := s.dispatchShared(conn); err != nil {
 			conn.Close()
 		}
 	}
 }
 
-// dispatch is the graph dispatcher (§5: "assigns incoming connections to
-// task graphs, instantiating a new one if none suitable exists").
-func (s *Service) dispatch(conn net.Conn) error {
-	switch s.cfg.Dispatch {
-	case PerConnection:
-		return s.dispatchPerConn(conn)
-	case Shared:
-		return s.dispatchShared(conn)
-	}
-	return fmt.Errorf("core: unknown dispatch mode %d", s.cfg.Dispatch)
-}
-
-func (s *Service) dispatchPerConn(conn net.Conn) error {
+// dispatchPerConn is the graph dispatcher (§5: "assigns incoming
+// connections to task graphs, instantiating a new one if none suitable
+// exists"). A failed dispatch hands the instance to GraphPool.Put, which
+// closes conn.
+func (s *Service) dispatchPerConn(conn net.Conn) {
 	inst := s.pool.Get()
 	inst.Bind(s.cfg.ClientPort, conn)
 	// Connect backends ("The graph dispatcher also creates new output
@@ -319,94 +305,41 @@ func (s *Service) dispatchPerConn(conn net.Conn) error {
 	// multiplexed session from the shared upstream layer when bound, by
 	// dialling a dedicated socket otherwise; with a live Topology the
 	// current snapshot picks the addresses and the routing function.
-	if err := s.bindBackends(inst); err != nil {
+	err := s.bindBackends(inst)
+	if errors.Is(err, upstream.ErrRetired) {
 		// Scale-in race: this dispatch snapshotted a topology just as
-		// UpdateBackends retired one of its backends, so the lease found
-		// the pool already draining. The fresh snapshot no longer lists
-		// that backend — rebind against it once instead of dropping the
-		// client connection.
-		if errors.Is(err, upstream.ErrRetired) {
-			s.unbindBackends(inst)
-			// Serialise with the in-flight UpdateBackends before
-			// re-snapshotting: its SetBackends (which retired our lease)
-			// runs before its topology Store, both under topoMu — passing
-			// through the mutex guarantees the Store has landed and the
-			// retry binds the genuinely fresh snapshot.
-			s.topoMu.Lock()
-			//nolint:staticcheck // empty section: a memory barrier, not a region
-			s.topoMu.Unlock()
-			err = s.bindBackends(inst)
-		}
-		if err != nil {
-			s.releaseUnstarted(inst)
-			return err
-		}
+		// UpdateBackends retired one of its backends. Serialise with that
+		// update — its SetBackends runs before its topology Store, both
+		// under topoMu — then rebind against the fresh snapshot instead of
+		// dropping the client.
+		s.topoMu.Lock()
+		//nolint:staticcheck // empty section: a memory barrier, not a region
+		s.topoMu.Unlock()
+		err = s.bindBackends(inst)
 	}
 	// Publish into the live set only once fully bound: Service.Close reads
-	// inst.conns (via Instance.Close) for everything it finds in s.live,
-	// so a half-bound instance must not be visible there.
+	// inst.conns (via Instance.Close) for everything it finds in s.live.
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.releaseUnstarted(inst)
-		return fmt.Errorf("core: service closed")
+	published := err == nil && !s.closed
+	if published {
+		s.live[inst] = struct{}{}
 	}
-	s.live[inst] = struct{}{}
 	s.mu.Unlock()
-	inst.SetCache(s.cfg.Cache)
-	inst.SetLatency(s.lat)
-	inst.SetOnFinish(func(i *Instance) {
-		s.mu.Lock()
-		closed := s.closed
-		delete(s.live, i)
-		s.mu.Unlock()
-		// A closing service drops finished instances instead of recycling:
-		// Service.Close may still hold this instance in its teardown
-		// snapshot, and Put's Reset must never race that teardown.
-		if !closed {
-			s.pool.Put(i)
-		}
-	})
+	if !published {
+		s.pool.Put(inst)
+		return
+	}
 	inst.Start()
-	return nil
 }
 
-// dialBackend resolves one backend connection for a dispatch. worker is
-// the home scheduler worker of the task that will write the connection:
-// a sharded upstream manager leases from that worker's shard, keeping the
-// write path — framing, FIFO reservation, vectored write — core-local.
-func (s *Service) dialBackend(addr string, worker int) (net.Conn, error) {
-	if s.cfg.Upstreams != nil {
-		return s.cfg.Upstreams.LeaseOn(addr, worker)
-	}
-	return s.platform.transport.Dial(addr)
-}
-
-// unbindBackends closes and clears every backend connection bound so far
-// (the client port is untouched), returning the instance to a state where
-// bindBackends can run again — the retry path of the scale-in dispatch
-// race.
-func (s *Service) unbindBackends(inst *Instance) {
-	for port, c := range inst.conns {
-		if c == nil || port == s.cfg.ClientPort {
-			continue
-		}
-		c.Close()
-		inst.Bind(port, nil)
-	}
-}
-
-// releaseUnstarted returns an instance whose dispatch failed before Start
-// to the pool. The instance's tasks never ran, so the onFinish path will
-// never fire on its own: close the connections bound so far, drop the
-// instance from the live set and recycle it explicitly.
-func (s *Service) releaseUnstarted(inst *Instance) {
+// forget drops inst from the live set (GraphPool.Put) and reports whether
+// it may be recycled: not by a closing service, whose Close may still hold
+// it in its teardown snapshot — a Reset must never race that teardown.
+func (s *Service) forget(inst *Instance) bool {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	delete(s.live, inst)
-	s.mu.Unlock()
-	inst.SetOnFinish(nil)
-	inst.Close() // closes bound conns; task wakeups stay gated by active
-	s.pool.Put(inst)
+	return !s.closed
 }
 
 func (s *Service) dispatchShared(conn net.Conn) error {
@@ -417,13 +350,9 @@ func (s *Service) dispatchShared(conn net.Conn) error {
 	}
 	if s.shared == nil {
 		inst := NewInstance(s.cfg.Template, s.platform.sched)
-		for port, addr := range s.cfg.BackendAddrs {
-			bc, err := s.platform.transport.Dial(addr)
-			if err != nil {
-				inst.Close()
-				return fmt.Errorf("core: dial backend %s: %w", addr, err)
-			}
-			inst.Bind(port, bc)
+		if err := s.bindBackends(inst); err != nil {
+			inst.Close()
+			return err
 		}
 		s.shared = inst
 		s.nextIdx = 0

@@ -1,17 +1,19 @@
 package core
 
 import (
+	"net"
 	"sync"
 	"sync/atomic"
 )
 
 // GraphPool is the graph dispatcher's pre-allocated pool of instances (§5).
-// Get reuses a finished instance when available, otherwise builds a fresh
+// Get reuses an idle instance when available, otherwise builds a fresh
 // one; Put resets and retains up to Cap instances.
 type GraphPool struct {
 	tmpl  *Template
 	sched *Scheduler
 	cap   int
+	owner *Service // whose wiring build installs (nil: a bare pool)
 
 	mu   sync.Mutex
 	free []*Instance
@@ -32,16 +34,28 @@ func NewGraphPool(tmpl *Template, sched *Scheduler, capacity int) *GraphPool {
 	return &GraphPool{tmpl: tmpl, sched: sched, cap: capacity}
 }
 
+// build wires a new instance, once for all its bindings, to this pool
+// (its way back) and to the owner's cache and latency runtimes.
+func (p *GraphPool) build() *Instance {
+	inst := NewInstance(p.tmpl, p.sched)
+	inst.pool = p
+	if s := p.owner; s != nil {
+		inst.installCache(s.cfg.Cache)
+		inst.installLatency(s.lat)
+	}
+	return inst
+}
+
 // Prime pre-allocates n pooled instances.
 func (p *GraphPool) Prime(n int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for len(p.free) < n && len(p.free) < p.cap {
-		p.free = append(p.free, NewInstance(p.tmpl, p.sched))
+		p.free = append(p.free, p.build())
 	}
 }
 
-// Get returns a ready-to-bind instance.
+// Get returns an idle instance, ready to bind.
 func (p *GraphPool) Get() *Instance {
 	if !p.Disabled {
 		p.mu.Lock()
@@ -55,20 +69,34 @@ func (p *GraphPool) Get() *Instance {
 		p.mu.Unlock()
 	}
 	p.builds.Add(1)
-	return NewInstance(p.tmpl, p.sched)
+	return p.build()
 }
 
-// Put resets inst and returns it to the pool (or drops it when full).
+// Put is the one release path, for a finished instance and for a bound one
+// whose dispatch failed. It leaves the owner's live set and is reset into
+// the free list (or dropped: pool disabled or full, owner closing) BEFORE
+// its connections close, so a client that redials on seeing the close
+// finds it back in the pool.
 func (p *GraphPool) Put(inst *Instance) {
-	if p.Disabled {
-		return
+	var held [8]net.Conn
+	conns := append(held[:0], inst.conns...)
+	recycle := !p.Disabled
+	if s := p.owner; s != nil {
+		recycle = s.forget(inst) && recycle
 	}
-	inst.Reset()
-	p.mu.Lock()
-	if len(p.free) < p.cap {
-		p.free = append(p.free, inst)
+	if recycle {
+		inst.Reset()
+		p.mu.Lock()
+		if len(p.free) < p.cap {
+			p.free = append(p.free, inst)
+		}
+		p.mu.Unlock()
 	}
-	p.mu.Unlock()
+	for _, c := range conns {
+		if c != nil {
+			c.Close()
+		}
+	}
 }
 
 // Stats reports pool reuse counters.

@@ -163,9 +163,7 @@ func TestOutputWriteErrorShutsDownInstance(t *testing.T) {
 	inst.Start()
 
 	// The stub feeds one line; the echoed reply hits the failing write.
-	select {
-	case <-inst.Finished():
-	case <-time.After(5 * time.Second):
+	if !waitPhase(inst, phaseFinished, 5*time.Second) {
 		t.Fatalf("instance still live %v after output write error:\n%s",
 			5*time.Second, inst.DebugString())
 	}

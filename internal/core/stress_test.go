@@ -195,7 +195,7 @@ func TestInstanceDebugString(t *testing.T) {
 	tmpl.AddPort("client", in, out, true)
 	inst := NewInstance(tmpl, p.Scheduler())
 	s := inst.DebugString()
-	for _, want := range []string{"dbg", "input", "compute", "output", "active=false"} {
+	for _, want := range []string{"dbg", "input", "compute", "output", "phase=idle"} {
 		if !contains(s, want) {
 			t.Fatalf("DebugString missing %q:\n%s", want, s)
 		}

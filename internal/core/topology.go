@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"net"
 )
 
 // ErrCapacity rejects a topology update holding more backends than the
@@ -57,10 +58,9 @@ func (s *Service) Topology() Topology {
 //
 // The new backend count must fit the compiled channel-array capacity
 // (len(BackendPorts)); scaling beyond it requires recompiling the service
-// with a larger array. Growing the set never disturbs traffic; shrinking
-// it can fail the rare dispatch that snapshotted the old topology just
-// before the update (its lease finds the pool already draining), which
-// surfaces as one refused connection, never as a misrouted response.
+// with a larger array. Growing the set never disturbs traffic; a dispatch
+// whose lease a shrinking update refuses waits for the update to land and
+// rebinds against the new topology — served, never refused or misrouted.
 func (s *Service) UpdateBackends(t Topology) error {
 	if t == nil {
 		return fmt.Errorf("core: UpdateBackends requires a topology")
@@ -121,30 +121,49 @@ func (s *Service) installTopology(cfg *ServiceConfig) error {
 
 // bindBackends connects an instance's backend ports for one dispatch:
 // against the current topology snapshot when the service has one (the
-// addresses bind BackendPorts in order, spare ports stay unbound, and the
-// instance routes through the snapshot), against the fixed BackendAddrs
-// map otherwise. Each port's connection is resolved for the worker that
-// will write it (Instance.PortHomeWorker), so a sharded upstream manager
-// hands out sessions whose write lock stays on that worker's core.
+// addresses bind BackendPorts in order, spare ports are left unbound, and
+// the instance routes through the snapshot), against the fixed
+// BackendAddrs map otherwise. Every port is (re)bound, so a retry replaces
+// — and Bind closes — whatever an earlier attempt left.
 func (s *Service) bindBackends(inst *Instance) error {
-	if t := s.Topology(); t != nil {
-		for i, addr := range t.Backends() {
-			port := s.cfg.BackendPorts[i]
-			bc, err := s.dialBackend(addr, inst.PortHomeWorker(port))
-			if err != nil {
-				return fmt.Errorf("core: dial backend %s: %w", addr, err)
+	t := s.Topology()
+	if t == nil {
+		for port, addr := range s.cfg.BackendAddrs {
+			if err := s.bindBackend(inst, port, addr); err != nil {
+				return err
 			}
-			inst.Bind(port, bc)
 		}
-		inst.SetRouter(t.Route)
 		return nil
 	}
-	for port, addr := range s.cfg.BackendAddrs {
-		bc, err := s.dialBackend(addr, inst.PortHomeWorker(port))
-		if err != nil {
-			return fmt.Errorf("core: dial backend %s: %w", addr, err)
+	addrs := t.Backends()
+	for i, port := range s.cfg.BackendPorts {
+		addr := ""
+		if i < len(addrs) {
+			addr = addrs[i]
 		}
-		inst.Bind(port, bc)
+		if err := s.bindBackend(inst, port, addr); err != nil {
+			return err
+		}
 	}
+	inst.SetRouter(t.Route)
+	return nil
+}
+
+// bindBackend binds port to addr ("": unbound): a session leased for the
+// worker that will write the port (Instance.PortHomeWorker), so a sharded
+// upstream layer keeps its write lock on that core, or a dialled socket.
+func (s *Service) bindBackend(inst *Instance, port int, addr string) (err error) {
+	var bc net.Conn
+	switch {
+	case addr == "":
+	case s.cfg.Upstreams != nil:
+		bc, err = s.cfg.Upstreams.LeaseOn(addr, inst.PortHomeWorker(port))
+	default:
+		bc, err = s.platform.transport.Dial(addr)
+	}
+	if err != nil {
+		return fmt.Errorf("core: dial backend %s: %w", addr, err)
+	}
+	inst.Bind(port, bc)
 	return nil
 }

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -300,6 +302,66 @@ func TestConnsCountsDrainingSockets(t *testing.T) {
 	waitCounter(t, m, "drained", 1)
 	if n := m.Conns(); n != 0 {
 		t.Fatalf("Conns = %d after drain, want 0", n)
+	}
+}
+
+// TestLeaseRacingRetireNeverBornAtEOF: a lease that succeeds must hand out
+// a working session, even when a topology removal retires the backend in
+// the same instant. The lease used to pick a live socket under the pool
+// lock and attach its session only after releasing it; a retire landing
+// in that gap saw a socket with no sessions, drained it, and the lease
+// returned a session already at EOF instead of ErrRetired — the caller's
+// retry never fired and the request routed to it vanished.
+func TestLeaseRacingRetireNeverBornAtEOF(t *testing.T) {
+	u := netstack.NewUserNet()
+	defer echoServer(t, u, "sh:race").Close()
+	m := shardManager(u, nil, 1, 1)
+	defer m.Close()
+
+	// The lessee spins on gate until the main loop releases it, so Lease
+	// and SetBackends(nil) start together instead of a goroutine start
+	// apart; a gate past iters stops it.
+	const iters = 20000
+	var (
+		gate   atomic.Int64
+		leased = make(chan *Session, 1)
+	)
+	defer gate.Store(iters + 1)
+	go func() {
+		for i := int64(1); i <= iters; i++ {
+			for g := gate.Load(); g != i; g = gate.Load() {
+				if g > iters {
+					return
+				}
+				runtime.Gosched()
+			}
+			s, err := m.Lease("sh:race")
+			if err != nil {
+				s = nil // refused as retired: the caller retries
+			}
+			leased <- s
+		}
+	}()
+	bornAtEOF := 0
+	var buf [8]byte
+	for i := int64(1); i <= iters; i++ {
+		m.SetBackends([]string{"sh:race"})
+		warm, err := m.Lease("sh:race") // dial the socket the race leases
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm.Close()
+		gate.Store(i)
+		m.SetBackends(nil)
+		if s := <-leased; s != nil {
+			if _, err := s.TryRead(buf[:]); err == io.EOF {
+				bornAtEOF++
+			}
+			s.Close()
+		}
+	}
+	if bornAtEOF > 0 {
+		t.Fatalf("%d of %d leases returned a session already at EOF", bornAtEOF, iters)
 	}
 }
 

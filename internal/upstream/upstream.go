@@ -319,15 +319,10 @@ func (m *Manager) stealLive(addr string, exclude int) *Session {
 			continue
 		}
 		p.mu.Lock()
-		var c *conn
-		if !p.retired {
-			c = p.anyLive()
+		if c := p.anyLive(); c != nil && !p.retired {
+			return p.reuse(c) // attached under p.mu: see pool.lease
 		}
 		p.mu.Unlock()
-		if c != nil {
-			m.reuse.Inc()
-			return c.newSession()
-		}
 	}
 	return nil
 }
@@ -432,14 +427,7 @@ func (m *Manager) Conns() int {
 	live := 0
 	for _, sh := range m.shards {
 		sh.mu.Lock()
-		sweep := make([]*pool, 0, len(sh.pools)+len(sh.draining))
-		for _, p := range sh.pools {
-			sweep = append(sweep, p)
-		}
-		for p := range sh.draining {
-			sweep = append(sweep, p)
-		}
-		for _, p := range sweep {
+		for _, p := range sh.allPools() {
 			p.mu.Lock()
 			for _, c := range p.slots {
 				if c != nil && !c.isBroken() {
@@ -453,6 +441,19 @@ func (m *Manager) Conns() int {
 	return live
 }
 
+// allPools lists the shard's pools, the retired ones still draining
+// included (they may hold live sockets). sh.mu must be held.
+func (sh *shard) allPools() []*pool {
+	all := make([]*pool, 0, len(sh.pools)+len(sh.draining))
+	for _, p := range sh.pools {
+		all = append(all, p)
+	}
+	for p := range sh.draining {
+		all = append(all, p)
+	}
+	return all
+}
+
 // Close tears the layer down: every shared socket in every shard is closed
 // and every live session observes EOF. Subsequent leases fail.
 func (m *Manager) Close() {
@@ -463,14 +464,7 @@ func (m *Manager) Close() {
 	var conns []*conn
 	for _, sh := range m.shards {
 		sh.mu.Lock()
-		sweep := make([]*pool, 0, len(sh.pools)+len(sh.draining))
-		for _, p := range sh.pools {
-			sweep = append(sweep, p)
-		}
-		for p := range sh.draining { // retired pools may still hold live sockets
-			sweep = append(sweep, p)
-		}
-		for _, p := range sweep {
+		for _, p := range sh.allPools() {
 			p.mu.Lock()
 			for _, c := range p.slots {
 				if c != nil {
@@ -518,11 +512,13 @@ func newPool(sh *shard, addr string) *pool {
 }
 
 // lease binds a fresh session to the next slot's socket, dialling it if the
-// slot is empty or its previous socket died. The dial itself runs OUTSIDE
-// p.mu — a blackholed backend (SYNs dropped, OS connect timeout) must not
-// block leases that can reuse a live socket in another slot, nor
-// Manager.Conns/Close; concurrent leases needing the same slot either fall
-// back to any live socket or wait out the in-flight dial.
+// slot is empty or its previous socket died. The dial runs OUTSIDE p.mu — a
+// blackholed backend must not block leases that can reuse a live socket in
+// another slot, nor Manager.Conns/Close; concurrent leases needing the same
+// slot fall back to any live socket or wait out the in-flight dial. Sessions
+// attach under p.mu, so a retire (which takes p.mu) either precedes the
+// lease and refuses it with ErrRetired or finds the session and leaves the
+// socket to drain with it: a lease never returns a session born at EOF.
 func (p *pool) lease() (*Session, error) {
 	p.mu.Lock()
 	for {
@@ -534,18 +530,14 @@ func (p *pool) lease() (*Session, error) {
 		p.rr++
 		c := p.slots[slot]
 		if c != nil && !c.isBroken() {
-			p.mu.Unlock()
-			p.m.reuse.Inc()
-			return c.newSession(), nil
+			return p.reuse(c), nil
 		}
 		if !p.dialing[slot] {
 			if time.Now().Before(p.downUntil) {
 				// Backoff window open: any live socket in another slot
 				// still serves leases; fail fast only with none at all.
 				if alt := p.anyLive(); alt != nil {
-					p.mu.Unlock()
-					p.m.reuse.Inc()
-					return alt.newSession(), nil
+					return p.reuse(alt), nil
 				}
 				p.mu.Unlock()
 				// The caller (LeaseOn) counts failfast: a lease that a
@@ -557,12 +549,18 @@ func (p *pool) lease() (*Session, error) {
 		}
 		// Another lease is dialling this slot: any live socket will do.
 		if alt := p.anyLive(); alt != nil {
-			p.mu.Unlock()
-			p.m.reuse.Inc()
-			return alt.newSession(), nil
+			return p.reuse(alt), nil
 		}
 		p.cond.Wait() // no socket anywhere: wait for the dial, re-evaluate
 	}
+}
+
+// reuse attaches a session to live socket c, then releases p.mu (held).
+func (p *pool) reuse(c *conn) *Session {
+	s := c.newSession()
+	p.mu.Unlock()
+	p.m.reuse.Inc()
+	return s
 }
 
 // anyLive returns a live socket from any slot (nil when none). p.mu held.
@@ -617,9 +615,10 @@ func (p *pool) dialSlot(slot int) (*Session, error) {
 	// flag — a socket can never outlive a closed manager. Retirement gets
 	// the same treatment: a SetBackends that raced this dial (retire ran
 	// while p.mu was released) must not receive a live socket on a pool
-	// nothing tracks any more.
-	closed := p.m.closed.Load()
-	retired := p.retired
+	// nothing tracks any more. The session attaches under p.mu (see lease);
+	// on the failure paths below it dies with the socket, never returned.
+	closed, retired := p.m.closed.Load(), p.retired
+	s := c.newSession()
 	p.mu.Unlock()
 	c.start()
 	if closed {
@@ -631,7 +630,7 @@ func (p *pool) dialSlot(slot int) (*Session, error) {
 		p.sh.reapDrained(p)
 		return nil, fmt.Errorf("%w: %s", ErrRetired, p.addr)
 	}
-	return c.newSession(), nil
+	return s, nil
 }
 
 // conn is one shared pipelined socket plus its FIFO correlation state.
