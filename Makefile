@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check test alloc-gate race race-soak bench-selftest bench bench-smoke bench-churn bench-rebalance bench-hotkey bench-shard admin-smoke origin-smoke check-docs fuzz-smoke ci
+.PHONY: all build vet fmt fmt-check test alloc-gate race race-soak bench-selftest bench bench-smoke bench-churn bench-rebalance bench-hotkey bench-shard admin-smoke origin-smoke examples-smoke check-docs fuzz-smoke ci
 
 all: build test
 
@@ -111,10 +111,21 @@ origin-smoke:
 bench-shard:
 	$(GO) test ./internal/upstream -bench=BenchmarkUpstreamShardScaling -benchtime=500x -run='^$$'
 
+# Every example program runs to completion: each one deploys a service
+# and drives it in-process, so a facade or apps change that breaks one
+# fails here (each takes a few seconds).
+EXAMPLES = quickstart httplb memcachedrouter hadoopagg scheduling
+
+examples-smoke:
+	@for ex in $(EXAMPLES); do \
+		echo "examples-smoke: $$ex"; \
+		timeout 60 $(GO) run ./examples/$$ex > /dev/null || { echo "examples-smoke: $$ex failed"; exit 1; }; \
+	done
+
 # Documentation gate: every relative markdown link (and intra-doc
 # anchor) resolves and every exported identifier in the data-path
 # packages has a doc comment.
-DOC_PKGS = internal/upstream,internal/backend,internal/buffer,internal/core,internal/apps,internal/bench,internal/cache,internal/metrics,internal/admin,internal/topology,internal/proto/memcache,internal/proto/http,internal/tools/docscheck
+DOC_PKGS = .,internal/upstream,internal/backend,internal/buffer,internal/core,internal/apps,internal/bench,internal/cache,internal/metrics,internal/admin,internal/topology,internal/proto/memcache,internal/proto/http,internal/tools/docscheck
 
 check-docs:
 	$(GO) run ./internal/tools/docscheck -pkgs $(DOC_PKGS) README.md docs/ARCHITECTURE.md docs/PERFORMANCE.md
@@ -130,4 +141,4 @@ fuzz-smoke:
 	$(GO) test ./internal/proto/hadoop -run='^$$' -fuzz=FuzzHadoopDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/grammar -run='^$$' -fuzz=FuzzGrammarRoundTrip -fuzztime=$(FUZZTIME)
 
-ci: build vet fmt-check check-docs test alloc-gate race race-soak bench-selftest bench-smoke bench-churn bench-rebalance bench-hotkey bench-shard admin-smoke origin-smoke fuzz-smoke
+ci: build vet fmt-check check-docs test examples-smoke alloc-gate race race-soak bench-selftest bench-smoke bench-churn bench-rebalance bench-hotkey bench-shard admin-smoke origin-smoke fuzz-smoke

@@ -231,30 +231,6 @@ func BenchmarkAblationTimeslice(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationGraphPool compares pooled against per-connection graph
-// construction under non-persistent load.
-func BenchmarkAblationGraphPool(b *testing.B) {
-	for _, pooled := range []bool{true, false} {
-		name := "pooled"
-		if !pooled {
-			name = "construct-per-conn"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				pts, err := bench.RunGraphPoolAblation(32, cellDuration)
-				if err != nil {
-					b.Fatal(err)
-				}
-				idx := 0
-				if !pooled {
-					idx = 1
-				}
-				b.ReportMetric(pts[idx].Throughput, "req/s")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationParserPruning compares full-fidelity Memcached parsing
 // against the key-only pruned parser (§4.2).
 func BenchmarkAblationParserPruning(b *testing.B) {

@@ -259,11 +259,6 @@ func main() {
 
 	run("ablations", func() error {
 		fmt.Println(bench.TimesliceTable(bench.RunTimesliceAblation(nil, *workers)))
-		pool, err := bench.RunGraphPoolAblation(64, *dur)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.PoolTable(pool))
 		fmt.Println(bench.PruningTable(bench.RunParserPruningAblation(200000, 4096)))
 		return nil
 	})

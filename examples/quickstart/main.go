@@ -39,7 +39,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("compiled process %q: task graph with %d tasks\n",
-		svc.ProcName(), svc.TaskCount())
+		svc.Graph.Name, len(svc.Graph.Template.Nodes()))
 
 	// Deploy on an in-process platform over the user-space stack.
 	p := flick.NewPlatform(flick.PlatformOptions{Workers: 4, InProcessNet: true})

@@ -5,7 +5,9 @@
 // scheduled task graphs.
 //
 // This package is the public facade. It compiles FLICK source to deployable
-// services, hosts them on platforms backed by either the kernel TCP stack
+// services (through internal/apps: Service and ServiceOptions are aliases
+// of the descriptor the packaged services use, and Platform.Deploy is its
+// Deploy), hosts them on platforms backed by either the kernel TCP stack
 // or the bundled in-process user-space stack (the paper's mTCP substitute),
 // and exposes the built-in wire formats (HTTP, Memcached binary,
 // Hadoop-style key/value streams, newline-delimited text).
@@ -26,10 +28,10 @@
 package flick
 
 import (
-	"fmt"
 	"net"
 	"runtime"
 
+	"flick/internal/apps"
 	"flick/internal/compiler"
 	"flick/internal/core"
 	"flick/internal/grammar"
@@ -78,62 +80,20 @@ func HTTPResponseCodec() Codec {
 	return Codec{Decode: phttp.ResponseFormat{}, Encode: phttp.ResponseFormat{}}
 }
 
-// ServiceOptions parameterise compilation of a FLICK program.
-type ServiceOptions struct {
-	// Proc names the process to deploy; empty selects the program's sole
-	// process.
-	Proc string
-	// ArraySizes fixes channel-array lengths (deployment constants).
-	ArraySizes map[string]int
-	// Codecs binds record type names to wire formats.
-	Codecs map[string]Codec
-	// ChannelCodecs overrides codecs per channel name.
-	ChannelCodecs map[string]PortCodec
-	// Backends names the channel array dialled to backend addresses at
-	// deployment (defaults to the program's only channel array, if any).
-	Backends string
-	// Primary names the client-facing channel (defaults to the first
-	// bidirectional scalar channel).
-	Primary string
-}
+// ServiceOptions parameterise compilation of a FLICK program: process,
+// array sizes, codecs, and the client and backend channel names.
+type ServiceOptions = apps.Options
 
-// Service is a compiled, deployable FLICK program.
-type Service struct {
-	program *compiler.Program
-	graph   *compiler.ProcGraph
-	opts    ServiceOptions
-}
+// Service is a compiled, deployable FLICK program: the same descriptor the
+// packaged services of internal/apps are built on.
+type Service = apps.Service
 
-// CompileService parses, type-checks and compiles FLICK source.
+// CompileService parses, type-checks and compiles FLICK source, inferring
+// the client channel (the primary port) and the backend channel
+// (ServiceOptions.Backends, or else the only other channel).
 func CompileService(src string, opts ServiceOptions) (*Service, error) {
-	prog, err := compiler.Compile(src, compiler.Config{
-		ArraySizes:     opts.ArraySizes,
-		Codecs:         opts.Codecs,
-		ChannelCodecs:  opts.ChannelCodecs,
-		PrimaryChannel: opts.Primary,
-	})
-	if err != nil {
-		return nil, err
-	}
-	pg, err := prog.Proc(opts.Proc)
-	if err != nil {
-		return nil, err
-	}
-	return &Service{program: prog, graph: pg, opts: opts}, nil
+	return apps.Compile(src, opts)
 }
-
-// ProcName returns the deployed process's name.
-func (s *Service) ProcName() string { return s.graph.Name }
-
-// TaskCount returns the number of tasks in the service's graph template.
-func (s *Service) TaskCount() int { return len(s.graph.Template.Nodes()) }
-
-// Graph exposes the compiled process graph for advanced wiring.
-func (s *Service) Graph() *compiler.ProcGraph { return s.graph }
-
-// Program exposes the compiled program (record descriptors, direct function
-// calls).
-func (s *Service) Program() *compiler.Program { return s.program }
 
 // PlatformOptions configure a runtime platform.
 type PlatformOptions struct {
@@ -195,69 +155,11 @@ func (p *Platform) Transport() netstack.Transport { return p.tr }
 func (p *Platform) Dial(addr string) (net.Conn, error) { return p.tr.Dial(addr) }
 
 // Deployed is a running service.
-type Deployed struct {
-	svc *core.Service
-}
-
-// Addr returns the service's listen address.
-func (d *Deployed) Addr() string { return d.svc.Addr() }
-
-// Close stops the service.
-func (d *Deployed) Close() { d.svc.Close() }
+type Deployed = core.Service
 
 // Deploy installs a compiled service at listenAddr. backendAddrs supplies
-// one address per element of the service's backend channel array (nil when
-// the program has none).
+// one address per element of the service's backend channel (nil when the
+// program has none).
 func (p *Platform) Deploy(s *Service, listenAddr string, backendAddrs []string) (*Deployed, error) {
-	cfg := core.ServiceConfig{
-		Name:       s.graph.Name,
-		ListenAddr: listenAddr,
-		Template:   s.graph.Template,
-		Dispatch:   core.PerConnection,
-	}
-	// Client port: the primary channel.
-	primary := s.opts.Primary
-	if primary == "" {
-		for name, ports := range s.graph.Ports {
-			if len(ports) == 1 && s.graph.Template.Ports()[ports[0]].Primary {
-				primary = name
-			}
-		}
-	}
-	if primary != "" {
-		cp, err := s.graph.PortIndex(primary)
-		if err != nil {
-			return nil, err
-		}
-		cfg.ClientPort = cp
-	}
-	// Backend channel array.
-	backends := s.opts.Backends
-	if backends == "" {
-		for name, ports := range s.graph.Ports {
-			if len(ports) > 1 || (name != primary && len(backendAddrs) == len(ports)) {
-				if len(backendAddrs) == len(ports) {
-					backends = name
-				}
-			}
-		}
-	}
-	if backends != "" {
-		ports := s.graph.Ports[backends]
-		if len(backendAddrs) != len(ports) {
-			return nil, fmt.Errorf("flick: channel %q needs %d backend addresses, got %d",
-				backends, len(ports), len(backendAddrs))
-		}
-		cfg.BackendAddrs = map[int]string{}
-		for i, port := range ports {
-			cfg.BackendAddrs[port] = backendAddrs[i]
-		}
-	} else if len(backendAddrs) > 0 {
-		return nil, fmt.Errorf("flick: %d backend addresses supplied but the program has no backend channel", len(backendAddrs))
-	}
-	svc, err := p.inner.Deploy(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Deployed{svc: svc}, nil
+	return s.Deploy(p.inner, listenAddr, backendAddrs)
 }

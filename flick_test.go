@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 const echoProgram = `
@@ -25,11 +26,11 @@ func TestCompileAndDeployEcho(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if svc.ProcName() != "echo" {
-		t.Fatalf("proc = %q", svc.ProcName())
+	if svc.Graph.Name != "echo" {
+		t.Fatalf("proc = %q", svc.Graph.Name)
 	}
-	if svc.TaskCount() != 3 {
-		t.Fatalf("tasks = %d", svc.TaskCount())
+	if len(svc.Graph.Template.Nodes()) != 3 {
+		t.Fatalf("tasks = %d", len(svc.Graph.Template.Nodes()))
 	}
 	p := NewPlatform(PlatformOptions{Workers: 2, InProcessNet: true})
 	defer p.Close()
@@ -136,10 +137,10 @@ func TestServiceProgramAccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if svc.Program() == nil || svc.Graph() == nil {
+	if svc.Program == nil || svc.Graph == nil {
 		t.Fatal("program/graph accessors")
 	}
-	if svc.Program().Desc("line") == nil {
+	if svc.Program.Desc("line") == nil {
 		t.Fatal("record descriptor missing")
 	}
 }
@@ -149,5 +150,78 @@ func TestPlatformKernelDefault(t *testing.T) {
 	defer p.Close()
 	if p.Transport().Name() != "kernel" {
 		t.Fatalf("transport = %s", p.Transport().Name())
+	}
+}
+
+// splitProgram has two channel arrays besides the client: neither is the
+// only candidate backend channel, so one must be named.
+const splitProgram = `
+type line: record
+    line : string
+
+proc split: (line/line client, [line/-] left, [line/line] right)
+    | left => client
+    | right => client
+    | client => to_right(right)
+
+fun to_right: ([-/line] right, msg: line) -> ()
+    msg => right[0]
+`
+
+// Regression: with two candidate backend channels the facade bound the
+// addresses to whichever one a map walk met last, with no error.
+func TestCompileAmbiguousBackendChannel(t *testing.T) {
+	opts := ServiceOptions{
+		ArraySizes: map[string]int{"left": 2, "right": 2},
+		Codecs:     map[string]Codec{"line": LineCodec()},
+	}
+	_, err := CompileService(splitProgram, opts)
+	if err == nil || !strings.Contains(err.Error(), `"left"`) || !strings.Contains(err.Error(), `"right"`) {
+		t.Fatalf("ambiguous backend channel: err = %v, want one naming left and right", err)
+	}
+
+	opts.Backends = "right"
+	svc, err := CompileService(splitProgram, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPlatform(PlatformOptions{Workers: 2, InProcessNet: true})
+	defer p.Close()
+	// Each backend echoes one line tagged with its address.
+	for _, addr := range []string{"split:b0", "split:b1"} {
+		l, err := p.Transport().Listen(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		go func(addr string) {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			defer c.Close()
+			if line, err := bufio.NewReader(c).ReadString('\n'); err == nil {
+				fmt.Fprintf(c, "%s %s", addr, line)
+			}
+		}(addr)
+	}
+	d, err := p.Deploy(svc, "split:1", []string{"split:b0", "split:b1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	conn, err := p.Dial("split:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	fmt.Fprintln(conn, "hello")
+	got, err := bufio.NewReader(conn).ReadString('\n')
+	if err != nil {
+		t.Fatalf("no reply through right[0]: %v", err)
+	}
+	if strings.TrimSpace(got) != "split:b0 hello" {
+		t.Fatalf("reply = %q, want it from right[0] at split:b0", got)
 	}
 }

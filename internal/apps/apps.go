@@ -2,6 +2,7 @@ package apps
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"flick/internal/backend"
@@ -51,22 +52,6 @@ fun test_cache: (-/cmd client, [-/cmd] backends, cache: ref dict<string*cmd>, re
         req => backends[target]
     else:
         cache[req.key] => client
-`
-
-// MemcachedProxySource is the §4.1 proxy (no caching): pure hash
-// partitioning of the key space across backends, responses returned to the
-// client — the service measured in Figure 5.
-const MemcachedProxySource = `
-type cmd: record
-    key : string
-
-proc memcached_proxy: (cmd/cmd client, [cmd/cmd] backends)
-    | backends => client
-    | client => target_backend(backends)
-
-fun target_backend: ([-/cmd] backends, req: cmd) -> ()
-    let target = hash(req.key) mod len(backends)
-    req => backends[target]
 `
 
 // StaticWebSource is the backend-less web server variant: every request is
@@ -145,6 +130,26 @@ type CacheOptions struct {
 	NegativeTTL time.Duration
 }
 
+// Options parameterise compilation of a FLICK program.
+type Options struct {
+	// Proc names the process to deploy; empty selects the program's sole
+	// process.
+	Proc string
+	// ArraySizes fixes channel-array lengths (deployment constants).
+	ArraySizes map[string]int
+	// Codecs binds record type names to wire formats.
+	Codecs map[string]compiler.CodecPair
+	// ChannelCodecs overrides codecs per channel name.
+	ChannelCodecs map[string]compiler.PortCodec
+	// Backends names the channel dialled to backend addresses at
+	// deployment (defaults to the program's only channel besides the
+	// client channel, if any).
+	Backends string
+	// Primary names the client-facing channel (defaults to the first
+	// bidirectional scalar channel).
+	Primary string
+}
+
 // Service is a ready-to-deploy FLICK application.
 type Service struct {
 	// Name identifies the service.
@@ -159,13 +164,13 @@ type Service struct {
 	Topology TopologyOptions
 	// Cache configures the in-network response cache.
 	Cache CacheOptions
-	// clientChannel names the channel bound to accepted connections.
+	// clientChannel names the channel bound to accepted connections (the
+	// compiled primary port; empty when the program has none).
 	clientChannel string
-	// backendChannel names the channel array dialled to backends.
+	// backendChannel names the channel dialled to backend addresses.
 	backendChannel string
 	dispatch       core.Dispatch
 	sharedChannel  string // Shared dispatch: accepted conns fill this array
-	outChannel     string // Shared dispatch: dialled output channel
 	// reqFramer/respFramer frame the service's backend-side protocol; both
 	// non-nil opts the service into the shared upstream layer on Deploy.
 	// The request framer captures each request's demux context (HTTP
@@ -179,11 +184,54 @@ type Service struct {
 	cacheProto cache.Protocol
 }
 
+// Compile parses, type-checks and compiles FLICK source into a
+// PerConnection service named after its process, and infers its channel
+// roles: the client channel is the compiled primary port, the backend
+// channel is opts.Backends or else the one remaining channel. More than
+// one remaining channel is an error naming them.
+func Compile(src string, opts Options) (*Service, error) {
+	prog, err := compiler.Compile(src, compiler.Config{
+		ArraySizes:     opts.ArraySizes,
+		Codecs:         opts.Codecs,
+		ChannelCodecs:  opts.ChannelCodecs,
+		PrimaryChannel: opts.Primary,
+	})
+	if err != nil {
+		return nil, err
+	}
+	pg, err := prog.Proc(opts.Proc)
+	if err != nil {
+		return nil, err
+	}
+	s := &Service{Name: pg.Name, Program: prog, Graph: pg, backendChannel: opts.Backends}
+	var rest []string
+	for name, ports := range pg.Ports {
+		if pg.Template.Ports()[ports[0]].Primary {
+			s.clientChannel = name
+		} else {
+			rest = append(rest, name)
+		}
+	}
+	if s.backendChannel != "" {
+		if _, ok := pg.Ports[s.backendChannel]; !ok || s.backendChannel == s.clientChannel {
+			return nil, fmt.Errorf("apps: %s has no non-client channel %q to use for backends", s.Name, s.backendChannel)
+		}
+	} else if len(rest) == 1 {
+		s.backendChannel = rest[0]
+	} else if len(rest) > 1 {
+		sort.Strings(rest)
+		return nil, fmt.Errorf("apps: %s has %d candidate backend channels %q; name one in Options.Backends",
+			s.Name, len(rest), rest)
+	}
+	return s, nil
+}
+
 // Deploy installs the service on a platform.
 //
-// For PerConnection services, backendAddrs supplies one address per element
-// of the backend channel array. For Shared services (the Hadoop
-// aggregator), backendAddrs carries exactly one address: the reducer.
+// backendAddrs supplies one address per element of the backend channel
+// (fewer, down to one, with a live topology); it must be empty when the
+// service has no backend channel. For Shared services (the Hadoop
+// aggregator) that channel is the reducer, so it carries one address.
 func (s *Service) Deploy(p *core.Platform, listenAddr string, backendAddrs []string) (*core.Service, error) {
 	cfg := core.ServiceConfig{
 		Name:       s.Name,
@@ -191,92 +239,87 @@ func (s *Service) Deploy(p *core.Platform, listenAddr string, backendAddrs []str
 		Template:   s.Graph.Template,
 		Dispatch:   s.dispatch,
 	}
-	switch s.dispatch {
-	case core.PerConnection:
+	if s.dispatch == core.Shared {
+		cfg.SharedPorts = s.Graph.Ports[s.sharedChannel]
+	} else {
 		cp, err := s.Graph.PortIndex(s.clientChannel)
 		if err != nil {
 			return nil, err
 		}
 		cfg.ClientPort = cp
-		var liveAddrs []string
-		if s.backendChannel != "" {
-			ports := s.Graph.Ports[s.backendChannel]
-			if s.Topology.Live {
-				// Live topology: the compiled array size is capacity, not
-				// census — deploy with any current count from 1 up to it
-				// and grow/shrink later with UpdateBackends.
-				if len(backendAddrs) == 0 {
-					return nil, fmt.Errorf("apps: %s needs at least one backend to start (grow later with UpdateBackends)", s.Name)
-				}
-				if len(backendAddrs) > len(ports) {
-					return nil, fmt.Errorf("apps: %s compiled for at most %d backends, got %d",
-						s.Name, len(ports), len(backendAddrs))
-				}
-				cfg.BackendPorts = ports
-				liveAddrs = backendAddrs
-			} else {
-				if len(backendAddrs) != len(ports) {
-					return nil, fmt.Errorf("apps: %s needs %d backend addresses, got %d",
-						s.Name, len(ports), len(backendAddrs))
-				}
-				cfg.BackendAddrs = map[int]string{}
-				for i, port := range ports {
-					cfg.BackendAddrs[port] = backendAddrs[i]
-				}
-			}
+	}
+	var liveAddrs []string
+	ports := s.Graph.Ports[s.backendChannel]
+	switch {
+	case s.backendChannel == "":
+		if len(backendAddrs) > 0 {
+			return nil, fmt.Errorf("apps: %s has no backend channel, got %d backend addresses", s.Name, len(backendAddrs))
 		}
-		// Request/response services share pipelined upstream connections:
-		// every accepted client leases multiplexed sessions instead of
-		// dialling each backend afresh (the Shared/streaming services —
-		// the Hadoop aggregator's reducer feed — keep dedicated sockets).
-		hasBackends := len(cfg.BackendAddrs) > 0 || len(liveAddrs) > 0
-		if hasBackends && s.reqFramer != nil && s.respFramer != nil {
-			ucfg := upstream.Config{
-				Transport: p.Transport(),
-				Size:      s.Upstream.PoolSize,
-				// One pool shard per scheduler worker, so each graph's
-				// backend writes stay on the leasing worker's core.
-				Shards:         p.Scheduler().Workers(),
-				RequestFramer:  s.reqFramer,
-				ResponseFramer: s.respFramer,
-			}
-			if s.Upstream.ProbeInterval > 0 && len(s.probe) > 0 {
-				ucfg.Probe = s.probe
-				ucfg.ProbeInterval = s.Upstream.ProbeInterval
-			}
-			cfg.Upstreams = upstream.NewManager(ucfg)
+	case s.Topology.Live:
+		// Live topology: the compiled array size is capacity, not census —
+		// deploy with any current count from 1 up to it and grow/shrink
+		// later with UpdateBackends.
+		if len(backendAddrs) == 0 {
+			return nil, fmt.Errorf("apps: %s needs at least one backend to start (grow later with UpdateBackends)", s.Name)
 		}
-		// The router is built after the upstream manager so bounded-load
-		// routing can consume the manager's per-address in-flight gauge.
-		if liveAddrs != nil {
-			cfg.Topology = s.router(liveAddrs, nil, cfg.Upstreams)
+		if len(backendAddrs) > len(ports) {
+			return nil, fmt.Errorf("apps: %s compiled for at most %d backends, got %d",
+				s.Name, len(ports), len(backendAddrs))
 		}
-		if s.Cache.Enable {
-			if s.cacheProto == nil {
-				return nil, fmt.Errorf("apps: %s has no cacheable protocol adapter", s.Name)
-			}
-			if !hasBackends {
-				return nil, fmt.Errorf("apps: %s has no backends to cache for", s.Name)
-			}
-			cfg.Cache = cache.New(cache.Config{
-				Proto:       s.cacheProto,
-				Workers:     p.Scheduler().Workers(),
-				TTL:         s.Cache.TTL,
-				MaxBytes:    s.Cache.MaxBytes,
-				StaleTTL:    s.Cache.StaleTTL,
-				NegativeTTL: s.Cache.NegativeTTL,
-			})
+		cfg.BackendPorts = ports
+		liveAddrs = backendAddrs
+	default:
+		if len(backendAddrs) != len(ports) {
+			return nil, fmt.Errorf("apps: %s needs %d backend addresses, got %d",
+				s.Name, len(ports), len(backendAddrs))
 		}
-	case core.Shared:
-		cfg.SharedPorts = s.Graph.Ports[s.sharedChannel]
-		op, err := s.Graph.PortIndex(s.outChannel)
-		if err != nil {
-			return nil, err
+		cfg.BackendAddrs = map[int]string{}
+		for i, port := range ports {
+			cfg.BackendAddrs[port] = backendAddrs[i]
 		}
-		if len(backendAddrs) != 1 {
-			return nil, fmt.Errorf("apps: %s needs exactly the reducer address", s.Name)
+	}
+	// Request/response services share pipelined upstream connections:
+	// every accepted client leases multiplexed sessions instead of
+	// dialling each backend afresh (services without framers — facade
+	// programs, the Hadoop aggregator's reducer feed — keep dedicated
+	// sockets).
+	hasBackends := len(backendAddrs) > 0
+	if hasBackends && s.reqFramer != nil && s.respFramer != nil {
+		ucfg := upstream.Config{
+			Transport: p.Transport(),
+			Size:      s.Upstream.PoolSize,
+			// One pool shard per scheduler worker, so each graph's
+			// backend writes stay on the leasing worker's core.
+			Shards:         p.Scheduler().Workers(),
+			RequestFramer:  s.reqFramer,
+			ResponseFramer: s.respFramer,
 		}
-		cfg.BackendAddrs = map[int]string{op: backendAddrs[0]}
+		if s.Upstream.ProbeInterval > 0 && len(s.probe) > 0 {
+			ucfg.Probe = s.probe
+			ucfg.ProbeInterval = s.Upstream.ProbeInterval
+		}
+		cfg.Upstreams = upstream.NewManager(ucfg)
+	}
+	// The router is built after the upstream manager so bounded-load
+	// routing can consume the manager's per-address in-flight gauge.
+	if liveAddrs != nil {
+		cfg.Topology = s.router(liveAddrs, nil, cfg.Upstreams)
+	}
+	if s.Cache.Enable {
+		if s.cacheProto == nil {
+			return nil, fmt.Errorf("apps: %s has no cacheable protocol adapter", s.Name)
+		}
+		if !hasBackends {
+			return nil, fmt.Errorf("apps: %s has no backends to cache for", s.Name)
+		}
+		cfg.Cache = cache.New(cache.Config{
+			Proto:       s.cacheProto,
+			Workers:     p.Scheduler().Workers(),
+			TTL:         s.Cache.TTL,
+			MaxBytes:    s.Cache.MaxBytes,
+			StaleTTL:    s.Cache.StaleTTL,
+			NegativeTTL: s.Cache.NegativeTTL,
+		})
 	}
 	svc, err := p.Deploy(cfg)
 	if err != nil {
@@ -338,7 +381,7 @@ func HTTPLoadBalancer(n int) (*Service, error) {
 	// a client's "Connection: close" verbatim would let one client tear
 	// down a pooled upstream socket under every other client multiplexed
 	// onto it, so the hop-by-hop header is rewritten to keep-alive.
-	prog, err := compiler.Compile(lang.ListingHTTPLB, compiler.Config{
+	s, err := Compile(lang.ListingHTTPLB, Options{
 		ArraySizes: map[string]int{"backends": n},
 		ChannelCodecs: map[string]compiler.PortCodec{
 			"client":   {Decode: phttp.RequestFormat{}, Encode: phttp.ResponseFormat{}},
@@ -351,27 +394,16 @@ func HTTPLoadBalancer(n int) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	pg, err := prog.Proc("http_lb")
-	if err != nil {
-		return nil, err
-	}
-	return &Service{
-		Name:           "http-lb",
-		Program:        prog,
-		Graph:          pg,
-		clientChannel:  "client",
-		backendChannel: "backends",
-		dispatch:       core.PerConnection,
-		reqFramer:      phttp.FrameRequestLen,
-		respFramer:     phttp.FrameResponseLen,
-		probe:          phttp.ProbeRequest(),
-		cacheProto:     cache.HTTPGet{},
-	}, nil
+	s.Name = "http-lb"
+	s.reqFramer, s.respFramer = phttp.FrameRequestLen, phttp.FrameResponseLen
+	s.probe = phttp.ProbeRequest()
+	s.cacheProto = cache.HTTPGet{}
+	return s, nil
 }
 
 // StaticWebServer compiles the backend-less web server.
 func StaticWebServer() (*Service, error) {
-	prog, err := compiler.Compile(StaticWebSource, compiler.Config{
+	s, err := Compile(StaticWebSource, Options{
 		ChannelCodecs: map[string]compiler.PortCodec{
 			"client": {Decode: phttp.RequestFormat{}, Encode: phttp.ResponseFormat{}},
 		},
@@ -383,99 +415,62 @@ func StaticWebServer() (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	pg, err := prog.Proc("webserver")
-	if err != nil {
-		return nil, err
-	}
-	return &Service{
-		Name:          "static-web",
-		Program:       prog,
-		Graph:         pg,
-		clientChannel: "client",
-		dispatch:      core.PerConnection,
-	}, nil
+	s.Name = "static-web"
+	return s, nil
 }
 
-// MemcachedProxy compiles the Figure 5 proxy for n backend shards.
+// MemcachedProxy compiles the Figure 5 proxy (lang.ListingProxy, §4.1:
+// pure hash partitioning of the key space, no caching) for n backend
+// shards.
 func MemcachedProxy(n int) (*Service, error) {
 	pair := compiler.CodecPair{Decode: memcache.Codec, Encode: memcache.Codec}
-	prog, err := compiler.Compile(MemcachedProxySource, compiler.Config{
+	s, err := Compile(lang.ListingProxy, Options{
 		ArraySizes: map[string]int{"backends": n},
 		Codecs:     map[string]compiler.CodecPair{"cmd": pair},
 	})
 	if err != nil {
 		return nil, err
 	}
-	pg, err := prog.Proc("memcached_proxy")
-	if err != nil {
-		return nil, err
-	}
-	return &Service{
-		Name:           "memcached-proxy",
-		Program:        prog,
-		Graph:          pg,
-		clientChannel:  "client",
-		backendChannel: "backends",
-		dispatch:       core.PerConnection,
-		reqFramer:      memcache.FrameRequestLen,
-		respFramer:     memcache.FrameResponseLen,
-		probe:          memcache.ProbeRequest(),
-		cacheProto:     cache.Memcached{},
-	}, nil
+	s.Name = "memcached-proxy"
+	s.reqFramer, s.respFramer = memcache.FrameRequestLen, memcache.FrameResponseLen
+	s.probe = memcache.ProbeRequest()
+	s.cacheProto = cache.Memcached{}
+	return s, nil
 }
 
 // MemcachedRouter compiles the Listing 1 cache router (GETK caching) for n
 // backend shards, using the program's own synthesised binary grammar.
 func MemcachedRouter(n int) (*Service, error) {
-	prog, err := compiler.Compile(MemcachedRouterSource, compiler.Config{
+	s, err := Compile(MemcachedRouterSource, Options{
 		ArraySizes: map[string]int{"backends": n},
 	})
 	if err != nil {
 		return nil, err
 	}
-	pg, err := prog.Proc("memcached")
-	if err != nil {
-		return nil, err
-	}
-	return &Service{
-		Name:           "memcached-router",
-		Program:        prog,
-		Graph:          pg,
-		clientChannel:  "client",
-		backendChannel: "backends",
-		dispatch:       core.PerConnection,
-		// The router's synthesised cmd grammar shares the Memcached binary
-		// header layout (total body length at bytes 8..11), so the same
-		// framers serve it.
-		reqFramer:  memcache.FrameRequestLen,
-		respFramer: memcache.FrameResponseLen,
-		probe:      memcache.ProbeRequest(),
-	}, nil
+	s.Name = "memcached-router"
+	// The router's synthesised cmd grammar shares the Memcached binary
+	// header layout (total body length at bytes 8..11), so the same
+	// framers serve it.
+	s.reqFramer, s.respFramer = memcache.FrameRequestLen, memcache.FrameResponseLen
+	s.probe = memcache.ProbeRequest()
+	return s, nil
 }
 
 // HadoopAggregator compiles the Listing 3 in-network combiner for n mapper
 // connections feeding one reducer.
 func HadoopAggregator(n int) (*Service, error) {
 	pair := compiler.CodecPair{Decode: hadoop.Codec, Encode: hadoop.Codec}
-	prog, err := compiler.Compile(lang.Listing3, compiler.Config{
+	s, err := Compile(lang.Listing3, Options{
 		ArraySizes: map[string]int{"mappers": n},
 		Codecs:     map[string]compiler.CodecPair{"kv": pair},
+		Backends:   "reducer",
 	})
 	if err != nil {
 		return nil, err
 	}
-	pg, err := prog.Proc("hadoop")
-	if err != nil {
-		return nil, err
-	}
-	return &Service{
-		Name:          "hadoop-agg",
-		Program:       prog,
-		Graph:         pg,
-		dispatch:      core.Shared,
-		sharedChannel: "mappers",
-		outChannel:    "reducer",
-	}, nil
+	s.Name = "hadoop-agg"
+	s.dispatch, s.sharedChannel = core.Shared, "mappers"
+	return s, nil
 }
 
 // RouterCmdDesc returns the record descriptor of the router's cmd type

@@ -259,3 +259,19 @@ func TestRouterCmdDesc(t *testing.T) {
 		t.Fatal("field set/get")
 	}
 }
+
+// Regression: Deploy ignored backend addresses for a service without a
+// backend channel, so `flickrun -service web -backend x:1` silently
+// dropped x:1.
+func TestDeployRejectsBackendsWithoutBackendChannel(t *testing.T) {
+	p := core.NewPlatform(core.Config{Workers: 1, Transport: netstack.NewUserNet()})
+	defer p.Close()
+	ws, err := StaticWebServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, err := ws.Deploy(p, "web:1", []string{"x:1"}); err == nil {
+		d.Close()
+		t.Fatal("backend address accepted by a service with no backend channel")
+	}
+}

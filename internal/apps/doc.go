@@ -9,6 +9,20 @@
 // forwarding ("We also implement a variant of the HTTP load balancer that
 // does not use backend servers but which returns a fixed response").
 //
+// # Building a service
+//
+// Service is the one service descriptor, and this package is the one
+// place that compiles and deploys a FLICK program. Compile turns source
+// and Options into a Service and infers its channel roles: the client
+// channel is the compiled primary port, the backend channel is
+// Options.Backends or else the one remaining channel (more candidates
+// are an error naming them). The packaged constructors call Compile and
+// add only their protocol wiring: upstream framers, probe request, cache
+// adapter, and the Hadoop aggregator's Shared dispatch. Service.Deploy
+// is the one place a core.ServiceConfig is assembled. The public facade
+// (package flick) aliases Service and Options, and deploys through the
+// same method.
+//
 // # Deployment options
 //
 // A Service carries its deployment knobs in nested option structs whose

@@ -4,17 +4,14 @@ import (
 	"fmt"
 	"time"
 
-	"flick/internal/apps"
 	"flick/internal/buffer"
 	"flick/internal/core"
 	"flick/internal/grammar"
-	"flick/internal/loadgen"
-	"flick/internal/netstack"
 	"flick/internal/value"
 )
 
 // Ablations quantify the design choices DESIGN.md calls out: the timeslice
-// quantum, graph pooling, and application-specific parser pruning.
+// quantum and application-specific parser pruning.
 
 // TimeslicePoint reports the fairness/throughput trade-off for one quantum.
 type TimeslicePoint struct {
@@ -59,71 +56,6 @@ func TimesliceTable(points []TimeslicePoint) *Table {
 	for _, p := range points {
 		t.Add(p.Quantum.String(), p.LightCompletion.Round(time.Millisecond).String(),
 			p.Total.Round(time.Millisecond).String())
-	}
-	return t
-}
-
-// PoolPoint compares pooled vs per-connection graph construction.
-type PoolPoint struct {
-	Pooled     bool
-	Throughput float64
-	Errors     uint64
-}
-
-// RunGraphPoolAblation hammers the static web server with non-persistent
-// connections (one graph per connection) with the pool on and off.
-func RunGraphPoolAblation(clients int, dur time.Duration) ([]PoolPoint, error) {
-	run := func(pooled bool) (PoolPoint, error) {
-		tr := netstack.NewUserNet()
-		p := core.NewPlatform(core.Config{Workers: 8, Transport: tr})
-		defer p.Close()
-		ws, err := apps.StaticWebServer()
-		if err != nil {
-			return PoolPoint{}, err
-		}
-		svc, err := p.Deploy(core.ServiceConfig{
-			Name:        "web",
-			ListenAddr:  "web:80",
-			Template:    ws.Graph.Template,
-			Dispatch:    core.PerConnection,
-			DisablePool: !pooled,
-		})
-		if err != nil {
-			return PoolPoint{}, err
-		}
-		defer svc.Close()
-		if pooled {
-			svc.Pool().Prime(clients)
-		}
-		res := loadgen.RunHTTP(loadgen.HTTPConfig{
-			Transport:  tr,
-			Addr:       "web:80",
-			Clients:    clients,
-			Persistent: false, // fresh connection (and graph) per request
-			Duration:   dur,
-		})
-		return PoolPoint{Pooled: pooled, Throughput: res.Throughput(), Errors: res.Errors}, nil
-	}
-	a, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	b, err := run(false)
-	if err != nil {
-		return nil, err
-	}
-	return []PoolPoint{a, b}, nil
-}
-
-// PoolTable renders the comparison.
-func PoolTable(points []PoolPoint) *Table {
-	t := &Table{
-		Title:   "Ablation: pre-allocated graph pool vs per-connection construction",
-		Columns: []string{"pooled", "req/s", "errors"},
-		Notes:   []string{"§5: \"a pre-allocated pool of task graphs to avoid the overhead of construction\""},
-	}
-	for _, p := range points {
-		t.Add(fmt.Sprint(p.Pooled), fmtReqs(p.Throughput), fmt.Sprint(p.Errors))
 	}
 	return t
 }

@@ -227,24 +227,6 @@ func TestSchedulerScaling(t *testing.T) {
 	}
 }
 
-func TestGraphPoolAblation(t *testing.T) {
-	pts, err := RunGraphPoolAblation(8, 200*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	for _, p := range pts {
-		if p.Throughput <= 0 {
-			t.Fatalf("pooled=%v zero throughput", p.Pooled)
-		}
-	}
-	if s := PoolTable(pts).String(); !strings.Contains(s, "pool") {
-		t.Fatal("table")
-	}
-}
-
 func TestParserPruningAblation(t *testing.T) {
 	pts := RunParserPruningAblation(2000, 4096)
 	if len(pts) != 2 {

@@ -6,7 +6,8 @@
 // churn over the shared upstream layer (churn), the live-topology
 // rebalance (rebalance: the consistent-hash ring during a B→B+1
 // scale-out under load) — and the design-choice ablations (timeslice,
-// graph pool, parser pruning). Each runner builds the complete testbed
+// parser pruning; the graph pool is priced by core's
+// BenchmarkGraphPoolReuse instead). Each runner builds the complete testbed
 // in-process — middlebox under test, origin servers and client fleet —
 // over the transport that matches the measured configuration (kernel
 // loopback for "FLICK"/baselines, the user-space stack for "FLICK mTCP").

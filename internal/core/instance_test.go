@@ -13,7 +13,7 @@ import (
 )
 
 // echoTemplate builds input → uppercase → output with one primary port.
-func echoTemplate(t *testing.T) *Template {
+func echoTemplate(t testing.TB) *Template {
 	t.Helper()
 	tmpl := NewTemplate("upper")
 	in := tmpl.AddInput("in", lineCodec)
@@ -451,7 +451,7 @@ func TestGraphPoolReuse(t *testing.T) {
 	p := NewPlatform(Config{Workers: 2, Transport: netstack.NewUserNet()})
 	defer p.Close()
 	tmpl := echoTemplate(t)
-	pool := NewGraphPool(tmpl, p.Scheduler(), 8)
+	pool := NewGraphPool(tmpl, p.Scheduler())
 	pool.Prime(2)
 	a := pool.Get()
 	b := pool.Get()
@@ -471,18 +471,31 @@ func TestGraphPoolReuse(t *testing.T) {
 	}
 }
 
-func TestGraphPoolDisabled(t *testing.T) {
-	p := NewPlatform(Config{Workers: 2, Transport: netstack.NewUserNet()})
-	defer p.Close()
-	pool := NewGraphPool(echoTemplate(t), p.Scheduler(), 8)
-	pool.Disabled = true
-	a := pool.Get()
-	pool.Put(a)
-	pool.Get()
-	st := pool.Stats()
-	if st.Hits != 0 || st.Builds != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
+// BenchmarkGraphPoolReuse prices the graph pool (§5: "a pre-allocated pool
+// of task graphs to avoid the overhead of construction") per connection:
+// reuse takes a pooled instance through bind and release (Get, Bind, Put:
+// the bound → idle edge), build constructs and binds a fresh one.
+func BenchmarkGraphPoolReuse(b *testing.B) {
+	tmpl := echoTemplate(b)
+	sched := NewScheduler(1, Cooperative)
+	conn, peer := net.Pipe()
+	defer peer.Close()
+	b.Run("reuse", func(b *testing.B) {
+		pool := NewGraphPool(tmpl, sched)
+		pool.Prime(1)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			inst := pool.Get()
+			inst.Bind(0, conn)
+			pool.Put(inst)
+		}
+	})
+	b.Run("build", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			NewInstance(tmpl, sched).Bind(0, conn)
+		}
+	})
 }
 
 func TestDeployInvalidTemplate(t *testing.T) {

@@ -75,8 +75,8 @@ func (p *Platform) Close() {
 }
 
 // Dispatch is how a service turns an accepted connection into running task
-// graphs. PerConnection creates (or pools) one instance per connection;
-// Shared attaches successive connections to one instance's ports in order.
+// graphs. PerConnection takes one pooled instance per connection; Shared
+// attaches successive connections to one pooled instance's ports in order.
 type Dispatch int
 
 // Dispatch modes.
@@ -121,10 +121,6 @@ type ServiceConfig struct {
 	// SharedPorts lists, for Shared dispatch, the port indices assigned
 	// to successive accepted connections (in order).
 	SharedPorts []int
-	// PoolSize bounds the instance pool (PerConnection mode).
-	PoolSize int
-	// DisablePool forces fresh construction per connection (ablation).
-	DisablePool bool
 	// Upstreams, when set, replaces per-connection backend dials with
 	// leases from the shared upstream connection layer: every BackendAddrs
 	// port binds a multiplexed virtual connection instead of a fresh
@@ -185,11 +181,10 @@ func (p *Platform) Deploy(cfg ServiceConfig) (*Service, error) {
 		cfg:      cfg,
 		platform: p,
 		listener: l,
-		pool:     NewGraphPool(cfg.Template, p.sched, cfg.PoolSize),
+		pool:     NewGraphPool(cfg.Template, p.sched),
 		live:     map[*Instance]struct{}{},
 		lat:      NewServiceLatency(cfg.Name, p.sched.Workers()),
 	}
-	s.pool.Disabled = cfg.DisablePool
 	s.pool.owner = s
 	if err := s.installTopology(&cfg); err != nil {
 		l.Close()
@@ -209,8 +204,9 @@ func (s *Service) Addr() string { return s.listener.Addr().String() }
 func (s *Service) Pool() *GraphPool { return s.pool }
 
 // Close stops accepting and aborts live instances: the Shared accumulator
-// and every still-running PerConnection graph are shut down, so a
-// subsequent Platform.Close never stops the scheduler under live graphs.
+// still taking connections and every running graph of either dispatch
+// mode are shut down, so a subsequent Platform.Close never stops the
+// scheduler under live graphs.
 // The service's upstream layer (when bound) closes with it.
 func (s *Service) Close() {
 	s.mu.Lock()
@@ -342,21 +338,28 @@ func (s *Service) forget(inst *Instance) bool {
 	return !s.closed
 }
 
+// dispatchShared binds conn to the accumulator's next SharedPorts slot,
+// taking the accumulator from the pool (and binding its backends) on a
+// wave's first connection. The wave's last connection starts it, published
+// in the live set like a PerConnection instance, so Service.Close reaches
+// it and GraphPool.Put takes it back when it finishes.
 func (s *Service) dispatchShared(conn net.Conn) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return fmt.Errorf("core: service closed")
 	}
 	if s.shared == nil {
-		inst := NewInstance(s.cfg.Template, s.platform.sched)
+		inst := s.pool.Get()
 		if err := s.bindBackends(inst); err != nil {
-			inst.Close()
+			s.mu.Unlock()
+			s.pool.Put(inst)
 			return err
 		}
 		s.shared = inst
 		s.nextIdx = 0
 	}
+	defer s.mu.Unlock()
 	if s.nextIdx >= len(s.cfg.SharedPorts) {
 		return fmt.Errorf("core: all %d shared ports bound", len(s.cfg.SharedPorts))
 	}
@@ -367,6 +370,7 @@ func (s *Service) dispatchShared(conn net.Conn) error {
 		inst := s.shared
 		// Allow a fresh accumulator for the next wave of connections.
 		s.shared = nil
+		s.live[inst] = struct{}{}
 		inst.Start()
 	}
 	return nil

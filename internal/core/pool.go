@@ -6,32 +6,27 @@ import (
 	"sync/atomic"
 )
 
-// GraphPool is the graph dispatcher's pre-allocated pool of instances (§5).
-// Get reuses an idle instance when available, otherwise builds a fresh
-// one; Put resets and retains up to Cap instances.
+// poolCap bounds the idle instances a GraphPool retains.
+const poolCap = 256
+
+// GraphPool is the graph dispatcher's pre-allocated pool of instances (§5)
+// and the one source of them: Get reuses an idle instance when available,
+// otherwise builds a fresh one; Put resets and retains up to poolCap.
 type GraphPool struct {
 	tmpl  *Template
 	sched *Scheduler
-	cap   int
 	owner *Service // whose wiring build installs (nil: a bare pool)
 
 	mu   sync.Mutex
 	free []*Instance
 
-	// Disabled makes Get always construct (the pooling ablation).
-	Disabled bool
-
 	hits   atomic.Uint64
 	builds atomic.Uint64
 }
 
-// NewGraphPool creates a pool bounded at capacity instances (default 256
-// when <= 0).
-func NewGraphPool(tmpl *Template, sched *Scheduler, capacity int) *GraphPool {
-	if capacity <= 0 {
-		capacity = 256
-	}
-	return &GraphPool{tmpl: tmpl, sched: sched, cap: capacity}
+// NewGraphPool creates an empty pool of tmpl's instances.
+func NewGraphPool(tmpl *Template, sched *Scheduler) *GraphPool {
+	return &GraphPool{tmpl: tmpl, sched: sched}
 }
 
 // build wires a new instance, once for all its bindings, to this pool
@@ -50,44 +45,38 @@ func (p *GraphPool) build() *Instance {
 func (p *GraphPool) Prime(n int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for len(p.free) < n && len(p.free) < p.cap {
+	for len(p.free) < n && len(p.free) < poolCap {
 		p.free = append(p.free, p.build())
 	}
 }
 
 // Get returns an idle instance, ready to bind.
 func (p *GraphPool) Get() *Instance {
-	if !p.Disabled {
-		p.mu.Lock()
-		if n := len(p.free); n > 0 {
-			inst := p.free[n-1]
-			p.free = p.free[:n-1]
-			p.mu.Unlock()
-			p.hits.Add(1)
-			return inst
-		}
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		inst := p.free[n-1]
+		p.free = p.free[:n-1]
 		p.mu.Unlock()
+		p.hits.Add(1)
+		return inst
 	}
+	p.mu.Unlock()
 	p.builds.Add(1)
 	return p.build()
 }
 
 // Put is the one release path, for a finished instance and for a bound one
 // whose dispatch failed. It leaves the owner's live set and is reset into
-// the free list (or dropped: pool disabled or full, owner closing) BEFORE
-// its connections close, so a client that redials on seeing the close
-// finds it back in the pool.
+// the free list (or dropped: pool full, owner closing) BEFORE its
+// connections close, so a client that redials on seeing the close finds it
+// back in the pool.
 func (p *GraphPool) Put(inst *Instance) {
 	var held [8]net.Conn
 	conns := append(held[:0], inst.conns...)
-	recycle := !p.Disabled
-	if s := p.owner; s != nil {
-		recycle = s.forget(inst) && recycle
-	}
-	if recycle {
+	if s := p.owner; s == nil || s.forget(inst) {
 		inst.Reset()
 		p.mu.Lock()
-		if len(p.free) < p.cap {
+		if len(p.free) < poolCap {
 			p.free = append(p.free, inst)
 		}
 		p.mu.Unlock()

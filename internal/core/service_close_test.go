@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"errors"
 	"io"
 	"net"
@@ -50,6 +51,76 @@ func TestServiceCloseClosesLiveInstances(t *testing.T) {
 		t.Fatalf("read after Service.Close = %v, want EOF (instance not closed)", err)
 	}
 	// And the live set drains.
+	deadline := time.Now().Add(2 * time.Second)
+	for len(svc.DumpLive()) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("instances still live after Close:\n%v", svc.DumpLive())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// Regression: the Shared dispatcher built its instance outside the pool
+// and, once started, outside the live set, so Service.Close never reached
+// it: its connections (and pooled buffers) outlived the service.
+func TestServiceCloseClosesRunningSharedInstance(t *testing.T) {
+	u := netstack.NewUserNet()
+	p := startPlatform(t, u)
+	sink, err := u.Listen("close:sink")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	got := make(chan string, 1)
+	go func() {
+		c, err := sink.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		line, _ := bufio.NewReader(c).ReadString('\n')
+		got <- line
+	}()
+	svc, err := p.Deploy(ServiceConfig{
+		Name:         "merge",
+		ListenAddr:   "close:shared",
+		Template:     sharedTemplate(t),
+		Dispatch:     Shared,
+		SharedPorts:  []int{0, 1},
+		BackendAddrs: map[int]string{2: "close:sink"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Both mappers bound: the instance is running, and stays so while
+	// they hold their connections open.
+	var mappers [2]net.Conn
+	for i := range mappers {
+		if mappers[i], err = u.Dial("close:shared"); err != nil {
+			t.Fatal(err)
+		}
+		defer mappers[i].Close()
+	}
+	mappers[0].Write([]byte("alpha\n"))
+	select {
+	case line := <-got:
+		if line != "alpha\n" {
+			t.Fatalf("sink got %q", line)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("running Shared instance forwarded nothing")
+	}
+
+	svc.Close()
+
+	for i, c := range mappers {
+		c.SetReadDeadline(time.Now().Add(2 * time.Second))
+		var b [8]byte
+		if _, err := c.Read(b[:]); err != io.EOF && !errors.Is(err, netstack.ErrClosed) {
+			t.Fatalf("mapper %d read after Service.Close = %v, want EOF (instance not closed)", i, err)
+		}
+	}
 	deadline := time.Now().Add(2 * time.Second)
 	for len(svc.DumpLive()) != 0 {
 		if time.Now().After(deadline) {

@@ -40,7 +40,6 @@ func TestPoolRecycleStress(t *testing.T) {
 		ListenAddr: "echo:1",
 		Template:   tmpl,
 		Dispatch:   PerConnection,
-		PoolSize:   16,
 	})
 	if err != nil {
 		t.Fatal(err)
