@@ -27,8 +27,10 @@ test:
 # session, kernel-TCP scatter write, cache hits, histogram Record, the
 # compiled pipeline and the whole proxied request — under its own name, so
 # an allocation regression fails as one instead of inside tier-1 output.
+# The layout pins ride along: value.Value's size and the protocol codecs'
+# init-time field slots.
 alloc-gate:
-	$(GO) test -count=1 -run 'ZeroAlloc|Allocs' ./...
+	$(GO) test -count=1 -run 'ZeroAlloc|Allocs|TestValueSize|TestFieldSlotsMatchDesc' ./...
 
 # Race matrix: the packages whose tests share state across goroutines —
 # scheduler, refcounted buffers, codecs, client fleets, upstream pools,

@@ -271,7 +271,8 @@ type Cache struct {
 	missLat metrics.Histogram
 	coalLat metrics.Histogram
 
-	// now is the clock (tests override).
+	// now is the clock: monotonic nanoseconds (metrics.Now), so a
+	// wall-clock step neither expires nor revives entries. Tests override.
 	now func() int64
 }
 
@@ -314,7 +315,7 @@ func New(cfg Config) *Cache {
 		varies:   map[string]string{},
 		flights:  map[string]*Flight{},
 		hitLat:   metrics.NewShardedHistogram(workers),
-		now:      func() int64 { return time.Now().UnixNano() },
+		now:      metrics.Now,
 	}
 	for i := range c.shards {
 		c.shards[i].m = map[string]*entry{}
@@ -349,7 +350,7 @@ func appendSKey(dst []byte, variant byte, scope, key []byte) []byte {
 // here; callers follow a miss with Begin (ClassLookup) or forward
 // untracked (ClassCond).
 func (c *Cache) Get(worker int, info ReqInfo) (value.Value, bool, *Reval) {
-	start := metrics.Now()
+	start := c.now()
 	sh := &c.shards[worker%len(c.shards)]
 	sh.mu.Lock()
 	sh.kbuf = appendSKey(sh.kbuf[:0], info.Variant, info.Scope, info.Key)
@@ -365,7 +366,7 @@ func (c *Cache) Get(worker int, info ReqInfo) (value.Value, bool, *Reval) {
 		c.misses.Inc()
 		return value.Null, false, nil
 	}
-	now := c.now()
+	now := start // one clock read serves freshness and the hit latency
 	stale := now > e.expires
 	if stale && (now > e.stale || len(e.reval) == 0) {
 		// Hard expiry: remove the entry structurally so an idle key
@@ -407,7 +408,7 @@ func (c *Cache) Get(worker int, info ReqInfo) (value.Value, bool, *Reval) {
 		c.staleServed.Inc()
 		rv = c.claimReval(e)
 	}
-	c.hitLat.Record(worker, time.Duration(metrics.Now()-start))
+	c.hitLat.Record(worker, time.Duration(c.now()-start))
 	return view, true, rv
 }
 

@@ -221,6 +221,28 @@ func checkServed(errs chan<- string, v value.Value, opaque uint32) {
 	v.Release()
 }
 
+// TestDefaultClockMonotonic pins the default clock to the process's
+// monotonic nanoseconds (metrics.Now), not wall time: born, expires and
+// stale deadlines then survive a wall-clock step, which would otherwise
+// expire — or revive — every entry at once.
+func TestDefaultClockMonotonic(t *testing.T) {
+	c := newTestCache(t, Config{Workers: 1})
+	before := metrics.Now()
+	got := c.now()
+	after := metrics.Now()
+	if got < before || got > after {
+		t.Fatalf("default clock read %d outside metrics.Now's [%d, %d]: not the monotonic clock",
+			got, before, after)
+	}
+	// Entries fill and serve under it.
+	fill(t, c, memcache.OpGetK, "k1", 1, "v1")
+	v, ok, _ := c.Get(0, lookupInfo(memcache.OpGetK, "k1", 1))
+	if !ok {
+		t.Fatal("want a hit under the default clock")
+	}
+	v.Release()
+}
+
 // TestTTLExpiry checks lazy expiry: the first lookup past the deadline
 // misses and removes the entry structurally — every shard, the index and
 // the resident-byte gauge — so an idle expired key holds no pooled bytes;

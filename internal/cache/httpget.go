@@ -75,8 +75,8 @@ func (HTTPGet) Variants() []byte { return []byte{0} }
 
 // Request implements Protocol.
 func (HTTPGet) Request(req value.Value) ReqInfo {
-	method := req.Field("method").AsBytes()
-	uri := req.Field("uri").AsBytes()
+	method := req.BytesAt(phttp.SlotMethod)
+	uri := req.BytesAt(phttp.SlotURI)
 	host, hasHost := phttp.HeaderBytes(req, "Host")
 	if !bytesEqualStr(method, "GET") {
 		switch {
@@ -91,7 +91,7 @@ func (HTTPGet) Request(req value.Value) ReqInfo {
 			return ReqInfo{Class: ClassPass}
 		}
 	}
-	if len(uri) == 0 || !hasHost || len(host) == 0 || req.Field("keep_alive").AsInt() != 1 {
+	if len(uri) == 0 || !hasHost || len(host) == 0 || req.IntAt(phttp.SlotKeepAlive) != 1 {
 		// A closing client gets a closing response — never cacheable —
 		// and a request without a Host has no cache namespace.
 		return ReqInfo{Class: ClassPass}
@@ -120,7 +120,7 @@ func (HTTPGet) Request(req value.Value) ReqInfo {
 
 // Response implements Protocol.
 func (HTTPGet) Response(resp value.Value) RespInfo {
-	status := resp.Field("status").AsInt()
+	status := resp.IntAt(phttp.SlotStatus)
 	if status < 200 {
 		// 1xx: forwarded without consuming the pending request slot.
 		return RespInfo{Informational: true}
@@ -137,7 +137,7 @@ func (HTTPGet) Response(resp value.Value) RespInfo {
 	if status != 200 {
 		return ri
 	}
-	if resp.Field("keep_alive").AsInt() != 1 {
+	if resp.IntAt(phttp.SlotKeepAlive) != 1 {
 		// Connection-delimited body: replaying it verbatim on a kept-alive
 		// client connection would leave the client unable to frame it.
 		return ri
@@ -253,7 +253,7 @@ func (HTTPGet) Store(raw []byte, ri RespInfo, req value.Value) ([]byte, StoreInf
 		si.NotModLen = len(out) - si.NotModOff
 	}
 	if !req.IsNull() {
-		uri := req.Field("uri").AsBytes()
+		uri := req.BytesAt(phttp.SlotURI)
 		host, _ := phttp.HeaderBytes(req, "Host")
 		if len(uri) > 0 && len(host) > 0 {
 			si.RevalOff = len(out)
@@ -300,12 +300,12 @@ func (HTTPGet) MakeHit(h Hit) value.Value {
 		copy(b, h.Raw)
 		patchAge(b[h.AgeOff:h.AgeOff+ageZoneLen], h.AgeSecs)
 		rec := phttp.ResponseDesc.NewOwned(ref)
-		rec.SetField("_raw", value.Bytes(b))
+		rec.L[phttp.SlotRaw] = value.Bytes(b)
 		return rec
 	}
 	h.Region.Retain()
 	rec := phttp.ResponseDesc.NewOwned(h.Region)
-	rec.SetField("_raw", value.Bytes(h.Raw))
+	rec.L[phttp.SlotRaw] = value.Bytes(h.Raw)
 	return rec
 }
 

@@ -42,10 +42,10 @@ func (Memcached) Variants() []byte { return []byte{memcache.OpGet, memcache.OpGe
 
 // Request implements Protocol.
 func (Memcached) Request(req value.Value) ReqInfo {
-	op := byte(req.Field("opcode").AsInt())
+	op := byte(req.IntAt(memcache.SlotOpcode))
 	switch op {
 	case memcache.OpGet, memcache.OpGetK:
-		key := req.Field("key").AsBytes()
+		key := req.BytesAt(memcache.SlotKey)
 		if len(key) == 0 {
 			return ReqInfo{Class: ClassPass}
 		}
@@ -53,7 +53,7 @@ func (Memcached) Request(req value.Value) ReqInfo {
 			Class:   ClassLookup,
 			Key:     key,
 			Variant: op,
-			Tag:     uint64(uint32(req.Field("opaque").AsInt())),
+			Tag:     uint64(uint32(req.IntAt(memcache.SlotOpaque))),
 			HasTag:  true,
 		}
 	case memcache.OpSet, memcache.OpAdd, memcache.OpReplace, memcache.OpDelete,
@@ -63,7 +63,7 @@ func (Memcached) Request(req value.Value) ReqInfo {
 		memcache.OpTouch, memcache.OpGAT, memcache.OpGATQ, memcache.OpGATK, memcache.OpGATKQ:
 		// Every key-carrying mutation — loud, quiet, or expiry-touching —
 		// invalidates exactly its key.
-		return ReqInfo{Class: ClassInvalidate, Key: req.Field("key").AsBytes()}
+		return ReqInfo{Class: ClassInvalidate, Key: req.BytesAt(memcache.SlotKey)}
 	case memcache.OpFlush, memcache.OpFlushQ:
 		return ReqInfo{Class: ClassInvalidateAll}
 	case memcache.OpNoop, memcache.OpGetQ, memcache.OpGetKQ, memcache.OpQuit,
@@ -76,7 +76,7 @@ func (Memcached) Request(req value.Value) ReqInfo {
 		// request allows. With a key, a single-key invalidation covers any
 		// mutation semantics it could have; only a keyless unknown op
 		// forces a full clear.
-		if key := req.Field("key").AsBytes(); len(key) > 0 {
+		if key := req.BytesAt(memcache.SlotKey); len(key) > 0 {
 			return ReqInfo{Class: ClassInvalidate, Key: key}
 		}
 		return ReqInfo{Class: ClassInvalidateAll}
@@ -88,18 +88,18 @@ func (Memcached) Response(resp value.Value) RespInfo {
 	if !memcache.IsResponse(resp) {
 		return RespInfo{}
 	}
-	op := byte(resp.Field("opcode").AsInt())
+	op := byte(resp.IntAt(memcache.SlotOpcode))
 	if op != memcache.OpGet && op != memcache.OpGetK {
 		return RespInfo{}
 	}
 	ri := RespInfo{
 		Match:   true,
 		Variant: op,
-		Tag:     uint64(uint32(resp.Field("opaque").AsInt())),
+		Tag:     uint64(uint32(resp.IntAt(memcache.SlotOpaque))),
 		HasTag:  true,
 	}
 	if op == memcache.OpGetK {
-		if key := resp.Field("key").AsBytes(); len(key) > 0 {
+		if key := resp.BytesAt(memcache.SlotKey); len(key) > 0 {
 			ri.Key = key
 			ri.HasKey = true
 		}
@@ -139,12 +139,12 @@ func (Memcached) MakeHit(h Hit) value.Value {
 		copy(b, h.Raw)
 		binary.BigEndian.PutUint32(b[memcachedOpaqueOff:], uint32(h.Tag))
 		rec := memcache.Desc.NewOwned(ref)
-		rec.SetField("_raw", value.Bytes(b))
+		rec.L[memcache.SlotRaw] = value.Bytes(b)
 		return rec
 	}
 	h.Region.Retain()
 	rec := memcache.Desc.NewOwned(h.Region)
-	rec.SetField("_raw", value.Bytes(h.Raw))
+	rec.L[memcache.SlotRaw] = value.Bytes(h.Raw)
 	return rec
 }
 

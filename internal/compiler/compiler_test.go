@@ -287,6 +287,53 @@ fun clamp: (x: t) -> (integer)
 	}
 }
 
+// TestFieldSlotAccess checks the slot-resolved field lowering. On a record
+// of the checked type's descriptor a read indexes the slot and an
+// assignment nulls the captured "_raw" image, as SetField does. A record of
+// another layout under the same type name — what a channel codec may
+// deliver — falls back to the lookup by name.
+func TestFieldSlotAccess(t *testing.T) {
+	src := `
+type t: record
+    a : integer {size=1}
+    b : integer {size=1}
+
+fun get_b: (x: t) -> (integer)
+    x.b
+
+fun set_b: (x: t) -> (t)
+    x.b := 7
+    x
+`
+	prog, err := Compile(src, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := prog.Desc("t").New()
+	rec.SetField("a", value.Int(1))
+	rec.SetField("b", value.Int(2))
+	rec.SetField("_raw", value.Bytes([]byte{1, 2}))
+	if got, _ := prog.CallFunction("get_b", rec); got.AsInt() != 2 {
+		t.Fatalf("get_b = %d, want 2", got.AsInt())
+	}
+	if _, err := prog.CallFunction("set_b", rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Field("b").AsInt() != 7 || !rec.Field("_raw").IsNull() {
+		t.Fatalf("after set_b: b = %d, _raw = %v; want 7 and a nulled image",
+			rec.Field("b").AsInt(), rec.Field("_raw"))
+	}
+
+	foreign := value.NewRecordDesc("t", "b", "a").Record(value.Int(20), value.Int(10))
+	if got, _ := prog.CallFunction("get_b", foreign); got.AsInt() != 20 {
+		t.Fatalf("get_b on a foreign layout = %d, want 20 (by name)", got.AsInt())
+	}
+	prog.CallFunction("set_b", foreign)
+	if foreign.Field("b").AsInt() != 7 || foreign.Field("a").AsInt() != 10 {
+		t.Fatalf("set_b on a foreign layout wrote the wrong slot: %v", foreign)
+	}
+}
+
 func TestIRBuiltins(t *testing.T) {
 	src := `
 type doc: record

@@ -319,7 +319,7 @@ fun check: (d: ref dict<string*t>, x: t) -> (boolean)
 	if !got.AsBool() {
 		t.Fatal("check result")
 	}
-	if _, touched := d.D.Get("touched"); touched {
+	if _, touched := d.P.(*value.Dict).Get("touched"); touched {
 		t.Fatal("`or` evaluated its right operand despite a true left")
 	}
 }

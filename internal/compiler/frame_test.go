@@ -86,7 +86,7 @@ func TestPipelineZeroAlloc(t *testing.T) {
 		t.Skip("allocation counts are meaningless under -race")
 	}
 	conn := deployEcho(t, nestedFoldSource, func(p *Program) {
-		p.Globals("echo")[0].D.Set("words", value.List(value.Str("a"), value.Str("bb"), value.Str("ccc")))
+		p.Globals("echo")[0].P.(*value.Dict).Set("words", value.List(value.Str("a"), value.Str("bb"), value.Str("ccc")))
 	})
 	msg := []byte("k0000001")
 	buf := make([]byte, len(msg))

@@ -152,7 +152,7 @@ func isChanList(v value.Value) bool {
 	if v.Kind != value.KindList || len(v.L) == 0 {
 		return false
 	}
-	_, ok := v.L[0].X.(ChanRef)
+	_, ok := v.L[0].P.(ChanRef)
 	return ok
 }
 
@@ -172,9 +172,7 @@ func hashValue(v value.Value) int64 {
 		}
 	}
 	switch v.Kind {
-	case value.KindString:
-		mix([]byte(v.S))
-	case value.KindBytes:
+	case value.KindString, value.KindBytes:
 		mix(v.B)
 	case value.KindInt, value.KindBool:
 		u := uint64(v.I)
@@ -195,14 +193,12 @@ func hashValue(v value.Value) int64 {
 // lenValue is the `len` builtin.
 func lenValue(v value.Value) int64 {
 	switch v.Kind {
-	case value.KindString:
-		return int64(len(v.S))
-	case value.KindBytes:
+	case value.KindString, value.KindBytes:
 		return int64(len(v.B))
 	case value.KindList:
 		return int64(len(v.L))
 	case value.KindDict:
-		return int64(v.D.Len())
+		return int64(v.P.(*value.Dict).Len())
 	}
 	return 0
 }
@@ -232,7 +228,7 @@ func dictGet(d value.Value, key value.Value) value.Value {
 	if d.Kind != value.KindDict {
 		return value.Null
 	}
-	v, ok := d.D.Get(key.AsString())
+	v, ok := d.P.(*value.Dict).Get(key.AsString())
 	if !ok {
 		return value.Null
 	}

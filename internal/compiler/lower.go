@@ -163,7 +163,7 @@ func (lw *lowerer) lowerAssign(x *lang.AssignStmt) (stmtFn, error) {
 				// wire bytes through any depth of nesting (a region pointer
 				// only marks the top level, so Set's Detach alone is not
 				// enough for hand-carved nested views).
-				d.D.Set(key(fr).AsString(), value.Owned(val(fr)))
+				d.P.(*value.Dict).Set(key(fr).AsString(), value.Owned(val(fr)))
 			}
 		}, nil
 	case *lang.FieldExpr:
@@ -172,17 +172,38 @@ func (lw *lowerer) lowerAssign(x *lang.AssignStmt) (stmtFn, error) {
 			return nil, err
 		}
 		name := tgt.Name
+		desc, slot := lw.fieldSlot(tgt)
 		return func(fr *Frame) {
 			// Own the assigned value: storing a view of message A into
 			// record B moves it across message lifetimes — B's region (if
 			// any) holds no reference to A's, so once the runtime releases
-			// A the view would read recycled pool memory. SetField also
-			// invalidates any captured "_raw" wire image, so the encoder
+			// A the view would read recycled pool memory. SetAt/SetField
+			// also invalidate any captured "_raw" wire image, so the encoder
 			// rebuilds the mutated message instead of replaying stale bytes.
-			base(fr).SetField(name, value.Owned(val(fr)))
+			b, x := base(fr), value.Owned(val(fr))
+			if b.Desc() == desc {
+				b.SetAt(slot, x)
+			} else {
+				b.SetField(name, x)
+			}
 		}, nil
 	}
 	return nil, fmt.Errorf("compiler: bad assignment target at %s", x.Pos)
+}
+
+// fieldSlot resolves a field access to its slot in the descriptor of the
+// record type the checker gave its base. Accesses on Any-typed bases, and
+// fields the descriptor lacks, get a nil desc. The compiled access indexes
+// the slot only when the runtime record carries that desc — a channel codec
+// may deliver records of another layout under the same type name — and
+// otherwise looks the field up by name.
+func (lw *lowerer) fieldSlot(x *lang.FieldExpr) (*value.RecordDesc, int) {
+	if desc := lw.prog.descs[lw.prog.checked.FieldRecs[x]]; desc != nil {
+		if slot := desc.FieldIndex(x.Name); slot >= 0 {
+			return desc, slot
+		}
+	}
+	return nil, -1
 }
 
 func (lw *lowerer) lowerSend(valExpr, dstExpr lang.Expr) (stmtFn, error) {
@@ -196,7 +217,7 @@ func (lw *lowerer) lowerSend(valExpr, dstExpr lang.Expr) (stmtFn, error) {
 	}
 	return func(fr *Frame) {
 		d := dst(fr)
-		if ref, ok := d.X.(ChanRef); ok && fr.sc.node != nil {
+		if ref, ok := d.P.(ChanRef); ok && fr.sc.node != nil {
 			// No copy: emitted values carry their backing region (whole
 			// pooled records via NewOwned, field/element views via
 			// value.Borrow in the access lowerings), and Chan.Push retains
@@ -249,7 +270,14 @@ func (lw *lowerer) lowerExpr(e lang.Expr) (exprFn, error) {
 			return nil, err
 		}
 		name := x.Name
-		return func(fr *Frame) value.Value { return base(fr).Field(name) }, nil
+		desc, slot := lw.fieldSlot(x)
+		return func(fr *Frame) value.Value {
+			b := base(fr)
+			if b.Desc() == desc {
+				return b.At(slot)
+			}
+			return b.Field(name)
+		}, nil
 
 	case *lang.IndexExpr:
 		base, err := lw.lowerExpr(x.X)
@@ -272,7 +300,7 @@ func (lw *lowerer) lowerExpr(e lang.Expr) (exprFn, error) {
 				}
 				// Elements of a region-backed list (e.g. a list field of a
 				// pooled message) alias that region; carry it on the view.
-				return value.Borrow(b.L[i], b.O)
+				return value.Borrow(b.L[i], &b)
 			}
 			return value.Null
 		}, nil
@@ -520,7 +548,7 @@ func (lw *lowerer) lowerIter(x *lang.CallExpr) (exprFn, error) {
 				// Detach per element: a body returning a region-backed view
 				// would leave the result list with elements whose lifetime
 				// the list's (nil) region cannot express.
-				out[i] = value.Detach(fr.sc.apply(f, value.Borrow(el, xs.O)))
+				out[i] = value.Detach(fr.sc.apply(f, value.Borrow(el, &xs)))
 			}
 			return value.List(out...)
 		}, nil
@@ -533,13 +561,13 @@ func (lw *lowerer) lowerIter(x *lang.CallExpr) (exprFn, error) {
 			xs := list(fr)
 			var out []value.Value
 			for _, el := range xs.L {
-				if fr.sc.apply(f, value.Borrow(el, xs.O)).AsBool() {
+				if fr.sc.apply(f, value.Borrow(el, &xs)).AsBool() {
 					out = append(out, el)
 				}
 			}
 			// Passed-through elements still alias the source list's region;
 			// the result list borrows it so escapes stay tracked.
-			return value.Borrow(value.List(out...), xs.O)
+			return value.Borrow(value.List(out...), &xs)
 		}, nil
 	default: // fold
 		acc, err := lw.lowerExpr(x.Args[1])
@@ -554,7 +582,7 @@ func (lw *lowerer) lowerIter(x *lang.CallExpr) (exprFn, error) {
 			a := acc(fr)
 			xs := list(fr)
 			for _, el := range xs.L {
-				a = fr.sc.apply(f, a, value.Borrow(el, xs.O))
+				a = fr.sc.apply(f, a, value.Borrow(el, &xs))
 			}
 			return a
 		}, nil

@@ -236,7 +236,7 @@ func TestDictAssignOwnsFieldView(t *testing.T) {
 	copy(next.Bytes(), "/XXXXXX-clobber!")
 	defer next.Release()
 
-	got, ok := cache.D.Get(uri)
+	got, ok := cache.P.(*value.Dict).Get(uri)
 	if !ok {
 		t.Fatal("cached entry missing")
 	}
@@ -321,7 +321,7 @@ func TestOwnedCopiesAliasedViews(t *testing.T) {
 	rec := desc.NewOwned(ref)
 	rec.L[0] = value.Bytes(ref.Bytes()[:16])
 
-	view := rec.L[0] // raw slot access: aliases the region, v.O == nil
+	view := rec.L[0] // raw slot access: aliases the region, carries none
 	owned := value.Owned(view)
 	rec.Release() // region recycles
 
@@ -352,17 +352,17 @@ func TestFieldViewCarriesRegion(t *testing.T) {
 	rec.L[1] = value.Int(7)
 
 	view := rec.Field("data")
-	if view.O == nil {
+	if view.Region() == nil {
 		t.Fatal("field view carries no region: Detach/Push cannot see its provenance")
 	}
-	if scalar := rec.Field("n"); scalar.O != nil {
+	if scalar := rec.Field("n"); scalar.Region() != nil {
 		t.Fatal("scalar field should not borrow the region")
 	}
 
 	// Dict.Set detaches on store; with provenance attached the cached entry
 	// must survive the record's release and the region's recycling.
 	d := value.NewDict()
-	d.D.Set("k", view)
+	d.P.(*value.Dict).Set("k", view)
 	detached := value.Detach(view)
 	rec.Release()
 
@@ -370,7 +370,7 @@ func TestFieldViewCarriesRegion(t *testing.T) {
 	copy(next.Bytes(), "clobbered-------")
 	defer next.Release()
 
-	if got, _ := d.D.Get("k"); got.AsString() != "precious payload" {
+	if got, _ := d.P.(*value.Dict).Get("k"); got.AsString() != "precious payload" {
 		t.Fatalf("dict entry reads recycled memory: %q", got.AsString())
 	}
 	if got := detached.AsString(); got != "precious payload" {

@@ -126,12 +126,7 @@ type revalDispatch struct {
 // cacheMsgID returns a message's identity for requeue matching: the
 // record's owner region is unique per decoded message and stable across
 // retains.
-func cacheMsgID(msg value.Value) any {
-	if msg.O != nil {
-		return msg.O
-	}
-	return nil
-}
+func cacheMsgID(msg value.Value) any { return msg.Region() }
 
 // installCache installs the service's response cache (GraphPool.build).
 // Graphs without a primary in/out port pair are left uncached.
@@ -338,8 +333,8 @@ func (inst *Instance) cacheBeginMiss(info rcache.ReqInfo, msg value.Value) bool 
 // its flight; a unique match on a tracking-only pending just consumes the
 // slot; an ambiguous match — same variant and opaque, no key echo —
 // aborts every candidate fill rather than risk caching under the wrong
-// key.
-func (inst *Instance) cacheBackendResponse(msg value.Value) {
+// key. rawSlot is the response codec's "_raw" image slot.
+func (inst *Instance) cacheBackendResponse(msg value.Value, rawSlot int) {
 	crt := inst.crt
 	ri := crt.proto.Response(msg)
 	if !ri.Match {
@@ -376,7 +371,7 @@ func (inst *Instance) cacheBackendResponse(msg value.Value) {
 	switch {
 	case len(matched) == 1:
 		if f := matched[0].f; f != nil {
-			f.Fill(msg.Field("_raw").AsBytes(), ri)
+			f.Fill(msg.BytesAt(rawSlot), ri)
 		}
 	case len(matched) > 1:
 		for _, m := range matched {

@@ -58,7 +58,7 @@ func TestCacheTrackerBlocksWrongKeyFill(t *testing.T) {
 	// X's response arrives: same variant and opaque as Y's pending, no
 	// key echo — ambiguous, so Y's flight must abort unfilled.
 	resp := mcResponse(7, "value-of-X")
-	inst.cacheBackendResponse(resp)
+	inst.cacheBackendResponse(resp, memcache.SlotRaw)
 	resp.Release()
 
 	if len(crt.pendings) != 0 {
@@ -73,7 +73,7 @@ func TestCacheTrackerBlocksWrongKeyFill(t *testing.T) {
 		key: []byte("X"), variant: memcache.OpGet, tag: 9, hasTag: true,
 	})
 	resp = mcResponse(9, "value-of-X")
-	inst.cacheBackendResponse(resp)
+	inst.cacheBackendResponse(resp, memcache.SlotRaw)
 	resp.Release()
 	if len(crt.pendings) != 0 {
 		t.Fatalf("%d pendings left, want 0 (tracker consumed)", len(crt.pendings))

@@ -91,7 +91,7 @@ func (c *Chan) Pop() (v value.Value, ok bool, closed bool) {
 	c.mu.Lock()
 	if c.size > 0 {
 		v = c.buf[c.head]
-		c.buf[c.head] = value.Null
+		c.buf[c.head] = value.Value{}
 		c.head = (c.head + 1) % len(c.buf)
 		c.size--
 		c.mu.Unlock()

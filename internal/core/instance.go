@@ -123,6 +123,7 @@ type inputState struct {
 	dec  grammar.StreamDecoder
 	evt  bool // event-driven (UserNet) vs pump-goroutine (kernel)
 	port int
+	raw  int // the codec's "_raw" image slot (-1: none), for cache fills
 }
 
 // readChunk is the pooled read-buffer size for input connections.
@@ -242,7 +243,7 @@ func (inst *Instance) Reset() {
 		case NodeInput:
 			st := inst.inputRT[n.ID]
 			if st == nil {
-				st = &inputState{q: buffer.NewQueue(nil)}
+				st = &inputState{q: buffer.NewQueue(nil), raw: n.Codec.Desc().FieldIndex("_raw")}
 				inst.inputRT[n.ID] = st
 			}
 			st.mu.Lock()
@@ -523,11 +524,11 @@ func (inst *Instance) runInput(ctx *ExecCtx, n *Node) RunResult {
 					// reference still pins the response bytes.
 					if crt.fifo {
 						if f := inst.cacheFifoResponse(msg, st.port, out); f != nil {
-							f.Fill(msg.Field("_raw").AsBytes(), crt.proto.Response(msg))
+							f.Fill(msg.BytesAt(st.raw), crt.proto.Response(msg))
 						}
 					} else {
 						out.Push(msg)
-						inst.cacheBackendResponse(msg)
+						inst.cacheBackendResponse(msg, st.raw)
 					}
 					msg.Release()
 					if ctx.CountItem() {

@@ -459,7 +459,7 @@ func (s *Scheduler) run(t *Task, wid int) {
 	*ctx = ExecCtx{
 		sched:    s,
 		worker:   wid,
-		started:  time.Now(),
+		started:  metrics.Now(),
 		quantum:  s.policy.Quantum,
 		maxItems: s.policy.MaxItems,
 	}

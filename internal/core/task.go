@@ -3,6 +3,8 @@ package core
 import (
 	"sync/atomic"
 	"time"
+
+	"flick/internal/metrics"
 )
 
 // TaskState tracks a task through the scheduler's state machine.
@@ -102,7 +104,7 @@ func (t *Task) Done() bool { return t.done.Load() }
 type ExecCtx struct {
 	sched    *Scheduler
 	worker   int
-	started  time.Time
+	started  int64         // activation start, metrics.Now nanoseconds
 	quantum  time.Duration // 0 = unbounded
 	maxItems int           // 0 = unbounded
 	items    int
@@ -140,5 +142,5 @@ func (c *ExecCtx) Expired() bool {
 		return false
 	}
 	c.opsSinceCheck = 0
-	return time.Since(c.started) >= c.quantum
+	return time.Duration(metrics.Now()-c.started) >= c.quantum
 }

@@ -11,80 +11,85 @@ import (
 //
 // Parsing is zero-copy and runs in two phases. The peek phase walks the
 // unit's fields over the buffered bytes WITHOUT consuming them, decoding
-// integer fields into d.fields and recording the byte span of every
-// byte-carrying field; an incomplete field leaves the queue untouched until
-// enough bytes arrive, so a single message may straddle many Decode calls
-// (and many network reads). Once every field has been located the message's
-// total wire length is known and the take phase consumes it as ONE
-// contiguous refcounted view (Queue.TakeRef): field values become sub-slices
-// of the view, the record is drawn from the desc's freelist, and the pooled
-// region is released when the last task holding the record drops it. The
+// integer fields straight into the message's pooled record (taken from the
+// desc's freelist when its first bytes arrive) and recording the byte span
+// of every byte-carrying field; an incomplete field leaves the queue
+// untouched until enough bytes arrive, so a message may straddle many
+// Decode calls. Once every field is located the take phase consumes the
+// message as ONE contiguous refcounted view (Queue.TakeRef): the record
+// adopts the pooled region and its byte fields sub-slice the view. The
 // steady state copies no payload bytes and allocates nothing.
 type decoder struct {
 	c       *Codec
-	fi      int           // index of the field being parsed
-	pos     int           // peek offset of the parse point into the queue
-	fields  []value.Value // decoded integer/var field values (slot == index)
-	spans   [][2]int      // byte ranges into the message for aliased fields
-	scanned int           // delimiter scan progress for KindUntil
+	rec     value.Value // the message being parsed (Null between messages)
+	fi      int         // index of the field being parsed
+	pos     int         // peek offset of the parse point into the queue
+	spans   [][2]int    // byte ranges into the message for aliased fields
+	scanned int         // delimiter scan progress for KindUntil
 }
 
 // NewDecoder implements WireFormat.
 func (c *Codec) NewDecoder() StreamDecoder {
-	return &decoder{
-		c:      c,
-		fields: make([]value.Value, len(c.fields)),
-		spans:  make([][2]int, len(c.fields)),
-	}
+	return &decoder{c: c, spans: make([][2]int, len(c.fields))}
 }
 
 // reset prepares the decoder for the next message. Nothing was consumed
 // during the peek phase, so resetting on error leaves the queue positioned
 // at the malformed message (callers drop the connection).
 func (d *decoder) reset() {
-	for i := range d.fields {
-		d.fields[i] = value.Null
+	for i := range d.spans {
 		d.spans[i] = [2]int{-1, 0}
 	}
-	d.fi = 0
-	d.pos = 0
-	d.scanned = 0
+	d.rec = value.Value{}
+	d.fi, d.pos, d.scanned = 0, 0, 0
+}
+
+// fail releases the partly parsed record and resets for err.
+func (d *decoder) fail(err error) (value.Value, bool, error) {
+	d.rec.Release()
+	d.reset()
+	return value.Value{}, false, err
 }
 
 // Decode implements StreamDecoder.
 func (d *decoder) Decode(q *buffer.Queue) (value.Value, bool, error) {
 	var scratch [16]byte
+	if d.rec.Kind == value.KindNull {
+		if q.Len() == 0 {
+			return value.Value{}, false, nil
+		}
+		d.rec = d.c.desc.NewOwned(nil)
+	}
+	fields := d.rec.L // fresh: setting a Null slot's Kind and payload fills it
 	for d.fi < len(d.c.fields) {
 		f := &d.c.fields[d.fi]
 		switch f.Kind {
 		case KindUint:
 			if q.Len() < d.pos+f.Size {
-				return value.Null, false, nil
+				return value.Value{}, false, nil
 			}
 			q.PeekAt(scratch[:f.Size], d.pos)
-			d.fields[d.fi] = value.Int(decodeUint(scratch[:f.Size], d.c.unit.Order))
+			fields[d.fi].Kind, fields[d.fi].I = value.KindInt, decodeUint(scratch[:f.Size], d.c.unit.Order)
 			d.spans[d.fi] = [2]int{d.pos, f.Size}
 			d.pos += f.Size
 
 		case KindFixedBytes:
 			if q.Len() < d.pos+f.Size {
-				return value.Null, false, nil
+				return value.Value{}, false, nil
 			}
 			d.spans[d.fi] = [2]int{d.pos, f.Size}
 			d.pos += f.Size
 
 		case KindBytes:
-			n := int(f.length(d.fields, nil))
+			n := int(f.length(fields, nil))
 			if n < 0 {
-				d.reset()
-				return value.Null, false, fmt.Errorf("%w: field %q computed negative length %d", ErrMalformed, f.Name, n)
+				return d.fail(fmt.Errorf("%w: field %q computed negative length %d", ErrMalformed, f.Name, n))
 			}
 			if n > f.maxLen || d.pos+n > d.c.maxMsg {
-				d.reset()
-				return value.Null, false, fmt.Errorf("%w: field %q length %d", ErrTooLarge, f.Name, n)
+				return d.fail(fmt.Errorf("%w: field %q length %d", ErrTooLarge, f.Name, n))
 			}
 			if q.Len() < d.pos+n {
-				return value.Null, false, nil
+				return value.Value{}, false, nil
 			}
 			d.spans[d.fi] = [2]int{d.pos, n}
 			d.pos += n
@@ -92,7 +97,7 @@ func (d *decoder) Decode(q *buffer.Queue) (value.Value, bool, error) {
 		case KindLiteral:
 			n := len(f.Lit)
 			if q.Len() < d.pos+n {
-				return value.Null, false, nil
+				return value.Value{}, false, nil
 			}
 			probe := scratch[:]
 			if n > len(probe) {
@@ -101,8 +106,7 @@ func (d *decoder) Decode(q *buffer.Queue) (value.Value, bool, error) {
 			q.PeekAt(probe[:n], d.pos)
 			for i := 0; i < n; i++ {
 				if probe[i] != f.Lit[i] {
-					d.reset()
-					return value.Null, false, fmt.Errorf("%w: field %q", ErrBadLiteral, f.Name)
+					return d.fail(fmt.Errorf("%w: field %q", ErrBadLiteral, f.Name))
 				}
 			}
 			d.pos += n
@@ -111,53 +115,46 @@ func (d *decoder) Decode(q *buffer.Queue) (value.Value, bool, error) {
 			pos, found := d.scanDelim(q, f.Delim)
 			if !found {
 				if q.Len()-d.pos > f.maxLen || q.Len() > d.c.maxMsg {
-					d.reset()
-					return value.Null, false, fmt.Errorf("%w: unterminated field %q", ErrTooLarge, f.Name)
+					return d.fail(fmt.Errorf("%w: unterminated field %q", ErrTooLarge, f.Name))
 				}
-				return value.Null, false, nil
+				return value.Value{}, false, nil
 			}
 			if pos-d.pos > f.maxLen {
-				d.reset()
-				return value.Null, false, fmt.Errorf("%w: field %q length %d", ErrTooLarge, f.Name, pos-d.pos)
+				return d.fail(fmt.Errorf("%w: field %q length %d", ErrTooLarge, f.Name, pos-d.pos))
 			}
 			d.spans[d.fi] = [2]int{d.pos, pos - d.pos}
 			d.pos = pos + len(f.Delim)
 			d.scanned = 0
 
 		case KindVar:
-			d.fields[d.fi] = value.Int(f.parse(d.fields, nil))
+			fields[d.fi].Kind, fields[d.fi].I = value.KindInt, f.parse(fields, nil)
 		}
 		d.fi++
 	}
 
-	// Message complete: consume it as one contiguous pooled view and build
-	// the record over it. Aliased fields sub-slice the view; the record owns
-	// the caller's reference to the region and releases it when the last
-	// task drops the message.
-	var (
-		view []byte
-		ref  *buffer.Ref
-	)
+	// Message complete: consume it as one contiguous pooled view, hand the
+	// region to the record and alias the byte fields into it. The record
+	// owns the caller's reference to the region and releases it when the
+	// last task drops the message.
+	rec := d.rec
+	var view []byte
 	if d.pos > 0 {
-		view, ref = q.TakeRef(d.pos)
+		var ref *buffer.Ref
+		if view, ref = q.TakeRef(d.pos); ref != nil {
+			rec.Adopt(ref)
+		}
 	}
-	var region value.Region
-	if ref != nil {
-		region = ref
-	}
-	rec := d.c.desc.NewOwned(region)
-	copy(rec.L[:len(d.fields)], d.fields)
 	for i := range d.c.fields {
 		f := &d.c.fields[i]
 		if !f.needed || f.Kind == KindUint || f.Kind == KindVar {
 			continue
 		}
 		if sp := d.spans[i]; sp[0] >= 0 {
-			rec.L[i] = value.Bytes(view[sp[0] : sp[0]+sp[1]])
+			fields[i].Kind, fields[i].B = value.KindBytes, view[sp[0]:sp[0]+sp[1]]
 		}
 	}
 	if d.c.rawSlot >= 0 {
-		rec.L[d.c.rawSlot] = value.Bytes(view)
+		fields[d.c.rawSlot].Kind, fields[d.c.rawSlot].B = value.KindBytes, view
 	}
 	d.reset()
 	return rec, true, nil

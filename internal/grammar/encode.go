@@ -43,7 +43,7 @@ func (s *encScratch) put() {
 // message's payload fields and the framing stays consistent. msg itself is
 // not modified.
 func (c *Codec) Encode(dst []byte, msg value.Value) ([]byte, error) {
-	if msg.Kind != value.KindRecord || msg.R != c.desc {
+	if msg.Desc() != c.desc {
 		return dst, fmt.Errorf("%w: encode of %v message with %q codec", ErrMalformed, msg.Kind, c.unit.Name)
 	}
 	// Raw fast path: a captured, unmodified wire image is copied verbatim
@@ -57,7 +57,7 @@ func (c *Codec) Encode(dst []byte, msg value.Value) ([]byte, error) {
 
 // rawView returns the captured wire image, or nil when absent/cleared.
 func (c *Codec) rawView(msg value.Value) []byte {
-	if c.rawSlot >= 0 && c.rawSlot < len(msg.L) && !msg.L[c.rawSlot].IsNull() {
+	if c.rawSlot >= 0 && c.rawSlot < len(msg.L) && msg.L[c.rawSlot].Kind != value.KindNull {
 		return msg.L[c.rawSlot].B
 	}
 	return nil
@@ -132,11 +132,11 @@ func (c *Codec) rebuild(dst []byte, msg value.Value) ([]byte, error) {
 // modified messages are rebuilt through scratch and copied into sc's pooled
 // tail. The possibly-grown scratch is returned for reuse.
 func (c *Codec) EncodeScatter(sc *buffer.Scatter, scratch []byte, msg value.Value) ([]byte, error) {
-	if msg.Kind != value.KindRecord || msg.R != c.desc {
+	if msg.Desc() != c.desc {
 		return scratch, fmt.Errorf("%w: encode of %v message with %q codec", ErrMalformed, msg.Kind, c.unit.Name)
 	}
 	if raw := c.rawView(msg); raw != nil {
-		sc.AppendRef(raw, msg.O)
+		sc.AppendRef(raw, msg.Region())
 		return scratch, nil
 	}
 	out, err := c.rebuild(scratch[:0], msg)

@@ -146,7 +146,7 @@ func (r refExpr) resolve(slotOf func(string) int) (compiledExpr, error) {
 	if i < 0 {
 		return nil, fmt.Errorf("%w: expression references unknown field %q", ErrBadUnit, string(r))
 	}
-	return func(fields []value.Value, _ []int) int64 { return fields[i].AsInt() }, nil
+	return func(fields []value.Value, _ []int) int64 { return fields[i].I }, nil
 }
 
 type lenExpr string

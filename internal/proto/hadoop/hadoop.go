@@ -22,19 +22,25 @@ var Codec = grammar.HadoopKVUnit().MustCompile(grammar.CaptureRaw())
 // Desc describes KV records (fields "key" and "value").
 var Desc = Codec.Desc()
 
+// Field slots of Desc, resolved once.
+var (
+	SlotKey   = Desc.FieldIndex("key")
+	SlotValue = Desc.FieldIndex("value")
+)
+
 // KV builds a key/value record.
 func KV(key, val []byte) value.Value {
 	rec := Desc.New()
-	rec.SetField("key", value.Bytes(key))
-	rec.SetField("value", value.Bytes(val))
+	rec.L[SlotKey] = value.Bytes(key)
+	rec.L[SlotValue] = value.Bytes(val)
 	return rec
 }
 
 // Key returns a record's key as a string.
-func Key(msg value.Value) string { return msg.Field("key").AsString() }
+func Key(msg value.Value) string { return msg.At(SlotKey).AsString() }
 
 // Value returns a record's value bytes.
-func Value(msg value.Value) []byte { return msg.Field("value").AsBytes() }
+func Value(msg value.Value) []byte { return msg.BytesAt(SlotValue) }
 
 // Writer streams KV pairs onto an io.Writer with internal batching.
 type Writer struct {

@@ -136,3 +136,13 @@ func BenchmarkWriterThroughput(b *testing.B) {
 	}
 	w.Flush()
 }
+
+// TestFieldSlotsMatchDesc pins every init-time slot to its field's index
+// in Desc, so a grammar edit cannot leave a stale slot behind.
+func TestFieldSlotsMatchDesc(t *testing.T) {
+	for name, slot := range map[string]int{"key": SlotKey, "value": SlotValue} {
+		if want := Desc.FieldIndex(name); slot != want || want < 0 {
+			t.Errorf("slot of %q = %d, Desc.FieldIndex = %d", name, slot, want)
+		}
+	}
+}

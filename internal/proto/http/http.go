@@ -36,6 +36,22 @@ var (
 		"version", "status", "reason", "headers", "body", "content_length", "keep_alive", "_raw")
 )
 
+// Field slots, resolved once so the codec and the cache adapter index
+// records instead of looking fields up by name. Requests and responses
+// share every slot from "headers" on.
+var (
+	SlotMethod      = RequestDesc.FieldIndex("method")
+	SlotURI         = RequestDesc.FieldIndex("uri")
+	slotReqVersion  = RequestDesc.FieldIndex("version")
+	slotRespVersion = ResponseDesc.FieldIndex("version")
+	SlotStatus      = ResponseDesc.FieldIndex("status")
+	slotReason      = ResponseDesc.FieldIndex("reason")
+	SlotHeaders     = RequestDesc.FieldIndex("headers")
+	SlotBody        = RequestDesc.FieldIndex("body")
+	SlotKeepAlive   = RequestDesc.FieldIndex("keep_alive")
+	SlotRaw         = RequestDesc.FieldIndex("_raw")
+)
+
 // Errors.
 var (
 	ErrMalformed = errors.New("http: malformed message")
@@ -462,11 +478,11 @@ func (ResponseFormat) EncodeScatter(sc *buffer.Scatter, scratch []byte, msg valu
 }
 
 func encodeScatter(sc *buffer.Scatter, scratch []byte, msg value.Value, desc *value.RecordDesc) ([]byte, error) {
-	if msg.Kind != value.KindRecord || msg.R != desc {
+	if msg.Desc() != desc {
 		return scratch, fmt.Errorf("%w: encode of %v with %s codec", ErrMalformed, msg.Kind, desc.Name)
 	}
-	if raw := msg.Field("_raw"); !raw.IsNull() {
-		sc.AppendRef(raw.B, msg.O)
+	if raw := &msg.L[SlotRaw]; raw.Kind != value.KindNull {
+		sc.AppendRef(raw.B, msg.Region())
 		return scratch, nil
 	}
 	out, err := encode(scratch[:0], msg, desc)
@@ -483,31 +499,27 @@ var (
 )
 
 func encode(dst []byte, msg value.Value, desc *value.RecordDesc) ([]byte, error) {
-	if msg.Kind != value.KindRecord || msg.R != desc {
+	if msg.Desc() != desc {
 		return dst, fmt.Errorf("%w: encode of %v with %s codec", ErrMalformed, msg.Kind, desc.Name)
 	}
-	if raw := msg.Field("_raw"); !raw.IsNull() {
+	if raw := &msg.L[SlotRaw]; raw.Kind != value.KindNull {
 		return append(dst, raw.B...), nil
 	}
-	body := msg.Field("body").AsBytes()
-	version := msg.Field("version").AsBytes()
-	if len(version) == 0 {
-		version = []byte("HTTP/1.1") // default for program-built messages
-	}
+	body := msg.BytesAt(SlotBody)
 	if desc == RequestDesc {
-		dst = append(dst, msg.Field("method").AsBytes()...)
+		dst = append(dst, msg.BytesAt(SlotMethod)...)
 		dst = append(dst, ' ')
-		dst = append(dst, msg.Field("uri").AsBytes()...)
+		dst = append(dst, msg.BytesAt(SlotURI)...)
 		dst = append(dst, ' ')
-		dst = append(dst, version...)
+		dst = appendVersion(dst, msg.BytesAt(slotReqVersion))
 	} else {
-		dst = append(dst, version...)
+		dst = appendVersion(dst, msg.BytesAt(slotRespVersion))
 		dst = append(dst, ' ')
-		dst = strconv.AppendInt(dst, msg.Field("status").AsInt(), 10)
+		dst = strconv.AppendInt(dst, msg.IntAt(SlotStatus), 10)
 		dst = append(dst, ' ')
-		reason := msg.Field("reason").AsBytes()
+		reason := msg.BytesAt(slotReason)
 		if len(reason) == 0 {
-			reason = statusReason(int(msg.Field("status").AsInt()))
+			reason = statusReason(int(msg.IntAt(SlotStatus)))
 		}
 		dst = append(dst, reason...)
 	}
@@ -517,7 +529,7 @@ func encode(dst []byte, msg value.Value, desc *value.RecordDesc) ([]byte, error)
 	// current body, so a stale Content-Length would duplicate and a stale
 	// "chunked" marker would contradict the emitted framing (the decoded
 	// body is already de-chunked).
-	if h := msg.Field("headers").AsBytes(); len(h) > 0 {
+	if h := msg.BytesAt(SlotHeaders); len(h) > 0 {
 		block := h
 		for len(block) > 0 {
 			var line []byte
@@ -536,6 +548,15 @@ func encode(dst []byte, msg value.Value, desc *value.RecordDesc) ([]byte, error)
 	dst = append(dst, '\r', '\n', '\r', '\n')
 	dst = append(dst, body...)
 	return dst, nil
+}
+
+// appendVersion appends a message's protocol version, defaulting to
+// HTTP/1.1 for program-built messages that set none.
+func appendVersion(dst, version []byte) []byte {
+	if len(version) == 0 {
+		return append(dst, "HTTP/1.1"...)
+	}
+	return append(dst, version...)
 }
 
 // statusReason supplies a default reason phrase.
@@ -569,7 +590,7 @@ func Header(msg value.Value, name string) string {
 // present — the allocation-free counterpart of Header for hot paths. The
 // view is valid only while the message is.
 func HeaderBytes(msg value.Value, name string) ([]byte, bool) {
-	block := msg.Field("headers").AsBytes()
+	block := msg.BytesAt(SlotHeaders)
 	for len(block) > 0 {
 		var line []byte
 		line, block = splitLine(block)

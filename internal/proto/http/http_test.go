@@ -374,16 +374,50 @@ func TestBuildRequestRoundTripProperty(t *testing.T) {
 	}
 }
 
+// BenchmarkDecodeRequest times the steady-state decode of one request
+// through a pooled queue, releasing each record as the input task does.
 func BenchmarkDecodeRequest(b *testing.B) {
 	wire := []byte("GET /index.html HTTP/1.1\r\nHost: example.com\r\nUser-Agent: ab\r\nAccept: */*\r\n\r\n")
-	q := buffer.NewQueue(nil)
+	q := buffer.NewQueue(buffer.NewPool(8))
 	dec := RequestFormat{}.NewDecoder()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q.Append(wire)
-		if _, ok, err := dec.Decode(q); !ok || err != nil {
+		msg, ok, err := dec.Decode(q)
+		if !ok || err != nil {
 			b.Fatal(ok, err)
+		}
+		msg.Release()
+	}
+}
+
+// TestFieldSlotsMatchDesc pins every init-time slot to its field's index
+// in the desc it indexes, so a desc edit cannot leave a stale slot behind.
+// The shared slots index both requests and responses, so both descs must
+// agree on them.
+func TestFieldSlotsMatchDesc(t *testing.T) {
+	cases := []struct {
+		descs []*value.RecordDesc
+		name  string
+		slot  int
+	}{
+		{[]*value.RecordDesc{RequestDesc}, "method", SlotMethod},
+		{[]*value.RecordDesc{RequestDesc}, "uri", SlotURI},
+		{[]*value.RecordDesc{RequestDesc}, "version", slotReqVersion},
+		{[]*value.RecordDesc{ResponseDesc}, "version", slotRespVersion},
+		{[]*value.RecordDesc{ResponseDesc}, "status", SlotStatus},
+		{[]*value.RecordDesc{ResponseDesc}, "reason", slotReason},
+		{[]*value.RecordDesc{RequestDesc, ResponseDesc}, "headers", SlotHeaders},
+		{[]*value.RecordDesc{RequestDesc, ResponseDesc}, "body", SlotBody},
+		{[]*value.RecordDesc{RequestDesc, ResponseDesc}, "keep_alive", SlotKeepAlive},
+		{[]*value.RecordDesc{RequestDesc, ResponseDesc}, "_raw", SlotRaw},
+	}
+	for _, c := range cases {
+		for _, d := range c.descs {
+			if want := d.FieldIndex(c.name); c.slot != want || want < 0 {
+				t.Errorf("slot of %s.%s = %d, FieldIndex = %d", d.Name, c.name, c.slot, want)
+			}
 		}
 	}
 }

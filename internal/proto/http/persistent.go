@@ -1,6 +1,7 @@
 package http
 
 import (
+	"fmt"
 	"strconv"
 
 	"flick/internal/buffer"
@@ -51,7 +52,7 @@ func (PersistentRequestFormat) EncodeScatter(sc *buffer.Scatter, scratch []byte,
 }
 
 func isPersistent(msg value.Value) bool {
-	return msg.Field("keep_alive").AsInt() == 1
+	return msg.IntAt(SlotKeepAlive) == 1
 }
 
 // encodeKeepAlive rebuilds a request with hop-by-hop Connection headers
@@ -59,18 +60,17 @@ func isPersistent(msg value.Value) bool {
 // already recomputes Content-Length), so decode→encode stays a fixed point
 // modulo the rewritten Connection header.
 func encodeKeepAlive(dst []byte, msg value.Value) ([]byte, error) {
-	body := msg.Field("body").AsBytes()
-	version := msg.Field("version").AsBytes()
-	if len(version) == 0 {
-		version = []byte("HTTP/1.1")
+	if msg.Desc() != RequestDesc {
+		return dst, fmt.Errorf("%w: encode of %v with %s codec", ErrMalformed, msg.Kind, RequestDesc.Name)
 	}
-	dst = append(dst, msg.Field("method").AsBytes()...)
+	body := msg.BytesAt(SlotBody)
+	dst = append(dst, msg.BytesAt(SlotMethod)...)
 	dst = append(dst, ' ')
-	dst = append(dst, msg.Field("uri").AsBytes()...)
+	dst = append(dst, msg.BytesAt(SlotURI)...)
 	dst = append(dst, ' ')
-	dst = append(dst, version...)
+	dst = appendVersion(dst, msg.BytesAt(slotReqVersion))
 	dst = append(dst, '\r', '\n')
-	if h := msg.Field("headers").AsBytes(); len(h) > 0 {
+	if h := msg.BytesAt(SlotHeaders); len(h) > 0 {
 		block := h
 		for len(block) > 0 {
 			var line []byte

@@ -110,36 +110,48 @@ var Codec = grammar.MemcachedUnit().MustCompile(grammar.CaptureRaw())
 // Desc describes Memcached command records.
 var Desc = Codec.Desc()
 
+// Field slots of Desc, resolved once so the helpers here and the cache
+// adapter index records instead of looking fields up by name.
+var (
+	SlotMagic  = Desc.FieldIndex("magic_code")
+	SlotOpcode = Desc.FieldIndex("opcode")
+	SlotStatus = Desc.FieldIndex("status_or_v_bucket")
+	SlotOpaque = Desc.FieldIndex("opaque")
+	SlotKey    = Desc.FieldIndex("key")
+	SlotValue  = Desc.FieldIndex("value")
+	SlotRaw    = Desc.FieldIndex("_raw")
+)
+
 // Request builds a request record.
 func Request(opcode byte, key, val []byte) value.Value {
 	rec := Desc.New()
-	rec.SetField("magic_code", value.Int(MagicRequest))
-	rec.SetField("opcode", value.Int(int64(opcode)))
-	rec.SetField("key", value.Bytes(key))
-	rec.SetField("value", value.Bytes(val))
+	rec.L[SlotMagic] = value.Int(MagicRequest)
+	rec.L[SlotOpcode] = value.Int(int64(opcode))
+	rec.L[SlotKey] = value.Bytes(key)
+	rec.L[SlotValue] = value.Bytes(val)
 	return rec
 }
 
 // Response builds a response record mirroring a request's opcode and opaque.
 func Response(req value.Value, status int, key, val []byte) value.Value {
 	rec := Desc.New()
-	rec.SetField("magic_code", value.Int(MagicResponse))
-	rec.SetField("opcode", req.Field("opcode"))
-	rec.SetField("opaque", req.Field("opaque"))
-	rec.SetField("status_or_v_bucket", value.Int(int64(status)))
-	rec.SetField("key", value.Bytes(key))
-	rec.SetField("value", value.Bytes(val))
+	rec.L[SlotMagic] = value.Int(MagicResponse)
+	rec.L[SlotOpcode] = req.At(SlotOpcode)
+	rec.L[SlotOpaque] = req.At(SlotOpaque)
+	rec.L[SlotStatus] = value.Int(int64(status))
+	rec.L[SlotKey] = value.Bytes(key)
+	rec.L[SlotValue] = value.Bytes(val)
 	return rec
 }
 
 // IsResponse reports whether msg carries the response magic.
 func IsResponse(msg value.Value) bool {
-	return msg.Field("magic_code").AsInt() == MagicResponse
+	return msg.IntAt(SlotMagic) == MagicResponse
 }
 
 // Status returns a response's status field.
 func Status(msg value.Value) int {
-	return int(msg.Field("status_or_v_bucket").AsInt())
+	return int(msg.IntAt(SlotStatus))
 }
 
 // Conn wraps a net.Conn with message framing in both directions.

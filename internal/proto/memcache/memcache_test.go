@@ -159,3 +159,16 @@ func TestResponseValueTypes(t *testing.T) {
 		t.Fatal("nil value should still be bytes kind")
 	}
 }
+
+// TestFieldSlotsMatchDesc pins every init-time slot to its field's index
+// in Desc, so a grammar edit cannot leave a stale slot behind.
+func TestFieldSlotsMatchDesc(t *testing.T) {
+	for name, slot := range map[string]int{
+		"magic_code": SlotMagic, "opcode": SlotOpcode, "status_or_v_bucket": SlotStatus,
+		"opaque": SlotOpaque, "key": SlotKey, "value": SlotValue, "_raw": SlotRaw,
+	} {
+		if want := Desc.FieldIndex(name); slot != want || want < 0 {
+			t.Errorf("slot of %q = %d, Desc.FieldIndex = %d", name, slot, want)
+		}
+	}
+}

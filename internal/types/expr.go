@@ -41,6 +41,7 @@ func (c *checker) checkExpr(e lang.Expr, sc *scope) (*Type, error) {
 		td := c.out.Types[xt.Name]
 		for _, f := range td.Fields {
 			if f.Name == x.Name {
+				c.out.FieldRecs[x] = xt.Name
 				return c.fieldType(f), nil
 			}
 		}

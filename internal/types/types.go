@@ -179,6 +179,10 @@ type Checked struct {
 	Procs map[string]*lang.ProcDecl
 	// GlobalTypes maps proc name → global name → type.
 	GlobalTypes map[string]map[string]*Type
+	// FieldRecs maps each field access whose base the checker typed as a
+	// record to that record's type name, so the compiler can resolve the
+	// field's slot once. Accesses on Any-typed bases are absent.
+	FieldRecs map[*lang.FieldExpr]string
 }
 
 // Check validates a parsed program.
@@ -190,6 +194,7 @@ func Check(prog *lang.Program) (*Checked, error) {
 			Funs:        map[string]*lang.FunDecl{},
 			Procs:       map[string]*lang.ProcDecl{},
 			GlobalTypes: map[string]map[string]*Type{},
+			FieldRecs:   map[*lang.FieldExpr]string{},
 		},
 	}
 	if err := c.collect(prog); err != nil {

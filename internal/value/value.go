@@ -6,8 +6,9 @@
 // Values use a flat tagged struct rather than interfaces so that integers,
 // booleans and byte-slice fields never box. Records hold their fields in a
 // slice indexed through a RecordDesc, which is how the language's static
-// typing pays off at runtime: field access is an array index, not a map
-// lookup.
+// typing pays off at runtime: field access is an array index (At, SetAt),
+// resolved to a slot once when the program or protocol adapter is built,
+// not a map lookup per message.
 package value
 
 import (
@@ -16,6 +17,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Kind enumerates runtime value kinds.
@@ -34,48 +36,33 @@ const (
 	KindOpaque
 )
 
+var kindNames = [...]string{"null", "bool", "int", "string", "bytes", "list", "dict", "record", "opaque"}
+
 // String returns the kind name.
 func (k Kind) String() string {
-	switch k {
-	case KindNull:
-		return "null"
-	case KindBool:
-		return "bool"
-	case KindInt:
-		return "int"
-	case KindString:
-		return "string"
-	case KindBytes:
-		return "bytes"
-	case KindList:
-		return "list"
-	case KindDict:
-		return "dict"
-	case KindRecord:
-		return "record"
-	case KindOpaque:
-		return "opaque"
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return "invalid"
 }
 
-// Value is a runtime value. The zero value is Null.
+// Value is a runtime value. The zero value is Null. Values are copied on
+// every channel hop, record field and expression, so the struct keeps one
+// slot per representation (80 bytes) and the kinds share them.
 type Value struct {
 	Kind Kind
-	I    int64       // bool (0/1) and int payload
-	S    string      // string payload
-	B    []byte      // bytes payload
-	L    []Value     // list elements or record fields
-	D    *Dict       // dict payload
-	R    *RecordDesc // record descriptor when Kind == KindRecord
-	X    any         // opaque payload (channel handles etc.)
-	O    Region      // backing region for byte views (nil: payloads owned)
+	I    int64   // bool (0/1) and int payload
+	B    []byte  // bytes payload; read-only string payload (KindString)
+	L    []Value // list elements or record fields
+	// P is the *Dict, the opaque payload, an owned record's *RecordDesc, or
+	// a pooled record's owner — on the record, and on byte or list views
+	// borrowed out of it (see Borrow). nil: a byte payload is owned.
+	P any
 }
 
-// Region is a refcounted backing store for zero-copy byte views. Values
-// whose byte payloads alias pooled memory carry the region that keeps the
-// memory alive; the last Release recycles it. buffer.Ref and the record
-// owner below implement it.
+// Region is a refcounted backing store for zero-copy byte views; the last
+// Release recycles it. buffer.Ref and the pooled record owner below
+// implement it, and values carry the owner (see Value.P).
 type Region interface {
 	// Retain adds one reference.
 	Retain()
@@ -86,65 +73,63 @@ type Region interface {
 // Retain adds a reference to the value's backing region. Owned values (no
 // region) are unaffected. Every task that stores a value beyond the current
 // call must Retain it; channels retain on push.
-func (v Value) Retain() {
-	if v.O != nil {
-		v.O.Retain()
+func (v *Value) Retain() {
+	if o, _ := v.P.(*owner); o != nil {
+		o.Retain()
 	}
 }
 
 // Release drops the caller's reference to the value's backing region. After
 // Release the value's byte views must not be read: the pooled memory behind
 // them may be recycled for a new message.
-func (v Value) Release() {
-	if v.O != nil {
-		v.O.Release()
+func (v *Value) Release() {
+	if o, _ := v.P.(*owner); o != nil {
+		o.Release()
 	}
 }
 
-// Detach returns a copy of v that owns all of its byte payloads: every
-// byte-view field is copied into fresh memory and the backing region
-// dropped (the caller's reference is NOT released). Use it before storing a
-// decoded message beyond the task that is currently processing it — e.g.
-// the global dictionary detaches on Set — so cached values survive buffer
-// recycling. Values without a region are assumed owned and returned as-is;
-// Field and the compiler's indexing paths attach the container's region to
-// extracted views (see Borrow), so views of pooled records are detected.
-// For a byte view carved out by hand (raw v.L[i] access, manual sub-slicing
-// of pooled bytes) that carries no region, use Owned.
+// Region returns the pooled record owner backing v, or nil when v owns its
+// payloads. It identifies a decoded message and keeps its bytes alive.
+func (v *Value) Region() Region {
+	if o, _ := v.P.(*owner); o != nil {
+		return o
+	}
+	return nil
+}
+
+// Detach returns Owned(v) when v carries a pooled region, else v itself
+// (the caller's reference is NOT released). Use it before storing a decoded
+// message beyond the task processing it — the global dictionary detaches on
+// Set. Field, At and the compiler's indexing attach the container's region
+// to extracted views (see Borrow), so views of pooled records are detected;
+// a view carved out by hand (raw v.L[i] access) carries none: use Owned.
 func Detach(v Value) Value {
-	if v.O == nil {
+	if v.Region() == nil {
 		return v
 	}
-	v.O = nil
-	return deepCopyBytes(v)
+	return Owned(v)
 }
 
 // Owned returns a copy of v that owns every byte payload it carries,
-// copying unconditionally. A byte view carved from pooled memory without a
-// region pointer (raw v.L[i] access, nested list elements) aliases memory
-// Detach cannot tell from owned, so Owned is the safe choice when a value
-// of unknown provenance must outlive the message it may have come from —
-// e.g. record constructors storing argument values into a new record that
-// is emitted downstream, or field assignments that move a view from one
-// message into another.
+// copying unconditionally: the safe choice when a value of unknown
+// provenance must outlive the message it may have come from — record
+// constructors storing arguments into a new record, or field assignments
+// that move a view from one message into another.
 func Owned(v Value) Value {
-	v.O = nil
-	return deepCopyBytes(v)
-}
-
-// deepCopyBytes copies every byte payload reachable from v into owned
-// memory. Record field slices are copied too (pooled records recycle the
-// slice on release).
-func deepCopyBytes(v Value) Value {
+	if o, ok := v.P.(*owner); ok {
+		v.P = nil
+		if v.Kind == KindRecord {
+			v.P = o.desc
+		}
+	}
 	switch v.Kind {
 	case KindBytes:
 		v.B = append([]byte(nil), v.B...)
 	case KindList, KindRecord:
+		// Record field slices are copied too: pooled records recycle them.
 		l := make([]Value, len(v.L))
 		for i := range v.L {
-			f := v.L[i]
-			f.O = nil
-			l[i] = deepCopyBytes(f)
+			l[i] = Owned(v.L[i])
 		}
 		v.L = l
 	}
@@ -166,8 +151,11 @@ func Bool(b bool) Value {
 	return Value{Kind: KindBool, I: i}
 }
 
-// Str makes a string value.
-func Str(s string) Value { return Value{Kind: KindString, S: s} }
+// Str makes a string value. B aliases the string's memory read-only:
+// nothing writes through it, and AsBytes returns a copy.
+func Str(s string) Value {
+	return Value{Kind: KindString, B: unsafe.Slice(unsafe.StringData(s), len(s))}
+}
 
 // Bytes makes a bytes value (no copy).
 func Bytes(b []byte) Value { return Value{Kind: KindBytes, B: b} }
@@ -176,7 +164,7 @@ func Bytes(b []byte) Value { return Value{Kind: KindBytes, B: b} }
 func List(elems ...Value) Value { return Value{Kind: KindList, L: elems} }
 
 // Opaque wraps an arbitrary payload (used for channel references).
-func Opaque(x any) Value { return Value{Kind: KindOpaque, X: x} }
+func Opaque(x any) Value { return Value{Kind: KindOpaque, P: x} }
 
 // IsNull reports whether v is the null value.
 func (v Value) IsNull() bool { return v.Kind == KindNull }
@@ -191,7 +179,7 @@ func (v Value) AsInt() int64 { return v.I }
 func (v Value) AsString() string {
 	switch v.Kind {
 	case KindString:
-		return v.S
+		return unsafe.String(unsafe.SliceData(v.B), len(v.B))
 	case KindBytes:
 		return string(v.B)
 	default:
@@ -199,14 +187,14 @@ func (v Value) AsString() string {
 	}
 }
 
-// AsBytes returns the byte payload of string/bytes values without copying
-// strings when possible.
+// AsBytes returns the byte payload of bytes values, and a copy of string
+// payloads (string memory is read-only).
 func (v Value) AsBytes() []byte {
 	switch v.Kind {
 	case KindBytes:
 		return v.B
 	case KindString:
-		return []byte(v.S)
+		return []byte(v.AsString())
 	default:
 		return nil
 	}
@@ -215,10 +203,8 @@ func (v Value) AsBytes() []byte {
 // ByteLen returns the wire length of string/bytes payloads.
 func (v Value) ByteLen() int {
 	switch v.Kind {
-	case KindBytes:
+	case KindBytes, KindString:
 		return len(v.B)
-	case KindString:
-		return len(v.S)
 	case KindList:
 		return len(v.L)
 	default:
@@ -231,23 +217,18 @@ func (v Value) ByteLen() int {
 func Equal(a, b Value) bool {
 	if a.Kind != b.Kind {
 		// Allow string/bytes cross-comparison: they are the same wire data.
-		if (a.Kind == KindString && b.Kind == KindBytes) ||
-			(a.Kind == KindBytes && b.Kind == KindString) {
-			return a.AsString() == b.AsString()
-		}
-		return false
+		return (a.Kind == KindString || a.Kind == KindBytes) &&
+			(b.Kind == KindString || b.Kind == KindBytes) && string(a.B) == string(b.B)
 	}
 	switch a.Kind {
 	case KindNull:
 		return true
 	case KindBool, KindInt:
 		return a.I == b.I
-	case KindString:
-		return a.S == b.S
-	case KindBytes:
+	case KindString, KindBytes:
 		return string(a.B) == string(b.B)
 	case KindList, KindRecord:
-		if a.Kind == KindRecord && a.R != b.R {
+		if a.Kind == KindRecord && a.Desc() != b.Desc() {
 			return false
 		}
 		if len(a.L) != len(b.L) {
@@ -259,10 +240,8 @@ func Equal(a, b Value) bool {
 			}
 		}
 		return true
-	case KindDict:
-		return a.D == b.D
-	case KindOpaque:
-		return a.X == b.X
+	case KindDict, KindOpaque:
+		return a.P == b.P
 	}
 	return false
 }
@@ -273,50 +252,40 @@ func (v Value) String() string {
 	case KindNull:
 		return "null"
 	case KindBool:
-		if v.I != 0 {
-			return "true"
-		}
-		return "false"
+		return strconv.FormatBool(v.I != 0)
 	case KindInt:
 		return strconv.FormatInt(v.I, 10)
 	case KindString:
-		return strconv.Quote(v.S)
+		return strconv.Quote(v.AsString())
 	case KindBytes:
 		if len(v.B) > 32 {
 			return fmt.Sprintf("bytes[%d]", len(v.B))
 		}
 		return strconv.Quote(string(v.B))
-	case KindList:
+	case KindDict:
+		return fmt.Sprintf("dict(%d)", v.P.(*Dict).Len())
+	case KindList, KindRecord:
 		var sb strings.Builder
-		sb.WriteByte('[')
+		d, end := v.Desc(), "]"
+		if d != nil {
+			sb.WriteString(d.Name + "{")
+			end = "}"
+		} else {
+			sb.WriteByte('[')
+		}
 		for i, e := range v.L {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
+			if d != nil && i < len(d.Fields) {
+				sb.WriteString(d.Fields[i] + "=")
+			}
 			sb.WriteString(e.String())
 		}
-		sb.WriteByte(']')
-		return sb.String()
-	case KindDict:
-		return fmt.Sprintf("dict(%d)", v.D.Len())
-	case KindRecord:
-		var sb strings.Builder
-		sb.WriteString(v.R.Name)
-		sb.WriteByte('{')
-		for i, f := range v.R.Fields {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(f)
-			sb.WriteByte('=')
-			if i < len(v.L) {
-				sb.WriteString(v.L[i].String())
-			}
-		}
-		sb.WriteByte('}')
+		sb.WriteString(end)
 		return sb.String()
 	case KindOpaque:
-		return fmt.Sprintf("opaque(%T)", v.X)
+		return fmt.Sprintf("opaque(%T)", v.P)
 	}
 	return "invalid"
 }
@@ -328,39 +297,47 @@ type RecordDesc struct {
 	Name   string
 	Fields []string
 	index  map[string]int
-	once   sync.Once
+	raw    int       // slot of the "_raw" wire image, or -1
 	owners sync.Pool // recycled *owner headers (NewOwned)
 }
 
 // NewRecordDesc builds a descriptor for the named record type.
 func NewRecordDesc(name string, fields ...string) *RecordDesc {
-	return &RecordDesc{Name: name, Fields: fields}
+	d := &RecordDesc{Name: name, Fields: fields, index: make(map[string]int, len(fields))}
+	for i, f := range fields {
+		d.index[f] = i
+	}
+	d.raw = d.FieldIndex("_raw")
+	return d
 }
 
-// FieldIndex returns the slot of the named field, or -1.
+// FieldIndex returns the slot of the named field, or -1. Hot paths call it
+// once, when they are built, and then use At and SetAt.
 func (d *RecordDesc) FieldIndex(name string) int {
-	d.once.Do(func() {
-		d.index = make(map[string]int, len(d.Fields))
-		for i, f := range d.Fields {
-			d.index[f] = i
-		}
-	})
-	i, ok := d.index[name]
-	if !ok {
-		return -1
+	if i, ok := d.index[name]; ok {
+		return i
 	}
-	return i
+	return -1
+}
+
+// Desc returns the descriptor of a record value (nil for other kinds). A
+// pooled record reaches it through its owner.
+func (v *Value) Desc() *RecordDesc {
+	if o, ok := v.P.(*owner); ok && v.Kind == KindRecord {
+		return o.desc
+	}
+	d, _ := v.P.(*RecordDesc)
+	return d
 }
 
 // New creates a record instance with null fields.
 func (d *RecordDesc) New() Value {
-	return Value{Kind: KindRecord, R: d, L: make([]Value, len(d.Fields))}
+	return Value{Kind: KindRecord, P: d, L: make([]Value, len(d.Fields))}
 }
 
 // owner is the per-message lifecycle of a pooled record: it refcounts the
-// record, recycles the field slice into the desc's freelist on the last
-// Release, and releases the backing byte region with it. A record and the
-// wire bytes its views alias therefore live and die together.
+// record and, on the last Release, recycles the field slice into the desc's
+// freelist and releases the wire bytes its views alias.
 type owner struct {
 	refs   atomic.Int32
 	region Region
@@ -371,9 +348,8 @@ type owner struct {
 // Retain implements Region.
 func (o *owner) Retain() { o.refs.Add(1) }
 
-// Release implements Region. Releasing past zero panics: it means two tasks
-// both believed they held the last reference (a double free that would
-// recycle live memory).
+// Release implements Region. Releasing past zero panics: a double free
+// that would recycle live memory.
 func (o *owner) Release() {
 	n := o.refs.Add(-1)
 	if n > 0 {
@@ -384,21 +360,17 @@ func (o *owner) Release() {
 	}
 	region := o.region
 	o.region = nil
-	for i := range o.fields {
-		o.fields[i] = Value{}
-	}
+	clear(o.fields)
 	o.desc.owners.Put(o)
 	if region != nil {
 		region.Release()
 	}
 }
 
-// NewOwned creates a pooled record instance with one reference held by the
-// caller. The field slice is drawn from a per-desc freelist and returns to
-// it when the last reference is released; region (which may be nil) is
-// released at the same moment. This is the allocation-free decode path:
-// decoders wrap the message's pooled wire chunk and hand ownership
-// downstream with the record.
+// NewOwned creates a pooled record with one reference held by the caller:
+// the allocation-free decode path. The field slice comes from a per-desc
+// freelist and returns to it on the last Release, which also releases
+// region (may be nil) — the message's pooled wire bytes.
 func (d *RecordDesc) NewOwned(region Region) Value {
 	o, _ := d.owners.Get().(*owner)
 	if o == nil {
@@ -406,71 +378,98 @@ func (d *RecordDesc) NewOwned(region Region) Value {
 	}
 	o.refs.Store(1)
 	o.region = region
-	return Value{Kind: KindRecord, R: d, L: o.fields, O: o}
+	return Value{Kind: KindRecord, L: o.fields, P: o}
 }
+
+// Adopt hands region to the pooled record v (from NewOwned(nil)), for
+// decoders that fill a record before they take the message's bytes.
+func (v *Value) Adopt(region Region) { v.P.(*owner).region = region }
 
 // Record builds a record instance from field values in declaration order.
 func (d *RecordDesc) Record(fields ...Value) Value {
 	l := make([]Value, len(d.Fields))
 	copy(l, fields)
-	return Value{Kind: KindRecord, R: d, L: l}
+	return Value{Kind: KindRecord, P: d, L: l}
 }
 
-// Field returns the named field of a record value (Null when absent).
-//
-// A byte-carrying field of a pooled record is a view into the record's
-// backing region, so the returned value carries that region as a borrowed
-// reference (no Retain): every escape mechanism — Chan.Push retaining on
-// enqueue, Dict.Set detaching on store, Detach copying before caching —
-// then sees the provenance and keeps the bytes alive or copies them.
-// Callers using the field within the record's lifetime pay nothing.
+// Field returns the named field of a record value (Null when absent). A
+// byte-carrying field of a pooled record carries the record's region as a
+// borrowed reference (no Retain), so every escape mechanism — Chan.Push
+// retaining, Dict.Set and Detach copying — sees its provenance.
 func (v Value) Field(name string) Value {
-	if v.Kind != KindRecord || v.R == nil {
-		return Null
+	if d := v.Desc(); d != nil {
+		return v.At(d.FieldIndex(name))
 	}
-	i := v.R.FieldIndex(name)
-	if i < 0 || i >= len(v.L) {
-		return Null
-	}
-	return Borrow(v.L[i], v.O)
+	return Null
 }
 
-// Borrow attaches region to a byte-carrying element extracted from a
-// container backed by it, unless the element already tracks its own region.
-// Scalar kinds never alias pooled memory and pass through untouched. The
-// attachment is a borrowed reference: no Retain happens, the element is
-// simply no longer mistakable for owned memory.
-func Borrow(f Value, region Region) Value {
-	if f.O == nil && region != nil {
-		switch f.Kind {
-		case KindBytes, KindList, KindRecord:
-			f.O = region
+// At returns slot i of a record value (Null when v is no record or i is out
+// of range), borrowing the record's region exactly as Field does.
+func (v *Value) At(i int) Value {
+	if v.Kind != KindRecord || uint(i) >= uint(len(v.L)) {
+		return Value{}
+	}
+	return Borrow(v.L[i], v)
+}
+
+// IntAt is At(i).AsInt() without copying a Value: the integer payload of
+// slot i of a record, 0 when v is no record or i is out of range.
+func (v *Value) IntAt(i int) int64 {
+	if v.Kind != KindRecord || uint(i) >= uint(len(v.L)) {
+		return 0
+	}
+	return v.L[i].I
+}
+
+// BytesAt is At(i).AsBytes() without copying a Value. A byte view comes
+// back without the record's region: it is valid only while v is.
+func (v *Value) BytesAt(i int) []byte {
+	if v.Kind != KindRecord || uint(i) >= uint(len(v.L)) {
+		return nil
+	}
+	switch f := &v.L[i]; f.Kind {
+	case KindBytes:
+		return f.B
+	case KindString:
+		return append([]byte{}, f.B...)
+	}
+	return nil
+}
+
+// Borrow attaches the pooled owner of container c to a byte or list element
+// extracted from it, unless the element tracks its own: a borrowed
+// reference (no Retain) that makes it unmistakable for owned memory.
+// Scalars and records (always Owned copies inside pooled containers, with
+// their desc in P) pass through untouched.
+func Borrow(f Value, c *Value) Value {
+	if f.P == nil && (f.Kind == KindBytes || f.Kind == KindList) {
+		if o, ok := c.P.(*owner); ok {
+			f.P = o
 		}
 	}
 	return f
 }
 
-// SetField assigns the named field of a record value in place.
-//
-// Mutating any field other than "_raw" also invalidates the record's
-// captured wire image (the hidden "_raw" slot kept by CaptureRaw codecs):
-// the image caches the serialisation of the other fields, and encoders
-// prefer replaying it verbatim — stale, it would silently drop the
-// mutation from the wire. Decoders populating a fresh record write slots
-// directly (v.L[i]) and are unaffected.
+// SetField assigns the named field of a record value in place. Mutating any
+// field other than "_raw" also nulls the captured wire image (the hidden
+// "_raw" slot of CaptureRaw codecs), which encoders replay verbatim: stale,
+// it would drop the mutation from the wire. Decoders filling a fresh record
+// write slots directly (v.L[i]).
 func (v Value) SetField(name string, x Value) bool {
-	if v.Kind != KindRecord || v.R == nil {
-		return false
-	}
-	i := v.R.FieldIndex(name)
-	if i < 0 || i >= len(v.L) {
+	d := v.Desc()
+	return d != nil && v.SetAt(d.FieldIndex(name), x)
+}
+
+// SetAt assigns slot i of a record value in place and invalidates the
+// "_raw" image unless i is that slot, exactly as SetField does.
+func (v *Value) SetAt(i int, x Value) bool {
+	d := v.Desc()
+	if d == nil || uint(i) >= uint(len(v.L)) {
 		return false
 	}
 	v.L[i] = x
-	if name != "_raw" {
-		if ri := v.R.FieldIndex("_raw"); ri >= 0 && ri < len(v.L) {
-			v.L[ri] = Null
-		}
+	if i != d.raw && uint(d.raw) < uint(len(v.L)) {
+		v.L[d.raw] = Null
 	}
 	return true
 }
@@ -486,7 +485,7 @@ type Dict struct {
 
 // NewDict creates an empty dictionary value.
 func NewDict() Value {
-	return Value{Kind: KindDict, D: &Dict{m: make(map[string]Value)}}
+	return Value{Kind: KindDict, P: &Dict{m: make(map[string]Value)}}
 }
 
 // Get returns the value stored under key and whether it was present.

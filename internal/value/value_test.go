@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestConstructorsAndAccessors(t *testing.T) {
@@ -26,7 +27,7 @@ func TestConstructorsAndAccessors(t *testing.T) {
 	if l.Kind != KindList || len(l.L) != 2 {
 		t.Fatal("list")
 	}
-	if Opaque(42).X != 42 {
+	if Opaque(42).P != 42 {
 		t.Fatal("opaque")
 	}
 }
@@ -143,7 +144,7 @@ func TestFieldOnNonRecord(t *testing.T) {
 
 func TestDict(t *testing.T) {
 	dv := NewDict()
-	d := dv.D
+	d := dv.P.(*Dict)
 	if _, ok := d.Get("a"); ok {
 		t.Fatal("empty dict has a")
 	}
@@ -164,10 +165,10 @@ func TestDict(t *testing.T) {
 func TestDictRange(t *testing.T) {
 	dv := NewDict()
 	for _, k := range []string{"a", "b", "c"} {
-		dv.D.Set(k, Str(k))
+		dv.P.(*Dict).Set(k, Str(k))
 	}
 	seen := 0
-	dv.D.Range(func(k string, v Value) bool {
+	dv.P.(*Dict).Range(func(k string, v Value) bool {
 		seen++
 		return true
 	})
@@ -175,7 +176,7 @@ func TestDictRange(t *testing.T) {
 		t.Fatalf("range saw %d", seen)
 	}
 	seen = 0
-	dv.D.Range(func(k string, v Value) bool {
+	dv.P.(*Dict).Range(func(k string, v Value) bool {
 		seen++
 		return false
 	})
@@ -193,14 +194,14 @@ func TestDictConcurrent(t *testing.T) {
 			defer wg.Done()
 			key := string(rune('a' + g))
 			for i := 0; i < 1000; i++ {
-				dv.D.Set(key, Int(int64(i)))
-				dv.D.Get(key)
+				dv.P.(*Dict).Set(key, Int(int64(i)))
+				dv.P.(*Dict).Get(key)
 			}
 		}(g)
 	}
 	wg.Wait()
-	if dv.D.Len() != 8 {
-		t.Fatalf("len = %d", dv.D.Len())
+	if dv.P.(*Dict).Len() != 8 {
+		t.Fatalf("len = %d", dv.P.(*Dict).Len())
 	}
 }
 
@@ -241,5 +242,47 @@ func TestStrBytesEqualProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestValueSize pins the Value layout: values are copied by value through
+// every channel hop, record field and expression, so the struct keeps one
+// slot per representation.
+func TestValueSize(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n > 80 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want <= 80", n)
+	}
+}
+
+// TestPooledRecordSlots checks slot access on a pooled record: At borrows
+// the record's owner onto byte views (not onto scalars), SetAt nulls the
+// "_raw" image except when it writes that slot, Desc reaches the desc
+// through the owner, and Owned hands back a desc-backed copy.
+func TestPooledRecordSlots(t *testing.T) {
+	d := NewRecordDesc("m", "n", "b", "_raw")
+	r := d.NewOwned(nil)
+	defer r.Release()
+	if b := Bytes(nil); r.Desc() != d || b.Desc() != nil {
+		t.Fatal("Desc")
+	}
+	r.L[0], r.L[1], r.L[2] = Int(7), Bytes([]byte("view")), Bytes([]byte("raw"))
+	if v := r.At(1); v.Region() == nil || v.AsString() != "view" {
+		t.Fatalf("At(1) = %v (region %v), want a borrowed view", v, v.Region())
+	}
+	if n := r.At(0); n.Region() != nil || !r.At(3).IsNull() || !r.At(-1).IsNull() {
+		t.Fatal("At: scalar borrowed a region, or out-of-range slot not null")
+	}
+	if !r.SetAt(2, Bytes([]byte("raw2"))) || r.At(2).AsString() != "raw2" {
+		t.Fatal("SetAt(_raw) must keep the image it writes")
+	}
+	if !r.SetAt(0, Int(8)) || !r.L[2].IsNull() {
+		t.Fatal("SetAt on a field must null the _raw image")
+	}
+	o := Owned(r)
+	if o.Region() != nil || o.Desc() != d || &o.L[0] == &r.L[0] {
+		t.Fatal("Owned must copy into a desc-backed record")
+	}
+	if Str("abc").AsBytes()[0] = 'x'; Str("abc").AsString() != "abc" {
+		t.Fatal("AsBytes on a string must copy")
 	}
 }
