@@ -11,6 +11,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags memprofile ./cmd/flickrun
 
 fmt:
 	gofmt -w .
@@ -30,7 +31,7 @@ test:
 # The layout pins ride along: value.Value's size and the protocol codecs'
 # init-time field slots.
 alloc-gate:
-	$(GO) test -count=1 -run 'ZeroAlloc|Allocs|TestValueSize|TestFieldSlotsMatchDesc' ./...
+	$(GO) test -count=1 -run 'ZeroAlloc|Allocs|TestValueSize|TestFieldSlotsMatchDesc|TestEntryHeaderSize|TestCacheHeapPerEntry' ./...
 
 # Race matrix: the packages whose tests share state across goroutines —
 # scheduler, refcounted buffers, codecs, client fleets, upstream pools,

@@ -11,19 +11,28 @@
 // through the service's Protocol adapter and either serves a retained
 // response view (hit), joins the key's in-flight fill (coalesced miss), or
 // forwards upstream and captures the response on its way back (leading
-// miss). One entry holds one admitted response's rendered wire image in a
-// pooled buffer.Ref region, alongside the serving-time structures its
-// protocol pre-rendered: a fixed-width Age patch zone, a synthesized
-// validator-hit response (HTTP 304) and an upstream refresh request.
+// miss). One entry holds one admitted response's rendered wire image in
+// one exact-size allocation the garbage collector owns, followed by the
+// serving-time structures its protocol pre-rendered — a synthesized
+// validator-hit response (HTTP 304) and an upstream refresh request — and
+// located by offsets: a fixed-width Age patch zone and the validators.
+// Nothing counts references to an image: a served view, a re-headered
+// entry or a delivery loop that still points into it keeps it alive, and
+// eviction, invalidation and re-header only drop the entry. An image costs
+// its own size class plus a 160-byte entry header (TestCacheHeapPerEntry
+// pins the total per entry).
 //
 // Sharding mirrors the PR-5 upstream layer: one shard per scheduler
-// worker, each holding a full replica of the key index (entries are
-// shared; maps are per shard), so a hit takes only the executing worker's
-// shard lock — uncontended against every other worker — and reads
-// immutable data: an entry never changes once published, it is only ever
-// replaced. Structural changes (fill, revalidate, invalidate, evict,
-// clear) are serialised by one structure lock and sweep all shards; they
-// are miss-path events and orders of magnitude rarer than hits.
+// worker, each holding a full replica of the key map (entries are shared;
+// maps are per shard), so a hit takes only the executing worker's shard
+// lock — uncontended against every other worker — and reads immutable
+// data: an entry never changes once published, it is only ever replaced.
+// Structural changes (fill, revalidate, invalidate, evict, clear) are
+// serialised by one structure lock and sweep all shards; they are
+// miss-path events and orders of magnitude rarer than hits. The shard
+// maps are also the only key index: they are written only under the
+// structure lock plus their own, so a holder of the structure lock reads
+// any of them without taking its shard lock.
 //
 // The hit path performs zero heap allocations: the key lookup (including
 // the Vary secondary-key fold) runs against a per-shard scratch buffer,
@@ -49,7 +58,7 @@
 // origin outage degrades to bounded staleness instead of a miss storm.
 // Past the hard deadline (or immediately at expiry for entries without a
 // refresh request) expiry is structural, exactly as before: the lookup
-// misses and the entry is removed so idle keys don't pin pooled bytes.
+// misses and the entry is removed so idle keys don't pin their bytes.
 //
 // Responses carrying Vary are admitted under a learned per-key vary rule:
 // the response's named request headers are folded into a secondary key
@@ -58,6 +67,10 @@
 // fold allocation-free.
 //
 // # Eviction
+//
+// The byte budget charges each entry the length of its image; eviction
+// drops the entry from the index and the segment lists and leaves the
+// bytes to the collector once no served view points into them.
 //
 // Capacity eviction is segmented LRU: new entries enter a probation
 // segment; an entry hit at least once after install earns promotion to a
@@ -74,9 +87,9 @@
 //
 // Write-through invalidation (memcached SET/DELETE, HTTP non-GET) removes
 // the key's entries in every variant — including every Vary variant, via
-// a per-base entry list — drops the learned vary rule, and kills the
-// key's in-flight fills: their followers re-dispatch upstream instead of
-// receiving the pre-write value. Invalidation fires when the write
+// a per-base list kept only for those — drops the learned vary rule, and
+// kills the key's in-flight fills: their followers re-dispatch upstream
+// instead of receiving the pre-write value. Invalidation fires when the write
 // request is decoded — before the write reaches the backend — so a fill
 // that *begins* after the invalidation can still race the write, capture
 // the pre-write value, and serve it until its deadline: staleness past a
@@ -88,7 +101,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"flick/internal/buffer"
 	"flick/internal/metrics"
 	"flick/internal/value"
 )
@@ -140,23 +152,46 @@ type Config struct {
 	NegativeTTL time.Duration
 }
 
-// image is the retained bytes of one admitted response and the views a
-// protocol pre-rendered into them. Entry headers share it by value: every
-// header holds its own reference to region.
-type image struct {
-	raw     []byte // served response image (view into region)
-	notmod  []byte // pre-rendered validator-hit response (nil: none)
-	reval   []byte // pre-rendered upstream refresh request (nil: no SWR)
-	etag    []byte // stored validators (views into region)
-	lastMod []byte
-	region  value.Region
-	size    int64 // total pooled image bytes (raw + notmod + reval)
+// span locates one pre-rendered view inside an image's buf (n == 0:
+// absent). Offsets instead of slices keep the entry header inside Go's
+// 160-byte size class (TestEntryHeaderSize).
+type span struct{ off, n uint32 }
 
-	tag      uint64 // correlation tag of the stored image (memcached opaque)
-	hasTag   bool
-	ageOff   int // Age digit zone offset inside raw (-1: none)
+func spanAt(off, n int) span {
+	if n <= 0 {
+		return span{}
+	}
+	return span{uint32(off), uint32(n)}
+}
+
+// in returns the span's bytes inside buf (nil when absent).
+func (s span) in(buf []byte) []byte {
+	if s.n == 0 {
+		return nil
+	}
+	return buf[s.off : s.off+s.n]
+}
+
+// image is the retained bytes of one admitted response and where the views
+// a protocol pre-rendered sit in them. buf is one exact-size allocation the
+// collector owns; entry headers share it by value.
+type image struct {
+	buf     []byte // served image, then the pre-rendered 304 and refresh request
+	rawLen  uint32 // served response image: buf[:rawLen]
+	ageOff  int32  // Age digit zone offset inside the served image (-1: none)
+	notmod  span   // pre-rendered validator-hit response
+	reval   span   // pre-rendered upstream refresh request (absent: no SWR)
+	etag    span   // stored validators (inside the served image)
+	lastMod span
+
 	negative bool
 }
+
+// raw returns the served response image.
+func (im *image) raw() []byte { return im.buf[:im.rawLen] }
+
+// size is what the byte budget charges for the image.
+func (im *image) size() int64 { return int64(len(im.buf)) }
 
 // entry is one servable header over an image, shared by every shard's map
 // and immutable once published: a refill or an upstream 304 installs a new
@@ -209,7 +244,7 @@ func (l *elist) unlink(e *entry) {
 	e.prev, e.next = nil, nil
 }
 
-// shard is one worker's replica of the key index and the vary-rule table.
+// shard is one worker's replica of the key map and the vary-rule table.
 // The hit path takes only its home shard's lock; kbuf is the lock-guarded
 // scratch the prefixed lookup key is assembled in (no allocation: map
 // lookups through a []byte→string conversion in index position don't
@@ -230,13 +265,14 @@ type Cache struct {
 	maxBytes int64
 	shards   []shard
 
-	// fmu serialises structural state: the entry index, per-base lists,
-	// segment lists, vary rules, the in-flight fill table and the closed
-	// flag. Writers take fmu, then each shard lock in turn; readers take
-	// their shard lock and read immutable data.
+	// fmu serialises structural state: the shard maps' contents, per-base
+	// lists, segment lists, vary rules, the in-flight fill table and the
+	// closed flag. Writers take fmu, then each shard lock in turn; readers
+	// take their shard lock and read immutable data. Since every map write
+	// holds fmu, an fmu holder reads any shard map without its lock
+	// (lookupLocked).
 	fmu     sync.Mutex
-	index   map[string]*entry
-	byBase  map[string][]*entry // variants sharing a base key
+	byBase  map[string][]*entry // Vary variants (skey != base) of a base key
 	varies  map[string]string   // canonical vary rules (shards replicate)
 	flights map[string]*Flight
 	prob    elist // probation segment (new entries)
@@ -310,7 +346,6 @@ func New(cfg Config) *Cache {
 		negTTL:   negTTL,
 		maxBytes: maxBytes,
 		shards:   make([]shard, workers),
-		index:    map[string]*entry{},
 		byBase:   map[string][]*entry{},
 		varies:   map[string]string{},
 		flights:  map[string]*Flight{},
@@ -361,22 +396,21 @@ func (c *Cache) Get(worker int, info ReqInfo) (value.Value, bool, *Reval) {
 		}
 	}
 	e := sh.m[string(sh.kbuf)]
+	sh.mu.Unlock()
 	if e == nil {
-		sh.mu.Unlock()
 		c.misses.Inc()
 		return value.Null, false, nil
 	}
 	now := start // one clock read serves freshness and the hit latency
 	stale := now > e.expires
-	if stale && (now > e.stale || len(e.reval) == 0) {
+	if stale && (now > e.stale || e.reval.n == 0) {
 		// Hard expiry: remove the entry structurally so an idle key
-		// doesn't pin its pooled bytes (and the resident gauge) until a
-		// refill or capacity eviction. Lock order is fmu → shard.mu, so
-		// drop the shard lock first and re-check identity under fmu — a
-		// racing removal or refill leaves e unindexed.
-		sh.mu.Unlock()
+		// doesn't pin its bytes (and the resident gauge) until a refill or
+		// capacity eviction. Lock order is fmu → shard.mu, so the identity
+		// is re-checked under fmu — a racing removal or refill leaves e
+		// unindexed.
 		c.fmu.Lock()
-		if c.index[e.skey] == e {
+		if c.lookupLocked(e.skey) == e {
 			c.removeLocked(e)
 		}
 		c.fmu.Unlock()
@@ -385,22 +419,19 @@ func (c *Cache) Get(worker int, info ReqInfo) (value.Value, bool, *Reval) {
 		return value.Null, false, nil
 	}
 	e.hits.Add(1)
-	// Build the view under the shard lock: a concurrent eviction releases
-	// the entry's region only after sweeping every shard, so holding this
-	// shard's lock keeps the entry's bytes alive for the duration.
+	// The view is built outside the shard lock: a published entry never
+	// changes, and its bytes live as long as anything points into them.
 	h := Hit{Tag: info.Tag, HasTag: info.HasTag, AgeOff: -1}
 	if (len(info.IfNoneMatch) > 0 || len(info.IfModifiedSince) > 0) &&
-		len(e.notmod) > 0 && validatorHit(e, info) {
-		h.Raw, h.Region = e.notmod, e.region
+		e.notmod.n > 0 && validatorHit(e, info) {
+		h.Raw = e.notmod.in(e.buf)
 	} else {
-		h.Raw, h.Region, h.AgeOff = e.raw, e.region, e.ageOff
+		h.Raw, h.AgeOff = e.raw(), int(e.ageOff)
 		h.AgeSecs = (now - e.born) / int64(time.Second)
 	}
 	view := c.proto.MakeHit(h)
-	negative := e.negative
-	sh.mu.Unlock()
 	c.hits.Inc()
-	if negative {
+	if e.negative {
 		c.negHits.Inc()
 	}
 	var rv *Reval
@@ -420,9 +451,9 @@ func (c *Cache) Get(worker int, info ReqInfo) (value.Value, bool, *Reval) {
 // serves a wrong 304.
 func validatorHit(e *entry, info ReqInfo) bool {
 	if len(info.IfNoneMatch) > 0 {
-		return len(e.etag) > 0 && etagMatch(info.IfNoneMatch, e.etag)
+		return e.etag.n > 0 && etagMatch(info.IfNoneMatch, e.etag.in(e.buf))
 	}
-	return len(e.lastMod) > 0 && bytesEqualTrim(info.IfModifiedSince, e.lastMod)
+	return e.lastMod.n > 0 && bytesEqualTrim(info.IfModifiedSince, e.lastMod.in(e.buf))
 }
 
 // HitLatency returns the in-cache serve-time histogram of the hit path
@@ -454,8 +485,7 @@ func (c *Cache) Invalidate(scope, key []byte) {
 	touched := false
 	for _, v := range c.proto.Variants() {
 		base := string(appendSKey(nil, v, scope, key))
-		for len(c.byBase[base]) > 0 {
-			c.removeLocked(c.byBase[base][0])
+		if c.removeBaseLocked(base) {
 			touched = true
 		}
 		c.setVaryRuleLocked(base, "")
@@ -497,8 +527,9 @@ func (c *Cache) Clear() {
 
 // Close clears the cache and stops admitting: subsequent Begin calls
 // return no flight (callers forward upstream untracked) and fills are
-// dropped. Close releases every retained region and request, restoring
-// pool ref-balance (refgets == refputs) for teardown assertions.
+// dropped. Close drops every entry and releases every retained request,
+// restoring pool ref-balance (refgets == refputs) for teardown assertions:
+// entries hold no pooled references of their own.
 func (c *Cache) Close() {
 	c.fmu.Lock()
 	c.closed = true
@@ -531,16 +562,21 @@ func (c *Cache) setVaryRuleLocked(base, rule string) {
 	}
 }
 
+// lookupLocked returns the entry published under skey (fmu held): every
+// shard map holds the same entries, so the first one answers.
+func (c *Cache) lookupLocked(skey string) *entry { return c.shards[0].m[skey] }
+
 // install publishes an entry (fmu held) — the one way anything becomes
-// servable: it replaces the key's previous entry (releasing that header's
-// image reference), replicates into every shard map, enters probation and
-// runs the eviction scan past the byte budget.
+// servable: it replaces the key's previous entry, replicates into every
+// shard map, enters probation and runs the eviction scan past the byte
+// budget.
 func (c *Cache) install(e *entry) {
-	if old := c.index[e.skey]; old != nil {
+	if old := c.lookupLocked(e.skey); old != nil {
 		c.removeLocked(old)
 	}
-	c.index[e.skey] = e
-	c.byBase[e.base] = append(c.byBase[e.base], e)
+	if e.skey != e.base {
+		c.byBase[e.base] = append(c.byBase[e.base], e)
+	}
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
@@ -549,7 +585,7 @@ func (c *Cache) install(e *entry) {
 	}
 	e.seg = segProbation
 	c.prob.pushTail(e)
-	c.resident += e.size
+	c.resident += e.size()
 	c.evictLocked(e)
 }
 
@@ -578,7 +614,7 @@ func (c *Cache) evictLocked(keep *entry) {
 			c.prob.unlink(v)
 			v.seg = segProtected
 			c.prot.pushTail(v)
-			c.protBytes += v.size
+			c.protBytes += v.size()
 			for c.protBytes > protCap {
 				d := c.prot.head
 				if d == nil || d == keep {
@@ -587,7 +623,7 @@ func (c *Cache) evictLocked(keep *entry) {
 				d.hits.Store(0)
 				c.prot.unlink(d)
 				d.seg = segProbation
-				c.protBytes -= d.size
+				c.protBytes -= d.size()
 				c.prob.pushTail(d)
 			}
 			continue
@@ -597,24 +633,41 @@ func (c *Cache) evictLocked(keep *entry) {
 	}
 }
 
-// removeLocked unlinks an entry from the index, the per-base list, every
-// shard and its segment list, then releases its region (fmu held). The
-// release happens only after sweeping all shard locks, so a hit holding
-// its shard's lock can never observe recycled bytes.
-func (c *Cache) removeLocked(e *entry) {
-	delete(c.index, e.skey)
-	bb := c.byBase[e.base]
-	for i, x := range bb {
-		if x == e {
-			bb[i] = bb[len(bb)-1]
-			bb = bb[:len(bb)-1]
-			break
-		}
+// removeBaseLocked removes a base key's unvaried entry and every Vary
+// variant of it (fmu held), reporting whether there was any.
+func (c *Cache) removeBaseLocked(base string) bool {
+	found := false
+	if e := c.lookupLocked(base); e != nil {
+		c.removeLocked(e)
+		found = true
 	}
-	if len(bb) == 0 {
-		delete(c.byBase, e.base)
-	} else {
-		c.byBase[e.base] = bb
+	for vs := c.byBase[base]; len(vs) > 0; vs = c.byBase[base] {
+		c.removeLocked(vs[0])
+		found = true
+	}
+	return found
+}
+
+// removeLocked unlinks an entry from every shard map, its variant list and
+// its segment list, and uncharges its bytes (fmu held). That is all: the
+// image belongs to the collector, so a hit that read the entry before the
+// sweep keeps serving intact bytes for as long as its view lives.
+func (c *Cache) removeLocked(e *entry) {
+	if e.skey != e.base {
+		bb := c.byBase[e.base]
+		for i, x := range bb {
+			if x == e {
+				bb[i] = bb[len(bb)-1]
+				bb[len(bb)-1] = nil
+				bb = bb[:len(bb)-1]
+				break
+			}
+		}
+		if len(bb) == 0 {
+			delete(c.byBase, e.base)
+		} else {
+			c.byBase[e.base] = bb
+		}
 	}
 	for i := range c.shards {
 		sh := &c.shards[i]
@@ -626,12 +679,11 @@ func (c *Cache) removeLocked(e *entry) {
 	}
 	if e.seg == segProtected {
 		c.prot.unlink(e)
-		c.protBytes -= e.size
+		c.protBytes -= e.size()
 	} else {
 		c.prob.unlink(e)
 	}
-	c.resident -= e.size
-	e.region.Release()
+	c.resident -= e.size()
 }
 
 // deadlines derives a new header's three stamps from one admission (or
@@ -650,30 +702,23 @@ func (c *Cache) deadlines(img *image, ri RespInfo) (born, expires, stale int64) 
 	born = c.now()
 	expires = born + int64(ttl)
 	stale = expires
-	if len(img.reval) > 0 && !img.negative {
+	if img.reval.n > 0 && !img.negative {
 		stale += int64(c.staleTTL)
 	}
 	return
 }
 
-// newEntry copies a rendered store image into a pooled region and wires
-// the entry's serving-time views from the StoreInfo offsets (fmu held by
-// the caller; the copy itself is lock-free).
+// newEntry copies a rendered store image into one exact-size allocation
+// and locates the entry's serving-time views by the StoreInfo offsets.
 func (c *Cache) newEntry(skey, base string, buf []byte, si StoreInfo, ri RespInfo) *entry {
-	ref := buffer.Global.GetRef(len(buf))
-	b := ref.Bytes()[:len(buf)]
-	copy(b, buf)
 	img := image{
-		raw:      b[:si.ImageLen],
-		notmod:   sliceAt(b, si.NotModOff, si.NotModLen),
-		reval:    sliceAt(b, si.RevalOff, si.RevalLen),
-		etag:     sliceAt(b, si.ETagOff, si.ETagLen),
-		lastMod:  sliceAt(b, si.LastModOff, si.LastModLen),
-		region:   ref,
-		size:     int64(len(buf)),
-		tag:      ri.Tag,
-		hasTag:   ri.HasTag,
-		ageOff:   si.AgeOff,
+		buf:      append([]byte(nil), buf...),
+		rawLen:   uint32(si.ImageLen),
+		ageOff:   int32(si.AgeOff),
+		notmod:   spanAt(si.NotModOff, si.NotModLen),
+		reval:    spanAt(si.RevalOff, si.RevalLen),
+		etag:     spanAt(si.ETagOff, si.ETagLen),
+		lastMod:  spanAt(si.LastModOff, si.LastModLen),
 		negative: ri.Negative,
 	}
 	born, expires, stale := c.deadlines(&img, ri)
@@ -681,10 +726,9 @@ func (c *Cache) newEntry(skey, base string, buf []byte, si StoreInfo, ri RespInf
 }
 
 // reheader builds the entry an upstream 304 installs in old's place: fresh
-// deadlines over the same image, holding its own region reference (install
-// drops old's). Like any new entry it starts unhit, in probation.
+// deadlines over the same image. Like any new entry it starts unhit, in
+// probation.
 func (c *Cache) reheader(old *entry, ri RespInfo) *entry {
-	old.region.Retain()
 	born, expires, stale := c.deadlines(&old.image, ri)
 	return &entry{skey: old.skey, base: old.base, image: old.image, born: born, expires: expires, stale: stale}
 }
@@ -706,6 +750,7 @@ func (c *Cache) Counters() metrics.CounterSet {
 		"variants", c.variants.Value(),
 		"neg_hits", c.negHits.Value(),
 		"bytes", uint64(c.BytesResident()),
+		"entries", uint64(c.Len()),
 	)
 }
 
@@ -730,7 +775,7 @@ func (c *Cache) HitRatio() float64 {
 // Len returns the number of live entries (tests and diagnostics).
 func (c *Cache) Len() int {
 	c.fmu.Lock()
-	n := len(c.index)
+	n := len(c.shards[0].m)
 	c.fmu.Unlock()
 	return n
 }

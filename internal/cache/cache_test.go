@@ -3,10 +3,12 @@ package cache
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"flick/internal/buffer"
 	"flick/internal/metrics"
@@ -50,6 +52,27 @@ func fill(t *testing.T, c *Cache, opcode byte, key string, opaque uint32, val st
 	}
 	f.Fill(respRaw(t, opcode, opaque, key, val),
 		RespInfo{Match: true, Admit: true, Variant: opcode, Tag: uint64(opaque), HasTag: true})
+}
+
+// funcSink resolves waiters through callbacks: a nil deliver releases the
+// view, a nil abort ignores the abort.
+type funcSink struct {
+	deliver func(view value.Value)
+	abort   func()
+}
+
+func (s funcSink) Deliver(_ *Waiter, view value.Value) {
+	if s.deliver == nil {
+		view.Release()
+		return
+	}
+	s.deliver(view)
+}
+
+func (s funcSink) Abort(*Waiter) {
+	if s.abort != nil {
+		s.abort()
+	}
 }
 
 func newTestCache(t *testing.T, cfg Config) *Cache {
@@ -98,6 +121,46 @@ func TestCacheHitZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestEntryHeaderSize pins the entry header inside Go's 160-byte size
+// class: the secondary views are offsets into the image, not slices.
+func TestEntryHeaderSize(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n > 160 {
+		t.Fatalf("entry header is %d bytes, want <= 160", n)
+	}
+}
+
+// TestCacheHeapPerEntry pins what one resident entry costs the heap. It
+// admits 4 096 memcached GET images of 540 bytes (512-byte values, the
+// mc-rw-cached shape) into a two-worker cache with room for all of them
+// and measures the live heap after a collection: at most 1 000 bytes per
+// entry — the image's own size class, the entry header, the key string
+// and its slots in the shard maps.
+func TestCacheHeapPerEntry(t *testing.T) {
+	const n = 4096
+	c := newTestCache(t, Config{Workers: 2, MaxBytes: n << 10})
+	// A plain GET answer echoes no key: 24-byte header plus 516 bytes of
+	// body (4 bytes of flags and a 512-byte value).
+	raw := respRaw(t, memcache.OpGet, 0, "", string(make([]byte, 516)))
+	ri := RespInfo{Match: true, Admit: true, Variant: memcache.OpGet, HasTag: true}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		f, _ := c.Begin(lookupInfo(memcache.OpGet, fmt.Sprintf("key-%06d", i), 0), Waiter{})
+		f.Fill(raw, ri)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if got := c.BytesResident(); got != n*540 || c.Len() != n {
+		t.Fatalf("resident %d bytes in %d entries, want %d in %d", got, c.Len(), n*540, n)
+	}
+	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
+	t.Logf("%d heap bytes per 540-byte entry", per)
+	if per > 1000 {
+		t.Fatalf("%d heap bytes per 540-byte entry, want <= 1000", per)
+	}
+}
+
 // TestHitPatchesOpaque checks a served view carries the requester's
 // opaque, not the stored image's, and replays the stored bytes otherwise.
 func TestHitPatchesOpaque(t *testing.T) {
@@ -140,8 +203,10 @@ func TestHitPatchesOpaque(t *testing.T) {
 
 // TestSingleFlightStress races N goroutines missing one key: exactly one
 // leads (one upstream round trip), the rest coalesce and receive views
-// with their own opaque. Run under -race; the teardown ref-balance check
-// pins refgets == refputs.
+// with their own opaque. The leader fills only once all N-1 have parked:
+// a goroutine that missed before the fill but reached Begin after it would
+// rightly lead a second round trip. Run under -race; the teardown
+// ref-balance check pins refgets == refputs.
 func TestSingleFlightStress(t *testing.T) {
 	before := buffer.Global.Counters()
 	c := New(Config{Proto: Memcached{}, Workers: 4})
@@ -151,7 +216,7 @@ func TestSingleFlightStress(t *testing.T) {
 	var delivered atomic.Int32
 	var wg sync.WaitGroup
 	start := make(chan struct{})
-	errs := make(chan string, N)
+	errs := make(chan string, 4*N)
 
 	for i := 0; i < N; i++ {
 		i := i
@@ -162,22 +227,26 @@ func TestSingleFlightStress(t *testing.T) {
 			opaque := uint32(1000 + i)
 			info := lookupInfo(memcache.OpGetK, "hotkey", opaque)
 			if v, ok, _ := c.Get(i%4, info); ok {
-				// Raced in after the fill: still a correct view.
-				checkServed(errs, v, opaque)
-				delivered.Add(1)
+				v.Release()
+				errs <- "hit before the fill"
 				return
 			}
 			got := make(chan value.Value, 1)
 			w := Waiter{
-				Tag:     uint64(opaque),
-				HasTag:  true,
-				Deliver: func(view value.Value) { got <- view },
-				Abort:   func() { errs <- "unexpected abort" },
+				Tag:    uint64(opaque),
+				HasTag: true,
+				Sink: funcSink{
+					deliver: func(view value.Value) { got <- view },
+					abort:   func() { errs <- "unexpected abort" },
+				},
 			}
 			f, leader := c.Begin(info, w)
 			if leader {
 				upstream.Add(1)
-				time.Sleep(2 * time.Millisecond) // let followers pile on
+				deadline := time.Now().Add(5 * time.Second)
+				for cval(c.Counters(), "coalesced") < N-1 && time.Now().Before(deadline) {
+					time.Sleep(100 * time.Microsecond)
+				}
 				f.Fill(respRaw(t, memcache.OpGetK, opaque, "hotkey", "hotvalue"),
 					RespInfo{Match: true, Admit: true, Variant: memcache.OpGetK,
 						Tag: uint64(opaque), HasTag: true})
@@ -192,6 +261,32 @@ func TestSingleFlightStress(t *testing.T) {
 			}
 		}()
 	}
+	// Readers that only Get race the fill: they spin on misses until the
+	// image is installed, so -race sees hit views built while Fill installs,
+	// then check a few hits' bytes.
+	const readers = 4
+	for r := 0; r < readers; r++ {
+		r := r
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			opaque := uint32(5000 + r)
+			info := lookupInfo(memcache.OpGetK, "hotkey", opaque)
+			deadline := time.Now().Add(5 * time.Second)
+			for hits := 0; hits < 8; {
+				if v, ok, _ := c.Get(r%4, info); ok {
+					checkServed(errs, v, opaque)
+					hits++
+				} else if time.Now().After(deadline) {
+					errs <- "reader never saw the fill"
+					return
+				} else {
+					runtime.Gosched()
+				}
+			}
+		}()
+	}
 	close(start)
 	wg.Wait()
 	close(errs)
@@ -202,7 +297,7 @@ func TestSingleFlightStress(t *testing.T) {
 		t.Fatalf("%d upstream round trips, want exactly 1", n)
 	}
 	if got := delivered.Load(); got != N-1 {
-		t.Fatalf("%d views delivered (coalesced + post-fill hits), want %d", got, N-1)
+		t.Fatalf("%d coalesced views delivered, want %d", got, N-1)
 	}
 	if cval(c.Counters(), "fills") != 1 {
 		t.Fatalf("fills = %d, want 1", cval(c.Counters(), "fills"))
@@ -298,8 +393,10 @@ func TestInvalidate(t *testing.T) {
 		t.Fatal("expected to lead")
 	}
 	_, leader = c.Begin(lookupInfo(memcache.OpGetK, "pending", 5),
-		Waiter{Deliver: func(v value.Value) { v.Release(); t.Error("delivered past invalidation") },
-			Abort: func() { aborted++ }})
+		Waiter{Sink: funcSink{
+			deliver: func(v value.Value) { v.Release(); t.Error("delivered past invalidation") },
+			abort:   func() { aborted++ },
+		}})
 	if leader {
 		t.Fatal("expected to coalesce")
 	}
@@ -385,7 +482,7 @@ func TestNonAdmissibleFillAborts(t *testing.T) {
 	}
 	aborted := 0
 	c.Begin(lookupInfo(memcache.OpGetK, "missing", 2),
-		Waiter{Abort: func() { aborted++ }})
+		Waiter{Sink: funcSink{abort: func() { aborted++ }}})
 	f.Fill([]byte("irrelevant"), RespInfo{Match: true, Admit: false})
 	if aborted != 1 {
 		t.Fatalf("aborted = %d, want 1", aborted)

@@ -8,26 +8,59 @@ import (
 )
 
 // A Waiter is a coalesced miss parked on another request's in-flight fill.
-// Exactly one of its callbacks fires, asynchronously, from whichever
-// goroutine resolves the flight — callbacks must not block and must
-// tolerate firing after their instance recycled (the core gates them on a
-// binding generation).
+// It is plain data — the requester's tag, its binding generation, its
+// retained request and the sink that resolves it — so a leading miss,
+// whose waiter Begin ignores, builds nothing on the heap: only a
+// follower's append to its flight allocates. The zero Waiter is valid: a
+// view delivered to it is released and an abort is only counted.
 type Waiter struct {
 	// Tag/HasTag is the waiter's own correlation tag (memcached opaque):
 	// the delivered view carries it, not the leader's.
 	Tag    uint64
 	HasTag bool
-	// Deliver receives a self-contained response view built from the
-	// filled entry; ownership of one reference transfers to the callback.
-	Deliver func(view value.Value)
-	// Abort fires when the flight dies without a usable fill (invalidated,
-	// non-cacheable response, instance reset): the waiter re-dispatches
-	// its own upstream request.
-	Abort func()
+	// Gen is the sink's binding generation when the waiter parked: a sink
+	// whose binding moved on since drops the outcome.
+	Gen uint64
+	// Msg is the waiter's retained request (value.Null: none). Ownership
+	// passes to Sink with whichever call resolves the waiter.
+	Msg value.Value
+	// Sink resolves the waiter (nil: release and drop).
+	Sink WaiterSink
 
 	// start is the coalesced-wait stamp, set by Begin when the waiter
 	// parks; the delivery loop records Begin→Deliver into coalLat.
 	start int64
+}
+
+// A WaiterSink resolves parked waiters. Exactly one of its methods fires
+// per waiter, asynchronously, from whichever goroutine resolves the
+// flight: it must not block and must tolerate firing after the waiter's
+// binding recycled (see Waiter.Gen).
+type WaiterSink interface {
+	// Deliver receives a self-contained response view built from the
+	// filled entry; ownership of one reference transfers to the sink.
+	Deliver(w *Waiter, view value.Value)
+	// Abort fires when the flight dies without a usable fill (invalidated,
+	// non-cacheable response, instance reset): the waiter re-dispatches
+	// its own upstream request.
+	Abort(w *Waiter)
+}
+
+func (w *Waiter) deliver(view value.Value) {
+	if w.Sink != nil {
+		w.Sink.Deliver(w, view)
+		return
+	}
+	view.Release()
+	w.Msg.Release()
+}
+
+func (w *Waiter) abort() {
+	if w.Sink != nil {
+		w.Sink.Abort(w)
+		return
+	}
+	w.Msg.Release()
 }
 
 // Flight is one in-flight fill: the first miss for a key leads it (owns
@@ -74,14 +107,13 @@ func (c *Cache) Begin(info ReqInfo, w Waiter) (*Flight, bool) {
 		c.fmu.Unlock()
 		return nil, true
 	}
-	kb := appendSKey(nil, info.Variant, info.Scope, info.Key)
-	base := string(kb)
+	var kbuf [64]byte // the composite key, on the stack when it fits
+	base := string(appendSKey(kbuf[:0], info.Variant, info.Scope, info.Key))
 	skey := base
 	rule := c.varies[base]
 	if rule != "" && !info.Msg.IsNull() {
-		kb = append(kb, varySep)
-		kb = c.proto.SecondaryKey(kb, info.Msg, rule)
-		skey = string(kb)
+		kb := append([]byte(base), varySep)
+		skey = string(c.proto.SecondaryKey(kb, info.Msg, rule))
 	}
 	if f := c.flights[skey]; f != nil {
 		w.start = now
@@ -125,11 +157,10 @@ type Reval struct {
 func (c *Cache) claimReval(e *entry) *Reval {
 	c.fmu.Lock()
 	defer c.fmu.Unlock()
-	if c.closed || c.index[e.skey] != e || c.flights[e.skey] != nil {
+	if c.closed || c.lookupLocked(e.skey) != e || c.flights[e.skey] != nil {
 		return nil
 	}
-	e.region.Retain() // consumed by MakeReval
-	req := c.proto.MakeReval(e.reval, e.region)
+	req := c.proto.MakeReval(e.reval.in(e.buf))
 	if req.IsNull() {
 		return nil
 	}
@@ -166,7 +197,7 @@ func (c *Cache) claimReval(e *entry) *Reval {
 //
 // A flight already killed by invalidation (or a closed cache) stores
 // nothing — its waiters were aborted at kill time. raw need only stay
-// valid for the duration of the call; the entry owns a pooled copy.
+// valid for the duration of the call; the entry owns a copy.
 func (f *Flight) Fill(raw []byte, ri RespInfo) {
 	c := f.c
 	// Take the retained request under fmu first: a concurrent kill path
@@ -232,7 +263,7 @@ func (f *Flight) Fill(raw []byte, ri RespInfo) {
 	switch {
 	case c.closed:
 	case f.reval && ri.NotModified:
-		if cur := c.index[f.skey]; cur != nil {
+		if cur := c.lookupLocked(f.skey); cur != nil {
 			e = c.reheader(cur, ri)
 			c.install(e)
 			c.revalidated.Inc()
@@ -243,9 +274,7 @@ func (f *Flight) Fill(raw []byte, ri RespInfo) {
 			// Existing entries under the base were keyed by the old rule;
 			// purge them so new-rule lookups can't serve a mismatched
 			// variant.
-			for len(c.byBase[f.base]) > 0 {
-				c.removeLocked(c.byBase[f.base][0])
-			}
+			c.removeBaseLocked(f.base)
 		}
 		e = c.newEntry(skey, f.base, img, si, ri)
 		c.install(e)
@@ -256,11 +285,6 @@ func (f *Flight) Fill(raw []byte, ri RespInfo) {
 	}
 	// Waiters joined under the flight's rule: a changed rule aborts them.
 	deliver := e != nil && rule == f.vrule && len(dead.waiters) > 0
-	if deliver {
-		// Guard reference: keeps the entry's bytes valid across the
-		// delivery loop even if a concurrent fill evicts it.
-		e.region.Retain()
-	}
 	c.fmu.Unlock()
 	now := metrics.Now()
 	c.missLat.Record(time.Duration(now - f.start))
@@ -268,15 +292,15 @@ func (f *Flight) Fill(raw []byte, ri RespInfo) {
 		c.settle(dead)
 		return
 	}
-	for _, w := range dead.waiters {
+	// e is immutable and its bytes outlive any concurrent eviction for as
+	// long as the loop (and the views it builds) points into them.
+	for i := range dead.waiters {
+		w := &dead.waiters[i]
 		c.coalLat.Record(time.Duration(now - w.start))
-		w.Deliver(c.proto.MakeHit(Hit{
-			Raw: e.raw, Region: e.region,
-			Tag: w.Tag, HasTag: w.HasTag,
-			AgeOff: e.ageOff, AgeSecs: 0,
+		w.deliver(c.proto.MakeHit(Hit{
+			Raw: e.raw(), Tag: w.Tag, HasTag: w.HasTag, AgeOff: int(e.ageOff),
 		}))
 	}
-	e.region.Release()
 }
 
 // Abort resolves the flight without a fill: every parked waiter
@@ -317,16 +341,14 @@ func (c *Cache) killLocked(f *Flight, dead *casualties) {
 	}
 }
 
-// settle releases the requests and fires the Abort callbacks of killed
-// flights, outside every cache lock.
+// settle releases the requests and aborts the waiters of killed flights,
+// outside every cache lock.
 func (c *Cache) settle(dead casualties) {
 	for _, r := range dead.reqs {
 		r.Release()
 	}
-	for _, w := range dead.waiters {
+	for i := range dead.waiters {
 		c.aborts.Inc()
-		if w.Abort != nil {
-			w.Abort()
-		}
+		dead.waiters[i].abort()
 	}
 }

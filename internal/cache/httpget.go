@@ -291,8 +291,7 @@ func (HTTPGet) SecondaryKey(dst []byte, req value.Value, rule string) []byte {
 // MakeHit implements Protocol: an image with an Age zone is copied into a
 // fresh pooled region and the zone patched with the entry's residency —
 // the memcached opaque-patch technique, zero heap allocations — while a
-// zoneless image (the synthesized 304) replays verbatim under a region
-// retain.
+// zoneless image (the synthesized 304) replays verbatim.
 func (HTTPGet) MakeHit(h Hit) value.Value {
 	if h.AgeOff >= 0 {
 		ref := buffer.Global.GetRef(len(h.Raw))
@@ -303,22 +302,19 @@ func (HTTPGet) MakeHit(h Hit) value.Value {
 		rec.L[phttp.SlotRaw] = value.Bytes(b)
 		return rec
 	}
-	h.Region.Retain()
-	rec := phttp.ResponseDesc.NewOwned(h.Region)
+	rec := phttp.ResponseDesc.NewOwned(nil)
 	rec.L[phttp.SlotRaw] = value.Bytes(h.Raw)
 	return rec
 }
 
 // MakeReval implements Protocol: a request record over the entry's
 // pre-rendered conditional GET (the shape Store composed:
-// "GET <uri> HTTP/1.1\r\n<headers>\r\n\r\n", bodiless). Ownership of the
-// caller's retained region reference transfers to the record; on a
-// malformed image the reference is released and Null returned.
-func (HTTPGet) MakeReval(raw []byte, region value.Region) value.Value {
+// "GET <uri> HTTP/1.1\r\n<headers>\r\n\r\n", bodiless); Null on a
+// malformed image.
+func (HTTPGet) MakeReval(raw []byte) value.Value {
 	eol := bytes.Index(raw, crlf)
 	hdrEnd := bytes.Index(raw, crlf2)
 	if eol < 0 || hdrEnd < 0 {
-		region.Release()
 		return value.Null
 	}
 	line := raw[:eol]
@@ -330,10 +326,9 @@ func (HTTPGet) MakeReval(raw []byte, region value.Region) value.Value {
 		}
 	}
 	if sp2 < 0 {
-		region.Release()
 		return value.Null
 	}
-	rec := phttp.RequestDesc.NewOwned(region)
+	rec := phttp.RequestDesc.NewOwned(nil)
 	rec.L[0] = value.Bytes(line[:sp1])        // method
 	rec.L[1] = value.Bytes(line[sp1+1 : sp2]) // uri
 	rec.L[2] = value.Bytes(line[sp2+1:])      // version

@@ -128,9 +128,9 @@ func (Memcached) SecondaryKey(dst []byte, _ value.Value, _ string) []byte { retu
 
 // MakeHit implements Protocol. When the requester's opaque matches the
 // stored image's, the view replays the image verbatim (zero-copy,
-// zero-alloc: one region retain plus a pooled record). Otherwise the image
-// is copied into a fresh pooled region with the opaque patched — still
-// heap-allocation-free once pools are warm.
+// zero-alloc: a pooled record pointing into the image). Otherwise the
+// image is copied into a fresh pooled region with the opaque patched —
+// still heap-allocation-free once pools are warm.
 func (Memcached) MakeHit(h Hit) value.Value {
 	if h.HasTag && len(h.Raw) >= 24 &&
 		binary.BigEndian.Uint32(h.Raw[memcachedOpaqueOff:]) != uint32(h.Tag) {
@@ -142,15 +142,11 @@ func (Memcached) MakeHit(h Hit) value.Value {
 		rec.L[memcache.SlotRaw] = value.Bytes(b)
 		return rec
 	}
-	h.Region.Retain()
-	rec := memcache.Desc.NewOwned(h.Region)
+	rec := memcache.Desc.NewOwned(nil)
 	rec.L[memcache.SlotRaw] = value.Bytes(h.Raw)
 	return rec
 }
 
 // MakeReval implements Protocol: memcached entries carry no validators and
 // never revalidate — they expire and refill.
-func (Memcached) MakeReval(_ []byte, region value.Region) value.Value {
-	region.Release()
-	return value.Null
-}
+func (Memcached) MakeReval([]byte) value.Value { return value.Null }

@@ -129,11 +129,9 @@ type StoreInfo struct {
 // requester's correlation tag, and the residency patch zone.
 type Hit struct {
 	// Raw is the image to replay (the entry's response image, or its
-	// pre-rendered 304 on a validator hit); Region is the pooled region
-	// both live in. Valid only for the duration of the call — MakeHit
-	// retains what the view needs.
-	Raw    []byte
-	Region value.Region
+	// pre-rendered 304 on a validator hit). It lives in memory the
+	// collector owns and never changes, so a view may point into it.
+	Raw []byte
 	// Tag/HasTag is the requester's correlation tag (memcached opaque).
 	Tag    uint64
 	HasTag bool
@@ -165,8 +163,8 @@ type Protocol interface {
 	// protocols may inject serving-time patch zones (HTTP Age), a
 	// pre-rendered validator-hit response, and an upstream refresh
 	// request (built from req, the leading request; may be Null). The
-	// returned buffer need only stay valid until the cache copies it into
-	// a pooled region. raw-passthrough adapters return (raw, zero-ish).
+	// returned buffer need only stay valid until the cache copies it.
+	// raw-passthrough adapters return (raw, zero-ish).
 	Store(raw []byte, ri RespInfo, req value.Value) ([]byte, StoreInfo)
 	// SecondaryKey appends the request's values of the vary rule's named
 	// fields to dst (HTTP: the Vary header fold); protocols without
@@ -177,8 +175,8 @@ type Protocol interface {
 	// The returned view carries one reference owned by the caller.
 	MakeHit(h Hit) value.Value
 	// MakeReval builds the fabricated upstream refresh request record
-	// over a stored revalidation image (raw, living in region — ownership
-	// of one retained region reference transfers to the record). Null
-	// when the protocol doesn't revalidate.
-	MakeReval(raw []byte, region value.Region) value.Value
+	// over a stored revalidation image (raw: immutable, collector-owned,
+	// so the record may point into it). Null when the protocol doesn't
+	// revalidate.
+	MakeReval(raw []byte) value.Value
 }

@@ -124,7 +124,7 @@ func (o *slruOracle) remove(e *oentry) {
 func snapshotSLRU(c *Cache) (membership map[string]int, resident, protB int64) {
 	membership = map[string]int{}
 	c.fmu.Lock()
-	for _, e := range c.index {
+	for _, e := range c.shards[0].m {
 		membership[e.skey] = int(e.seg)
 	}
 	resident, protB = c.resident, c.protBytes

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"flick/internal/buffer"
-	"flick/internal/value"
 )
 
 // notMod304 is the upstream revalidation answer the stress tests feed back.
@@ -42,7 +41,10 @@ func TestStaleRevalidateStress(t *testing.T) {
 
 	const N = 64
 	const iters = 200
-	var inflight, violations, claims, refills atomic.Int32
+	// Workers also run until the clock has ticked past expiry a few times:
+	// on a busy machine they could otherwise finish before it ticks once.
+	const minTicks = 8
+	var inflight, violations, claims, refills, ticks atomic.Int32
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	go func() { // the clock: each tick pushes the entry past max-age=1
@@ -52,6 +54,7 @@ func TestStaleRevalidateStress(t *testing.T) {
 				return
 			default:
 				clock.Add(int64(400 * time.Millisecond))
+				ticks.Add(1)
 				time.Sleep(100 * time.Microsecond)
 			}
 		}
@@ -62,7 +65,7 @@ func TestStaleRevalidateStress(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < iters; i++ {
+			for i := 0; i < iters || ticks.Load() < minTicks; i++ {
 				v, ok, rv := c.Get(g%4, info)
 				if ok {
 					v.Release()
@@ -87,9 +90,7 @@ func TestStaleRevalidateStress(t *testing.T) {
 				if !ok {
 					// Hard-expired under a racing clock jump: refill so the
 					// pipeline keeps moving.
-					f, leader := c.Begin(info, Waiter{
-						Deliver: func(view value.Value) { view.Release() },
-					})
+					f, leader := c.Begin(info, Waiter{})
 					if leader {
 						refills.Add(1)
 						seed(f)
@@ -274,9 +275,10 @@ func TestGetVsRevalidate304Race(t *testing.T) {
 
 // TestHitViewOutlives304 pins the ownership side of the re-header: views
 // handed out before an upstream 304 — the patched body copy and the
-// synthesized 304, which aliases the entry's own region — stay
+// synthesized 304, which points into the entry's own image — stay
 // byte-identical and releasable after the old header is dropped, and even
-// after the new one is too; the pool balances once everything is released.
+// after the new one is too, across a collection and a round of pool reuse;
+// the pool balances once everything is released.
 func TestHitViewOutlives304(t *testing.T) {
 	before := buffer.Global.Counters()
 	c := New(Config{Proto: HTTPGet{}, Workers: 2, TTL: 10 * time.Second, StaleTTL: 30 * time.Second})
@@ -323,9 +325,10 @@ func TestHitViewOutlives304(t *testing.T) {
 	}
 	check("old header dropped")
 
-	c.Invalidate(info.Scope, info.Key) // now the views are the image's only owners
+	c.Invalidate(info.Scope, info.Key) // now the views are all that point into the image
+	runtime.GC()
 	for i := 0; i < 8; i++ {
-		// A region freed too early would be handed out and scribbled on here.
+		// Bytes recycled too early would be handed out and scribbled on here.
 		r := buffer.Global.GetRef(int(resident))
 		b := r.Bytes()
 		for j := range b {

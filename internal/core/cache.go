@@ -30,11 +30,12 @@ import (
 //     upstream round trips.
 //
 // Lock discipline: crt.mu is leaf-level — never held across a call into
-// the cache package (whose own locks call back into waiter closures that
-// take crt.mu). Waiter callbacks fire on whatever goroutine resolved the
-// flight and are gated by gen: Reset bumps it under crt.mu, so a stale
-// delivery from a previous binding drops its view instead of pushing into
-// the next session's channels.
+// the cache package (whose own locks call back into the waiter sinks that
+// take crt.mu). A parked waiter is plain data resolved by one of two sinks
+// — the runtime itself for non-FIFO followers, the parked slot for FIFO
+// ones — on whatever goroutine resolved the flight, gated by gen: Reset
+// bumps it under crt.mu, so a stale delivery from a previous binding drops
+// its view instead of pushing into the next session's channels.
 type cacheRT struct {
 	cc    *rcache.Cache
 	proto rcache.Protocol
@@ -48,8 +49,8 @@ type cacheRT struct {
 
 	mu       sync.Mutex
 	gen      uint64
-	pendings []*pendingFill // non-FIFO: fills this instance leads
-	ports    []cachePort    // FIFO: per-port slot queues
+	pendings []pendingFill // non-FIFO: fills this instance leads
+	ports    []cachePort   // FIFO: per-port slot queues
 }
 
 // pendingFill is one upstream round trip the non-FIFO correlation table
@@ -88,14 +89,17 @@ const (
 )
 
 // slot is one in-flight request of a FIFO port, in client request order.
+// A slotWait slot is also its parked waiter's sink.
 type slot struct {
 	kind slotKind
 	f    *rcache.Flight
+	cp   *cachePort  // the port whose queue holds the slot
 	view value.Value // owned while kind == slotReady
 }
 
 // cachePort is the FIFO runtime of one backend port.
 type cachePort struct {
+	crt    *cacheRT
 	respCh *Chan // backend input node's out-channel (client-bound)
 	reqCh  *Chan // backend output node's in-channel (re-dispatch)
 
@@ -119,7 +123,7 @@ type requeue struct {
 }
 
 type revalDispatch struct {
-	id any // message identity (the entry's region)
+	id any // message identity (the refresh record's owner)
 	f  *rcache.Flight
 }
 
@@ -164,6 +168,7 @@ func (inst *Instance) installCache(c *rcache.Cache) {
 		if len(inst.nodeOut[bp.In]) == 0 || len(inst.nodeIn[bp.Out]) == 0 {
 			continue
 		}
+		crt.ports[i].crt = crt
 		crt.ports[i].respCh = inst.nodeOut[bp.In][0]
 		crt.ports[i].reqCh = inst.nodeIn[bp.Out][0]
 	}
@@ -263,58 +268,25 @@ func (inst *Instance) cacheClientRequest(ctx *ExecCtx, msg value.Value, out *Cha
 
 // cacheBeginMiss leads or joins the flight of a non-FIFO lookup miss.
 // Returns true when the request coalesced onto another request's flight.
-// It is split from cacheClientRequest so that only misses pay for the
-// waiter closures: capturing info moves it to the heap, and a hit must not
-// allocate.
+// The waiter is plain data with crt as its sink, so a leading miss — whose
+// waiter Begin ignores — allocates only the flight it leads
+// (TestLeadingMissAllocs).
 func (inst *Instance) cacheBeginMiss(info rcache.ReqInfo, msg value.Value) bool {
 	crt := inst.crt
 	crt.mu.Lock()
 	gen := crt.gen
 	crt.mu.Unlock()
 	msg.Retain() // for the waiter; undone immediately when leading
-	w := rcache.Waiter{
-		Tag:    info.Tag,
-		HasTag: info.HasTag,
-		Deliver: func(view value.Value) {
-			// The push happens under crt.mu so it strictly precedes (or
-			// follows, and is then skipped by) Reset's generation bump —
-			// a stale view can never land in the next binding's channels.
-			crt.mu.Lock()
-			if crt.gen == gen {
-				crt.hitCh.Push(view)
-			}
-			crt.mu.Unlock()
-			view.Release()
-			msg.Release()
-		},
-		Abort: func() {
-			crt.mu.Lock()
-			if crt.gen == gen {
-				// Re-forward into the dispatch path: the request takes its
-				// own upstream round trip, uncached — but tracked, so its
-				// response consumes a correlation slot instead of being
-				// invisible to the ambiguity check (msg still pins
-				// info.Key's bytes here; the tracker keeps its own copy).
-				crt.pendings = append(crt.pendings, &pendingFill{
-					key:     append([]byte(nil), info.Key...),
-					variant: info.Variant,
-					tag:     info.Tag,
-					hasTag:  info.HasTag,
-				})
-				crt.redispatchCh.Push(msg)
-			}
-			crt.mu.Unlock()
-			msg.Release()
-		},
-	}
-	f, leader := crt.cc.Begin(info, w)
+	f, leader := crt.cc.Begin(info, rcache.Waiter{
+		Tag: info.Tag, HasTag: info.HasTag, Gen: gen, Msg: msg, Sink: crt,
+	})
 	if !leader {
 		return true // coalesced; the waiter owns the retained msg
 	}
 	msg.Release()
 	if f != nil {
 		crt.mu.Lock()
-		crt.pendings = append(crt.pendings, &pendingFill{
+		crt.pendings = append(crt.pendings, pendingFill{
 			f:       f,
 			key:     f.Key(),
 			variant: f.Variant(),
@@ -324,6 +296,43 @@ func (inst *Instance) cacheBeginMiss(info rcache.ReqInfo, msg value.Value) bool 
 		crt.mu.Unlock()
 	}
 	return false
+}
+
+// Deliver implements rcache.WaiterSink for non-FIFO followers: the view
+// goes to the client output. The push happens under crt.mu so it strictly
+// precedes (or follows, and is then skipped by) Reset's generation bump —
+// a stale view can never land in the next binding's channels.
+func (crt *cacheRT) Deliver(w *rcache.Waiter, view value.Value) {
+	crt.mu.Lock()
+	if crt.gen == w.Gen {
+		crt.hitCh.Push(view)
+	}
+	crt.mu.Unlock()
+	view.Release()
+	w.Msg.Release()
+}
+
+// Abort implements rcache.WaiterSink for non-FIFO followers: the request
+// re-forwards into the dispatch path for its own upstream round trip,
+// uncached — but tracked, so its response consumes a correlation slot
+// instead of being invisible to the ambiguity check (the retained request
+// still pins its key's bytes here; the tracker keeps its own copy).
+func (crt *cacheRT) Abort(w *rcache.Waiter) {
+	// Decoded before crt.mu: the lock is never held across a call into the
+	// cache package, and w.Msg stays retained until the Release below.
+	info := crt.proto.Request(w.Msg)
+	crt.mu.Lock()
+	if crt.gen == w.Gen {
+		crt.pendings = append(crt.pendings, pendingFill{
+			key:     append([]byte(nil), info.Key...),
+			variant: info.Variant,
+			tag:     w.Tag,
+			hasTag:  w.HasTag,
+		})
+		crt.redispatchCh.Push(w.Msg)
+	}
+	crt.mu.Unlock()
+	w.Msg.Release()
 }
 
 // cacheBackendResponse correlates one decoded backend response (non-FIFO)
@@ -340,43 +349,31 @@ func (inst *Instance) cacheBackendResponse(msg value.Value, rawSlot int) {
 	if !ri.Match {
 		return
 	}
-	var matched []*pendingFill
+	var mbuf [4]*rcache.Flight
+	matched := mbuf[:0] // the matched pendings' flights (nil: a tracker)
 	crt.mu.Lock()
+	keep := crt.pendings[:0]
 	for _, p := range crt.pendings {
-		if p.variant != ri.Variant {
+		if p.variant == ri.Variant &&
+			(ri.HasKey && bytes.Equal(p.key, ri.Key) ||
+				!ri.HasKey && ri.HasTag && p.hasTag && p.tag == ri.Tag) {
+			matched = append(matched, p.f)
 			continue
 		}
-		if ri.HasKey {
-			if bytes.Equal(p.key, ri.Key) {
-				matched = append(matched, p)
-			}
-		} else if ri.HasTag && p.hasTag && p.tag == ri.Tag {
-			matched = append(matched, p)
-		}
+		keep = append(keep, p)
 	}
-	if len(matched) > 0 {
-		keep := crt.pendings[:0]
-	outer:
-		for _, p := range crt.pendings {
-			for _, m := range matched {
-				if p == m {
-					continue outer
-				}
-			}
-			keep = append(keep, p)
-		}
-		crt.pendings = keep
-	}
+	clear(crt.pendings[len(keep):])
+	crt.pendings = keep
 	crt.mu.Unlock()
 	switch {
 	case len(matched) == 1:
-		if f := matched[0].f; f != nil {
+		if f := matched[0]; f != nil {
 			f.Fill(msg.BytesAt(rawSlot), ri)
 		}
 	case len(matched) > 1:
-		for _, m := range matched {
-			if m.f != nil {
-				m.f.Abort()
+		for _, f := range matched {
+			if f != nil {
+				f.Abort()
 			}
 		}
 	}
@@ -439,7 +436,7 @@ func (inst *Instance) cacheUpstreamRequest(ctx *ExecCtx, msg value.Value, port i
 	if ok {
 		crt.mu.Lock()
 		cp.slots = append(cp.slots, &slot{kind: slotReady, view: view})
-		inst.cacheDrainLocked(cp)
+		cp.drainLocked()
 		crt.mu.Unlock()
 		if rv != nil {
 			// The hit was served stale: dispatch the claimed background
@@ -458,40 +455,15 @@ func (inst *Instance) cacheUpstreamRequest(ctx *ExecCtx, msg value.Value, port i
 		crt.mu.Unlock()
 		return false
 	}
-	s := &slot{kind: slotWait}
+	s := &slot{kind: slotWait, cp: cp}
 	crt.mu.Lock()
 	gen := crt.gen
 	cp.slots = append(cp.slots, s)
 	crt.mu.Unlock()
 	msg.Retain() // for the waiter; undone immediately when leading
-	w := rcache.Waiter{
-		Tag:    info.Tag,
-		HasTag: info.HasTag,
-		Deliver: func(view value.Value) {
-			crt.mu.Lock()
-			if crt.gen == gen {
-				s.kind = slotReady
-				s.view = view
-				view.Retain()
-				inst.cacheDrainLocked(cp)
-			}
-			crt.mu.Unlock()
-			view.Release()
-			msg.Release()
-		},
-		Abort: func() {
-			crt.mu.Lock()
-			if crt.gen == gen {
-				// Keep the slot in client order; route the request back to
-				// this output node for an upstream round trip of its own.
-				cp.requeued = append(cp.requeued, requeue{id: cacheMsgID(msg), s: s})
-				cp.reqCh.Push(msg)
-			}
-			crt.mu.Unlock()
-			msg.Release()
-		},
-	}
-	f, leader := crt.cc.Begin(info, w)
+	f, leader := crt.cc.Begin(info, rcache.Waiter{
+		Tag: info.Tag, HasTag: info.HasTag, Gen: gen, Msg: msg, Sink: s,
+	})
 	if !leader {
 		return true // coalesced; the waiter owns the retained msg
 	}
@@ -508,6 +480,37 @@ func (inst *Instance) cacheUpstreamRequest(ctx *ExecCtx, msg value.Value, port i
 	}
 	crt.mu.Unlock()
 	return false
+}
+
+// Deliver implements rcache.WaiterSink for a FIFO slot parked on another
+// instance's flight: the view readies the slot, and delivery drains the
+// port's ready prefix in client order.
+func (s *slot) Deliver(w *rcache.Waiter, view value.Value) {
+	crt := s.cp.crt
+	crt.mu.Lock()
+	if crt.gen == w.Gen {
+		s.kind = slotReady
+		s.view = view
+		view.Retain()
+		s.cp.drainLocked()
+	}
+	crt.mu.Unlock()
+	view.Release()
+	w.Msg.Release()
+}
+
+// Abort implements rcache.WaiterSink for a parked FIFO slot: the slot keeps
+// its place in client order and the request goes back to the port's output
+// node for an upstream round trip of its own.
+func (s *slot) Abort(w *rcache.Waiter) {
+	crt := s.cp.crt
+	crt.mu.Lock()
+	if crt.gen == w.Gen {
+		s.cp.requeued = append(s.cp.requeued, requeue{id: cacheMsgID(w.Msg), s: s})
+		s.cp.reqCh.Push(w.Msg)
+	}
+	crt.mu.Unlock()
+	w.Msg.Release()
 }
 
 // dispatchReval sends a claimed background revalidation upstream on the
@@ -571,16 +574,16 @@ func (inst *Instance) cacheFifoResponse(msg value.Value, port int, out *Chan) *r
 	s.kind = slotReady
 	s.view = msg
 	msg.Retain()
-	inst.cacheDrainLocked(cp)
+	cp.drainLocked()
 	crt.mu.Unlock()
 	return f
 }
 
-// cacheDrainLocked delivers the ready prefix of a FIFO port's client-order
+// drainLocked delivers the ready prefix of a FIFO port's client-order
 // queue (crt.mu held). Chan.Push never blocks, so pushing under the lock
 // is safe and keeps delivery atomic with the generation check of the
-// callbacks that call here.
-func (inst *Instance) cacheDrainLocked(cp *cachePort) {
+// sinks that call here.
+func (cp *cachePort) drainLocked() {
 	for len(cp.slots) > 0 && cp.slots[0].kind == slotReady {
 		s := cp.slots[0]
 		cp.slots = cp.slots[1:]

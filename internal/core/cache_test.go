@@ -44,14 +44,14 @@ func TestCacheTrackerBlocksWrongKeyFill(t *testing.T) {
 
 	// A re-dispatched GET for key X is in flight, tracked without a
 	// flight; a newer fill for key Y is pending under the same opaque.
-	crt.pendings = append(crt.pendings, &pendingFill{
+	crt.pendings = append(crt.pendings, pendingFill{
 		key: []byte("X"), variant: memcache.OpGet, tag: 7, hasTag: true,
 	})
 	fy, leader := cc.Begin(mcLookup("Y", 7), rcache.Waiter{})
 	if !leader {
 		t.Fatal("expected to lead Y's fill")
 	}
-	crt.pendings = append(crt.pendings, &pendingFill{
+	crt.pendings = append(crt.pendings, pendingFill{
 		f: fy, key: fy.Key(), variant: fy.Variant(), tag: 7, hasTag: true,
 	})
 
@@ -69,7 +69,7 @@ func TestCacheTrackerBlocksWrongKeyFill(t *testing.T) {
 	}
 
 	// A tracked re-dispatch alone consumes its slot without filling.
-	crt.pendings = append(crt.pendings, &pendingFill{
+	crt.pendings = append(crt.pendings, pendingFill{
 		key: []byte("X"), variant: memcache.OpGet, tag: 9, hasTag: true,
 	})
 	resp = mcResponse(9, "value-of-X")
@@ -80,5 +80,30 @@ func TestCacheTrackerBlocksWrongKeyFill(t *testing.T) {
 	}
 	if cc.Len() != 0 {
 		t.Fatalf("%d entries cached, want 0 (trackers never fill)", cc.Len())
+	}
+}
+
+// TestLeadingMissAllocs pins what a non-FIFO leading miss allocates: the
+// flight it leads (header, owned key, composite key string) and nothing
+// else — no waiter, which Begin ignores for a leader, and no pending-fill
+// header, which the correlation table holds by value.
+func TestLeadingMissAllocs(t *testing.T) {
+	cc := rcache.New(rcache.Config{Proto: rcache.Memcached{}, Workers: 1})
+	defer cc.Close()
+	inst := &Instance{crt: &cacheRT{cc: cc, proto: rcache.Memcached{}}}
+	crt := inst.crt
+	msg := memcache.Request(memcache.OpGet, []byte("key-000001"), nil)
+	defer msg.Release()
+	info := crt.proto.Request(msg)
+	n := testing.AllocsPerRun(200, func() {
+		if inst.cacheBeginMiss(info, msg) {
+			panic("a leading miss coalesced")
+		}
+		f := crt.pendings[0].f
+		crt.pendings = crt.pendings[:0]
+		f.Abort()
+	})
+	if n > 3 {
+		t.Fatalf("leading miss allocates %v per run, want <= 3", n)
 	}
 }
