@@ -3,28 +3,34 @@
 //
 // Usage:
 //
-//	flickc [-backends n=SIZE] [-dump] program.flick
+//	flickc [-array name=N]... [-codec type=codec]... [-check] [-dump] program.flick
 //
-// Channel-array sizes are supplied with repeated -array flags
-// (e.g. -array backends=4). Types without serialisation annotations need
-// codec bindings at deployment time and are reported as such.
+// -array fixes the length of a channel-array parameter (repeatable).
+// -codec binds a record type to a built-in codec: memcached, hadoop-kv,
+// http-request, http-response or line (repeatable); types whose
+// declarations carry complete serialisation annotations need none.
+// -check stops after type checking; -dump prints each task graph's tasks,
+// their codecs and the port layout. The paper's listings compile with:
+//
+//	flickc -array backends=2 listing1.flick
+//	flickc -array backends=2 -codec cmd=memcached proxy.flick
+//	flickc -array mappers=4 -codec kv=hadoop-kv listing3.flick
+//	flickc -array backends=2 -codec request=http-request -codec response=http-response httplb.flick
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
 
+	"flick"
 	"flick/internal/compiler"
-	"flick/internal/core"
-	"flick/internal/grammar"
 	"flick/internal/lang"
-	"flick/internal/proto/hadoop"
-	phttp "flick/internal/proto/http"
-	"flick/internal/proto/memcache"
 	"flick/internal/types"
 )
 
@@ -45,22 +51,13 @@ func (a arrayFlags) Set(s string) error {
 	return nil
 }
 
-// builtinCodec resolves the -codec flag values to bundled wire formats.
-func builtinCodec(name string) (compiler.CodecPair, bool) {
-	switch name {
-	case "memcached":
-		return compiler.CodecPair{Decode: memcache.Codec, Encode: memcache.Codec}, true
-	case "hadoop-kv":
-		return compiler.CodecPair{Decode: hadoop.Codec, Encode: hadoop.Codec}, true
-	case "http-request":
-		return compiler.CodecPair{Decode: phttp.RequestFormat{}, Encode: phttp.RequestFormat{}}, true
-	case "http-response":
-		return compiler.CodecPair{Decode: phttp.ResponseFormat{}, Encode: phttp.ResponseFormat{}}, true
-	case "line":
-		c := grammar.LineUnit().MustCompile()
-		return compiler.CodecPair{Decode: c, Encode: c}, true
-	}
-	return compiler.CodecPair{}, false
+// builtinCodecs names the facade's codecs for the -codec flag.
+var builtinCodecs = map[string]func() flick.Codec{
+	"memcached":     flick.MemcachedCodec,
+	"hadoop-kv":     flick.HadoopKVCodec,
+	"http-request":  flick.HTTPRequestCodec,
+	"http-response": flick.HTTPResponseCodec,
+	"line":          flick.LineCodec,
 }
 
 type codecFlags map[string]compiler.CodecPair
@@ -72,47 +69,55 @@ func (c codecFlags) Set(s string) error {
 	if !ok {
 		return fmt.Errorf("expected type=codec, got %q", s)
 	}
-	pair, ok := builtinCodec(codecName)
+	codec, ok := builtinCodecs[codecName]
 	if !ok {
 		return fmt.Errorf("unknown codec %q (memcached, hadoop-kv, http-request, http-response, line)", codecName)
 	}
-	c[typeName] = pair
+	c[typeName] = codec()
 	return nil
 }
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "flickc:", err)
+		os.Exit(1)
+	}
+}
+
+// run compiles the program named in args and reports on stdout.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("flickc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	arrays := arrayFlags{}
 	codecs := codecFlags{}
-	var (
-		checkOnly = flag.Bool("check", false, "stop after type checking")
-		dump      = flag.Bool("dump", false, "dump the compiled task graph structure")
-	)
-	flag.Var(arrays, "array", "channel array size, name=N (repeatable)")
-	flag.Var(codecs, "codec", "bind a record type to a built-in codec, type=codec (repeatable)")
-	flag.Parse()
-
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: flickc [flags] program.flick")
-		flag.PrintDefaults()
-		os.Exit(2)
+	checkOnly := fs.Bool("check", false, "stop after type checking")
+	dump := fs.Bool("dump", false, "dump the compiled task graph structure")
+	fs.Var(arrays, "array", "channel array size, name=N (repeatable)")
+	fs.Var(codecs, "codec", "bind a record type to a built-in codec, type=codec (repeatable)")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	src, err := os.ReadFile(flag.Arg(0))
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return fmt.Errorf("usage: flickc [flags] program.flick")
+	}
+	src, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	ast, err := lang.Parse(string(src))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	checked, err := types.Check(ast)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("%s: %d type(s), %d process(es), %d function(s) — type check OK\n",
-		flag.Arg(0), len(checked.Types), len(checked.Procs), len(checked.Funs))
+	fmt.Fprintf(stdout, "%s: %d type(s), %d process(es), %d function(s) — type check OK\n",
+		fs.Arg(0), len(checked.Types), len(checked.Procs), len(checked.Funs))
 	if *checkOnly {
-		return
+		return nil
 	}
 
 	prog, err := compiler.Compile(string(src), compiler.Config{
@@ -120,7 +125,7 @@ func main() {
 		Codecs:     codecs,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	var procNames []string
@@ -131,22 +136,23 @@ func main() {
 	for _, name := range procNames {
 		pg, err := prog.Proc(name)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("\nprocess %s: task graph with %d tasks\n", name, len(pg.Template.Nodes()))
+		fmt.Fprintf(stdout, "\nprocess %s: task graph with %d tasks\n", name, len(pg.Template.Nodes()))
 		if *dump {
-			dumpGraph(pg)
+			dumpGraph(stdout, pg)
 		}
 	}
+	return nil
 }
 
-func dumpGraph(pg *compiler.ProcGraph) {
+func dumpGraph(w io.Writer, pg *compiler.ProcGraph) {
 	for _, n := range pg.Template.Nodes() {
 		codec := ""
 		if n.Codec != nil {
 			codec = " codec=" + n.Codec.FormatName()
 		}
-		fmt.Printf("  task %2d %-7s %s%s\n", n.ID, n.Kind, n.Name, codec)
+		fmt.Fprintf(w, "  task %2d %-7s %s%s\n", n.ID, n.Kind, n.Name, codec)
 	}
 	var names []string
 	for name := range pg.Ports {
@@ -154,12 +160,6 @@ func dumpGraph(pg *compiler.ProcGraph) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		fmt.Printf("  port %-12s -> indices %v\n", name, pg.Ports[name])
+		fmt.Fprintf(w, "  port %-12s -> indices %v\n", name, pg.Ports[name])
 	}
-	_ = core.NodeInput
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "flickc:", err)
-	os.Exit(1)
 }

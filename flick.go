@@ -42,15 +42,12 @@ import (
 )
 
 // Codec binds a record type to wire formats: Decode parses inbound bytes,
-// Encode serialises outbound values. Built-in constructors cover the
-// protocols used by the paper's services; record types whose declarations
-// carry complete serialisation annotations need no Codec at all (the
-// compiler synthesises one from the program, §4.2).
+// Encode serialises outbound values; both build records of one layout. A
+// channel typed `request/response` reads requests and writes responses.
+// Built-in constructors cover the protocols used by the paper's services;
+// record types whose declarations carry complete serialisation annotations
+// need no Codec at all (the compiler synthesises one from the program, §4.2).
 type Codec = compiler.CodecPair
-
-// PortCodec overrides codecs per channel for asymmetric protocols (the
-// HTTP load balancer decodes requests and encodes responses client-side).
-type PortCodec = compiler.PortCodec
 
 // LineCodec is the newline-delimited text format (field "line" or, for
 // single-field records, the declared field).

@@ -139,8 +139,6 @@ type Options struct {
 	ArraySizes map[string]int
 	// Codecs binds record type names to wire formats.
 	Codecs map[string]compiler.CodecPair
-	// ChannelCodecs overrides codecs per channel name.
-	ChannelCodecs map[string]compiler.PortCodec
 	// Backends names the channel dialled to backend addresses at
 	// deployment (defaults to the program's only channel besides the
 	// client channel, if any).
@@ -193,7 +191,6 @@ func Compile(src string, opts Options) (*Service, error) {
 	prog, err := compiler.Compile(src, compiler.Config{
 		ArraySizes:     opts.ArraySizes,
 		Codecs:         opts.Codecs,
-		ChannelCodecs:  opts.ChannelCodecs,
 		PrimaryChannel: opts.Primary,
 	})
 	if err != nil {
@@ -377,18 +374,15 @@ func (s *Service) UpdateWeighted(deployed *core.Service, list []topology.Backend
 
 // HTTPLoadBalancer compiles the §6.1 HTTP load balancer for n backends.
 func HTTPLoadBalancer(n int) (*Service, error) {
-	// The backend side encodes through PersistentRequestFormat: forwarding
-	// a client's "Connection: close" verbatim would let one client tear
-	// down a pooled upstream socket under every other client multiplexed
-	// onto it, so the hop-by-hop header is rewritten to keep-alive.
+	// Requests encode through PersistentRequestFormat: forwarding a
+	// client's "Connection: close" verbatim would let one client tear down
+	// a pooled upstream socket under every other client multiplexed onto
+	// it, so the hop-by-hop header is rewritten to keep-alive.
 	s, err := Compile(lang.ListingHTTPLB, Options{
 		ArraySizes: map[string]int{"backends": n},
-		ChannelCodecs: map[string]compiler.PortCodec{
-			"client":   {Decode: phttp.RequestFormat{}, Encode: phttp.ResponseFormat{}},
-			"backends": {Decode: phttp.ResponseFormat{}, Encode: phttp.PersistentRequestFormat{}},
-		},
 		Codecs: map[string]compiler.CodecPair{
-			"request": {Decode: phttp.RequestFormat{}, Encode: phttp.RequestFormat{}},
+			"request":  {Decode: phttp.RequestFormat{}, Encode: phttp.PersistentRequestFormat{}},
+			"response": {Decode: phttp.ResponseFormat{}, Encode: phttp.ResponseFormat{}},
 		},
 	})
 	if err != nil {
@@ -404,9 +398,6 @@ func HTTPLoadBalancer(n int) (*Service, error) {
 // StaticWebServer compiles the backend-less web server.
 func StaticWebServer() (*Service, error) {
 	s, err := Compile(StaticWebSource, Options{
-		ChannelCodecs: map[string]compiler.PortCodec{
-			"client": {Decode: phttp.RequestFormat{}, Encode: phttp.ResponseFormat{}},
-		},
 		Codecs: map[string]compiler.CodecPair{
 			"request":  {Decode: phttp.RequestFormat{}, Encode: phttp.RequestFormat{}},
 			"response": {Decode: phttp.ResponseFormat{}, Encode: phttp.ResponseFormat{}},

@@ -82,6 +82,37 @@ func TestTaskGraphShapes(t *testing.T) {
 	}
 }
 
+// TestHTTPLBPortFormats pins the wire format of every HTTP load balancer
+// port: the client side reads requests and writes responses, the backend
+// side reads responses and writes requests through the keep-alive
+// rewriting format.
+func TestHTTPLBPortFormats(t *testing.T) {
+	s, err := HTTPLoadBalancer(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	for _, n := range s.Graph.Template.Nodes() {
+		if n.Codec != nil {
+			got[n.Name] = n.Codec.FormatName()
+		}
+	}
+	want := map[string]string{
+		"client_in":      "http.request",
+		"client_out":     "http.response",
+		"backends[0]_in": "http.response", "backends[0]_out": "http.request+keepalive",
+		"backends[1]_in": "http.response", "backends[1]_out": "http.request+keepalive",
+	}
+	if len(got) != len(want) {
+		t.Fatalf("ports with codecs = %v, want %v", got, want)
+	}
+	for name, format := range want {
+		if got[name] != format {
+			t.Errorf("%s codec = %q, want %q", name, got[name], format)
+		}
+	}
+}
+
 func TestStaticWebServerServes(t *testing.T) {
 	u := netstack.NewUserNet()
 	p := core.NewPlatform(core.Config{Workers: 2, Transport: u})

@@ -11,18 +11,11 @@ import (
 
 // CodecPair binds a record type to wire formats for each direction. Decode
 // parses bytes read from connections; Encode serialises values written to
-// them. For symmetric protocols (Memcached binary) both are the same codec;
-// HTTP binds the request format one way and the response format the other
-// per port role.
+// them. Both must build records of one descriptor, the layout compiled
+// field access indexes. For symmetric protocols (Memcached binary) both
+// are the same codec; the HTTP load balancer encodes requests through a
+// format that rewrites one header.
 type CodecPair struct {
-	Decode grammar.WireFormat
-	Encode grammar.WireFormat
-}
-
-// PortCodec overrides the codec pair for one specific channel (by proc
-// channel name), e.g. the HTTP LB's client port decodes requests and
-// encodes responses while its backend ports do the reverse.
-type PortCodec struct {
 	Decode grammar.WireFormat
 	Encode grammar.WireFormat
 }
@@ -38,9 +31,6 @@ type Config struct {
 	// need a binding: their codec is synthesised from the grammar in the
 	// program (§4.2).
 	Codecs map[string]CodecPair
-	// ChannelCodecs overrides codecs per proc channel name (asymmetric
-	// protocols such as HTTP).
-	ChannelCodecs map[string]PortCodec
 	// PrimaryChannel names the client-facing channel whose EOF shuts the
 	// instance down. Defaults to the first bidirectional scalar channel.
 	PrimaryChannel string
@@ -134,7 +124,9 @@ func (p *Program) Codec(typeName string) (CodecPair, bool) {
 func (p *Program) Desc(typeName string) *value.RecordDesc { return p.descs[typeName] }
 
 // CallFunction invokes a compiled FLICK function directly (tests, REPL-style
-// tooling). Channel-valued parameters cannot be supplied this way.
+// tooling). Channel-valued parameters cannot be supplied this way. A record
+// argument must carry its parameter type's descriptor: compiled field
+// access indexes that layout's slots.
 func (p *Program) CallFunction(name string, args ...value.Value) (value.Value, error) {
 	f, ok := p.funs[name]
 	if !ok {
@@ -142,6 +134,11 @@ func (p *Program) CallFunction(name string, args ...value.Value) (value.Value, e
 	}
 	if len(args) != f.nParams {
 		return value.Null, fmt.Errorf("compiler: %q takes %d arguments, got %d", name, f.nParams, len(args))
+	}
+	for i, prm := range p.checked.Funs[name].Params {
+		if prm.Type != nil && p.descs[prm.Type.Name] != nil && args[i].Desc() != p.descs[prm.Type.Name] {
+			return value.Null, fmt.Errorf("compiler: %q argument %q is not a record of %s's layout", name, prm.Name, prm.Type.Name)
+		}
 	}
 	return newScratch(nil).apply(f, args...), nil
 }
@@ -168,6 +165,10 @@ func (p *Program) resolveCodecs(cfg Config) error {
 		if pair, ok := cfg.Codecs[name]; ok {
 			if pair.Decode == nil || pair.Encode == nil {
 				return fmt.Errorf("compiler: codec binding for %q must set Decode and Encode", name)
+			}
+			if dd, ed := pair.Decode.Desc(), pair.Encode.Desc(); dd != ed {
+				return fmt.Errorf("compiler: codec binding for %q decodes %s records but encodes %s records",
+					name, dd.Name, ed.Name)
 			}
 			p.codecs[name] = pair
 			p.descs[name] = pair.Decode.Desc()

@@ -287,25 +287,11 @@ fun clamp: (x: t) -> (integer)
 	}
 }
 
-// TestFieldSlotAccess checks the slot-resolved field lowering. On a record
-// of the checked type's descriptor a read indexes the slot and an
-// assignment nulls the captured "_raw" image, as SetField does. A record of
-// another layout under the same type name — what a channel codec may
-// deliver — falls back to the lookup by name.
+// TestFieldSlotAccess checks the slot-resolved field lowering: a read
+// indexes the slot and an assignment nulls the captured "_raw" image, as
+// SetField does.
 func TestFieldSlotAccess(t *testing.T) {
-	src := `
-type t: record
-    a : integer {size=1}
-    b : integer {size=1}
-
-fun get_b: (x: t) -> (integer)
-    x.b
-
-fun set_b: (x: t) -> (t)
-    x.b := 7
-    x
-`
-	prog, err := Compile(src, Config{})
+	prog, err := Compile(slotSource, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,14 +309,88 @@ fun set_b: (x: t) -> (t)
 		t.Fatalf("after set_b: b = %d, _raw = %v; want 7 and a nulled image",
 			rec.Field("b").AsInt(), rec.Field("_raw"))
 	}
+}
 
-	foreign := value.NewRecordDesc("t", "b", "a").Record(value.Int(20), value.Int(10))
-	if got, _ := prog.CallFunction("get_b", foreign); got.AsInt() != 20 {
-		t.Fatalf("get_b on a foreign layout = %d, want 20 (by name)", got.AsInt())
+const slotSource = `
+type t: record
+    a : integer {size=1}
+    b : integer {size=1}
+
+fun get_b: (x: t) -> (integer)
+    x.b
+
+fun set_b: (x: t) -> (t)
+    x.b := 7
+    x
+`
+
+// TestCallFunctionRejectsForeignLayout: a record of another layout under
+// the same type name never reaches compiled code, whose field accesses
+// index the type's own slots.
+func TestCallFunctionRejectsForeignLayout(t *testing.T) {
+	prog, err := Compile(slotSource, Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	prog.CallFunction("set_b", foreign)
-	if foreign.Field("b").AsInt() != 7 || foreign.Field("a").AsInt() != 10 {
-		t.Fatalf("set_b on a foreign layout wrote the wrong slot: %v", foreign)
+	foreign := value.NewRecordDesc("t", "b", "a").Record(value.Int(20), value.Int(10))
+	for _, fn := range []string{"get_b", "set_b"} {
+		if _, err := prog.CallFunction(fn, foreign); err == nil || !strings.Contains(err.Error(), "layout") {
+			t.Fatalf("%s on a foreign layout: err = %v, want a layout rejection", fn, err)
+		}
+	}
+	if foreign.Field("b").AsInt() != 20 || foreign.Field("a").AsInt() != 10 {
+		t.Fatalf("rejected call wrote the record: %v", foreign)
+	}
+}
+
+// TestGlobalDictOneRecordType: a global dict's type is fixed by its first
+// typed use, so two stages cannot store one record type into it and read
+// another back out through the wrong slots.
+func TestGlobalDictOneRecordType(t *testing.T) {
+	_, err := Compile(`
+type a: record
+    x : integer {size=1}
+
+type b: record
+    y : integer {size=2}
+    z : integer {size=1}
+
+proc p: (a/a ca, b/b cb)
+    global d := empty_dict
+    | ca => put_a(d) => ca
+    | cb => get_b(d) => cb
+
+fun put_a: (d: ref dict<string*a>, m: a) -> (a)
+    d["k"] := m
+    m
+
+fun get_b: (d: ref dict<string*b>, m: b) -> (b)
+    if d["k"] <> None:
+        m.z := d["k"].z
+    m
+`, Config{})
+	if err == nil || !strings.Contains(err.Error(), "have dict<string*a>, want dict<string*b>") {
+		t.Fatalf("err = %v, want the second use at another record type rejected", err)
+	}
+	// Listing 1 uses its global at one type from two stages.
+	if _, err := Compile(lang.Listing1, Config{ArraySizes: map[string]int{"backends": 2}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFieldOfUnknownTypeRejected: a dict no typed use has fixed holds
+// values of unknown type, and field access on them is a compile error.
+func TestFieldOfUnknownTypeRejected(t *testing.T) {
+	_, err := Compile(`
+type t: record
+    a : integer {size=1}
+
+fun f: (x: t) -> (integer)
+    let d = empty_dict
+    d["k"].a
+`, Config{})
+	if err == nil || !strings.Contains(err.Error(), "field access on non-record any") {
+		t.Fatalf("err = %v, want field access on an unknown type rejected", err)
 	}
 }
 

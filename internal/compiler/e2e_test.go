@@ -20,6 +20,7 @@ import (
 // a GETK miss is hash-routed to a backend, the GETK reply is cached, and a
 // repeat request is served from the middlebox without touching the backend.
 func TestListing1EndToEnd(t *testing.T) {
+	before := buffer.Global.Stats()
 	u := netstack.NewUserNet()
 	p := core.NewPlatform(core.Config{Workers: 4, Transport: u})
 	defer p.Close()
@@ -36,12 +37,12 @@ func TestListing1EndToEnd(t *testing.T) {
 
 	// Backends speak the Listing 1 wire layout and count requests.
 	var backendReqs atomic.Int64
-	for i, addr := range []string{"be:0", "be:1"} {
+	for _, addr := range []string{"be:0", "be:1"} {
 		l, err := u.Listen(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = i
+		defer l.Close()
 		go func() {
 			for {
 				c, err := l.Accept()
@@ -61,6 +62,7 @@ func TestListing1EndToEnd(t *testing.T) {
 						if ok {
 							backendReqs.Add(1)
 							key := msg.Field("key").AsString()
+							msg.Release()
 							c.Write(listing1Wire(0x0c, key, "value-of-"+key))
 							continue
 						}
@@ -109,6 +111,7 @@ func TestListing1EndToEnd(t *testing.T) {
 				t.Fatal(derr)
 			}
 			if ok {
+				defer msg.Release()
 				if got := msg.Field("key").AsString(); got != key {
 					t.Fatalf("response key %q, want %q", got, key)
 				}
@@ -154,6 +157,28 @@ func TestListing1EndToEnd(t *testing.T) {
 	}
 	if n := backendReqs.Load(); n != 2 {
 		t.Fatalf("backend requests = %d, want 2", n)
+	}
+	conn.Close()
+	p.Close()
+	waitBalanced(t, before)
+}
+
+// waitBalanced polls until every pooled region handed out since before
+// has been recycled: instances drain after the platform closes, and the
+// test's backends and clients release each record they decode.
+func waitBalanced(t *testing.T, before buffer.Stats) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		s := buffer.Global.Stats()
+		gets, puts := s.RefGets-before.RefGets, s.RefPuts-before.RefPuts
+		if gets == puts {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("region leak: %d handed out, %d recycled", gets, puts)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 
@@ -254,19 +279,14 @@ func TestListing3EndToEnd(t *testing.T) {
 // to a backend, responses flow back, and the same connection sticks to one
 // backend.
 func TestHTTPLBEndToEnd(t *testing.T) {
+	before := buffer.Global.Stats()
 	u := netstack.NewUserNet()
 	p := core.NewPlatform(core.Config{Workers: 4, Transport: u})
 	defer p.Close()
 
 	prog, err := Compile(lang.ListingHTTPLB, Config{
 		ArraySizes: map[string]int{"backends": 3},
-		ChannelCodecs: map[string]PortCodec{
-			"client":   {Decode: phttp.RequestFormat{}, Encode: phttp.ResponseFormat{}},
-			"backends": {Decode: phttp.ResponseFormat{}, Encode: phttp.RequestFormat{}},
-		},
-		Codecs: map[string]CodecPair{
-			"request": {Decode: phttp.RequestFormat{}, Encode: phttp.RequestFormat{}},
-		},
+		Codecs:     httpCodecs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -286,6 +306,7 @@ func TestHTTPLBEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer l.Close()
 		backendAddrs[pg.Ports["backends"][i]] = addr
 		go func() {
 			for {
@@ -307,6 +328,7 @@ func TestHTTPLBEndToEnd(t *testing.T) {
 							hits[i].Add(1)
 							body := []byte("srv" + string(rune('0'+i)))
 							ka := msg.Field("keep_alive").AsInt() == 1
+							msg.Release()
 							c.Write(phttp.BuildResponse(nil, 200, "OK", ka, body))
 							if !ka {
 								return
@@ -361,6 +383,7 @@ func TestHTTPLBEndToEnd(t *testing.T) {
 				}
 				if ok {
 					body := msg.Field("body").AsString()
+					msg.Release()
 					if server == "" {
 						server = body
 					} else if server != body {
@@ -393,31 +416,38 @@ func TestHTTPLBEndToEnd(t *testing.T) {
 	if len(seen) < 2 {
 		t.Logf("warning: all connections hashed to one backend (seen=%v)", seen)
 	}
+	p.Close()
+	waitBalanced(t, before)
+}
+
+// httpCodecs binds the HTTP listing's record types to their formats.
+var httpCodecs = map[string]CodecPair{
+	"request":  {Decode: phttp.RequestFormat{}, Encode: phttp.RequestFormat{}},
+	"response": {Decode: phttp.ResponseFormat{}, Encode: phttp.ResponseFormat{}},
 }
 
 // TestHTTPLBNonPersistent verifies the Connection: close path: backend
 // closes, EOF propagates, client sees response then EOF.
 func TestHTTPLBNonPersistent(t *testing.T) {
+	before := buffer.Global.Stats()
 	u := netstack.NewUserNet()
 	p := core.NewPlatform(core.Config{Workers: 2, Transport: u})
 	defer p.Close()
 
 	prog, err := Compile(lang.ListingHTTPLB, Config{
 		ArraySizes: map[string]int{"backends": 1},
-		ChannelCodecs: map[string]PortCodec{
-			"client":   {Decode: phttp.RequestFormat{}, Encode: phttp.ResponseFormat{}},
-			"backends": {Decode: phttp.ResponseFormat{}, Encode: phttp.RequestFormat{}},
-		},
-		Codecs: map[string]CodecPair{
-			"request": {Decode: phttp.RequestFormat{}, Encode: phttp.RequestFormat{}},
-		},
+		Codecs:     httpCodecs,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pg, _ := prog.Proc("http_lb")
 
-	l, _ := u.Listen("web:solo")
+	l, err := u.Listen("web:solo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
 	go func() {
 		for {
 			c, err := l.Accept()
@@ -430,11 +460,12 @@ func TestHTTPLBNonPersistent(t *testing.T) {
 				dec := phttp.RequestFormat{}.NewDecoder()
 				rbuf := make([]byte, 8192)
 				for {
-					_, ok, derr := dec.Decode(q)
+					msg, ok, derr := dec.Decode(q)
 					if derr != nil {
 						return
 					}
 					if ok {
+						msg.Release()
 						c.Write(phttp.BuildResponse(nil, 200, "OK", false, []byte("done")))
 						return // Connection: close semantics
 					}
@@ -484,7 +515,11 @@ func TestHTTPLBNonPersistent(t *testing.T) {
 	if derr != nil || !ok {
 		t.Fatalf("response decode: %v %v (%q)", ok, derr, data)
 	}
-	if msg.Field("body").AsString() != "done" {
-		t.Fatalf("body = %q", msg.Field("body").AsString())
+	body := msg.Field("body").AsString()
+	msg.Release()
+	if body != "done" {
+		t.Fatalf("body = %q", body)
 	}
+	p.Close()
+	waitBalanced(t, before)
 }

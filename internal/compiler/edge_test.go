@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"flick/internal/grammar"
+	phttp "flick/internal/proto/http"
 	"flick/internal/value"
 )
 
@@ -188,8 +189,10 @@ proc p: (msg/- src, msg/- alsoread)
 	}
 }
 
-func TestChannelCodecsIncompleteRejected(t *testing.T) {
-	src := `
+// TestCodecBindingRejected pins the compile errors that guarantee every
+// record of a type has the layout compiled field access indexes.
+func TestCodecBindingRejected(t *testing.T) {
+	const typed = `
 type msg: record
     body : string {size=4}
 
@@ -197,10 +200,32 @@ proc p: (msg/msg c)
     | c => c
 `
 	lc := grammar.LineUnit().MustCompile()
-	if _, err := Compile(src, Config{
-		ChannelCodecs: map[string]PortCodec{"c": {Decode: lc}}, // no Encode
-	}); err == nil || !strings.Contains(err.Error(), "incomplete") {
-		t.Fatalf("err = %v", err)
+	cases := []struct {
+		name, src string
+		codecs    map[string]CodecPair
+		want      string
+	}{
+		{"no encode", typed, map[string]CodecPair{"msg": {Decode: lc}}, "must set Decode and Encode"},
+		{"descriptors disagree", typed,
+			map[string]CodecPair{"msg": {Decode: phttp.RequestFormat{}, Encode: phttp.ResponseFormat{}}},
+			`"msg" decodes http.request records but encodes http.response records`},
+		{"codec lacks a field", typed, map[string]CodecPair{"msg": {Decode: lc, Encode: lc}},
+			`bound codec for "msg" lacks field "body"`},
+		{"not serialisable", `
+type msg: record
+    body : string
+
+proc p: (msg/msg c)
+    | c => c
+`, nil, `type "msg" crosses the network but is not serialisable`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Compile(tc.src, Config{Codecs: tc.codecs})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"flick/internal/core"
-	"flick/internal/grammar"
 	"flick/internal/lang"
 	"flick/internal/value"
 )
@@ -53,10 +52,6 @@ func (p *Program) buildProcGraph(proc *lang.ProcDecl, cfg Config) (*ProcGraph, e
 
 	channels := map[string]*chanNodes{}
 	for _, ch := range proc.Channels {
-		dec, enc, err := p.portCodecs(ch, cfg)
-		if err != nil {
-			return nil, err
-		}
 		n := 1
 		if ch.Type.Array {
 			n = cfg.ArraySizes[ch.Name]
@@ -71,12 +66,15 @@ func (p *Program) buildProcGraph(proc *lang.ProcDecl, cfg Config) (*ProcGraph, e
 				suffix = fmt.Sprintf("[%d]", i)
 			}
 			var in, out *core.Node
+			// A channel decodes through the codec of the type it produces
+			// and encodes through that of the type it accepts; both cross
+			// the network, so resolveCodecs bound them.
 			if ch.Type.Recv != "" {
-				in = tmpl.AddInput(ch.Name+suffix+"_in", dec)
+				in = tmpl.AddInput(ch.Name+suffix+"_in", p.codecs[ch.Type.Recv].Decode)
 				cn.ins = append(cn.ins, in)
 			}
 			if ch.Type.Send != "" {
-				out = tmpl.AddOutput(ch.Name+suffix+"_out", enc)
+				out = tmpl.AddOutput(ch.Name+suffix+"_out", p.codecs[ch.Type.Send].Encode)
 				cn.outs = append(cn.outs, out)
 			}
 			idx := tmpl.AddPort(ch.Name+suffix, in, out, ch.Name == primary)
@@ -130,33 +128,6 @@ func (p *Program) buildProcGraph(proc *lang.ProcDecl, cfg Config) (*ProcGraph, e
 		return nil, err
 	}
 	return pg, nil
-}
-
-// portCodecs resolves the decode/encode formats for one channel parameter.
-func (p *Program) portCodecs(ch *lang.ChanParam, cfg Config) (grammar.WireFormat, grammar.WireFormat, error) {
-	if pc, ok := cfg.ChannelCodecs[ch.Name]; ok {
-		if (ch.Type.Recv != "" && pc.Decode == nil) ||
-			(ch.Type.Send != "" && pc.Encode == nil) {
-			return nil, nil, fmt.Errorf("compiler: channel codec for %q incomplete", ch.Name)
-		}
-		return pc.Decode, pc.Encode, nil
-	}
-	var dec, enc grammar.WireFormat
-	if ch.Type.Recv != "" {
-		pair, ok := p.codecs[ch.Type.Recv]
-		if !ok {
-			return nil, nil, fmt.Errorf("compiler: no codec for channel %q produce type %q", ch.Name, ch.Type.Recv)
-		}
-		dec = pair.Decode
-	}
-	if ch.Type.Send != "" {
-		pair, ok := p.codecs[ch.Type.Send]
-		if !ok {
-			return nil, nil, fmt.Errorf("compiler: no codec for channel %q accept type %q", ch.Name, ch.Type.Send)
-		}
-		enc = pair.Encode
-	}
-	return dec, enc, nil
 }
 
 // stageSpec is one compiled pipeline stage.

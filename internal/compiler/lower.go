@@ -171,39 +171,29 @@ func (lw *lowerer) lowerAssign(x *lang.AssignStmt) (stmtFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		name := tgt.Name
-		desc, slot := lw.fieldSlot(tgt)
+		slot := lw.fieldSlot(tgt)
 		return func(fr *Frame) {
 			// Own the assigned value: storing a view of message A into
 			// record B moves it across message lifetimes — B's region (if
 			// any) holds no reference to A's, so once the runtime releases
-			// A the view would read recycled pool memory. SetAt/SetField
-			// also invalidate any captured "_raw" wire image, so the encoder
+			// A the view would read recycled pool memory. SetAt also
+			// invalidates any captured "_raw" wire image, so the encoder
 			// rebuilds the mutated message instead of replaying stale bytes.
-			b, x := base(fr), value.Owned(val(fr))
-			if b.Desc() == desc {
-				b.SetAt(slot, x)
-			} else {
-				b.SetField(name, x)
-			}
+			b := base(fr)
+			b.SetAt(slot, value.Owned(val(fr)))
 		}, nil
 	}
 	return nil, fmt.Errorf("compiler: bad assignment target at %s", x.Pos)
 }
 
-// fieldSlot resolves a field access to its slot in the descriptor of the
-// record type the checker gave its base. Accesses on Any-typed bases, and
-// fields the descriptor lacks, get a nil desc. The compiled access indexes
-// the slot only when the runtime record carries that desc — a channel codec
-// may deliver records of another layout under the same type name — and
-// otherwise looks the field up by name.
-func (lw *lowerer) fieldSlot(x *lang.FieldExpr) (*value.RecordDesc, int) {
-	if desc := lw.prog.descs[lw.prog.checked.FieldRecs[x]]; desc != nil {
-		if slot := desc.FieldIndex(x.Name); slot >= 0 {
-			return desc, slot
-		}
-	}
-	return nil, -1
+// fieldSlot resolves a field access to its slot in the descriptor of its
+// base's record type. The compiled access indexes it unchecked: every
+// record held under a type has the type's descriptor, since its codec
+// pair decodes and encodes one descriptor holding every declared field
+// (resolveCodecs), the checker fixes each dict's record type and rejects
+// field access on unknown types, and CallFunction refuses other layouts.
+func (lw *lowerer) fieldSlot(x *lang.FieldExpr) int {
+	return lw.prog.descs[lw.prog.checked.FieldRecs[x]].FieldIndex(x.Name)
 }
 
 func (lw *lowerer) lowerSend(valExpr, dstExpr lang.Expr) (stmtFn, error) {
@@ -269,14 +259,10 @@ func (lw *lowerer) lowerExpr(e lang.Expr) (exprFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		name := x.Name
-		desc, slot := lw.fieldSlot(x)
+		slot := lw.fieldSlot(x)
 		return func(fr *Frame) value.Value {
 			b := base(fr)
-			if b.Desc() == desc {
-				return b.At(slot)
-			}
-			return b.Field(name)
+			return b.At(slot)
 		}, nil
 
 	case *lang.IndexExpr:

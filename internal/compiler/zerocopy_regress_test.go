@@ -39,15 +39,7 @@ fun respond: (req: request) -> (response)
 // pool reuse on the next read) and asserts the constructed response still
 // carries its own copy of the bytes.
 func TestConstructorOwnsPooledArgs(t *testing.T) {
-	prog, err := Compile(echoURISource, Config{
-		ChannelCodecs: map[string]PortCodec{
-			"client": {Decode: phttp.RequestFormat{}, Encode: phttp.ResponseFormat{}},
-		},
-		Codecs: map[string]CodecPair{
-			"request":  {Decode: phttp.RequestFormat{}, Encode: phttp.RequestFormat{}},
-			"response": {Decode: phttp.ResponseFormat{}, Encode: phttp.ResponseFormat{}},
-		},
-	})
+	prog, err := Compile(echoURISource, Config{Codecs: httpCodecs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,15 +77,7 @@ func TestConstructorDetachesPooledViews(t *testing.T) {
 	p := core.NewPlatform(core.Config{Workers: 1, Transport: u})
 	defer p.Close()
 
-	prog, err := Compile(echoURISource, Config{
-		ChannelCodecs: map[string]PortCodec{
-			"client": {Decode: phttp.RequestFormat{}, Encode: phttp.ResponseFormat{}},
-		},
-		Codecs: map[string]CodecPair{
-			"request":  {Decode: phttp.RequestFormat{}, Encode: phttp.RequestFormat{}},
-			"response": {Decode: phttp.ResponseFormat{}, Encode: phttp.ResponseFormat{}},
-		},
-	})
+	prog, err := Compile(echoURISource, Config{Codecs: httpCodecs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,15 +175,7 @@ fun retag: (req: request, resp: response) -> (response)
 
 func compileCacheField(t *testing.T) *Program {
 	t.Helper()
-	prog, err := Compile(cacheFieldSource, Config{
-		ChannelCodecs: map[string]PortCodec{
-			"client": {Decode: phttp.RequestFormat{}, Encode: phttp.ResponseFormat{}},
-		},
-		Codecs: map[string]CodecPair{
-			"request":  {Decode: phttp.RequestFormat{}, Encode: phttp.RequestFormat{}},
-			"response": {Decode: phttp.ResponseFormat{}, Encode: phttp.ResponseFormat{}},
-		},
-	})
+	prog, err := Compile(cacheFieldSource, Config{Codecs: httpCodecs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,6 +43,7 @@ type TypeRef struct {
 	Args []*TypeRef
 }
 
+// String renders the type reference in source syntax, e.g. dict<string*cmd>.
 func (t *TypeRef) String() string {
 	if len(t.Args) == 0 {
 		return t.Name
@@ -68,6 +69,7 @@ const (
 	ChanWrite
 )
 
+// String names the direction: both, read or write.
 func (d ChanDir) String() string {
 	switch d {
 	case ChanBoth:
@@ -113,6 +115,7 @@ func (c *ChanType) Elem() string {
 	return c.Send
 }
 
+// String renders the channel type in source syntax, e.g. [cmd/-].
 func (c *ChanType) String() string {
 	r, s := c.Recv, c.Send
 	if r == "" {

@@ -72,12 +72,18 @@ fun key_of: (e: kv) -> (string)
 
 // ListingHTTPLB is the HTTP load balancer of §6.1: requests are forwarded
 // to a backend chosen by a per-connection hash; responses return unchanged.
+// Each channel is typed by what it carries: the client sends requests and
+// receives responses, the backends the reverse.
 const ListingHTTPLB = `
 type request: record
     uri : string
     keep_alive : integer
 
-proc http_lb: (request/request client, [request/request] backends)
+type response: record
+    status : integer
+    body : string
+
+proc http_lb: (request/response client, [response/request] backends)
     | client => route(backends)
     | backends => client
 

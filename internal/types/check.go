@@ -8,14 +8,23 @@ import (
 // polymorphic parameters use TAny and rely on bespoke checks below.
 type builtinSig struct {
 	params  []*Type
-	result  *Type
+	result  *Type  // nil: a fresh dict (resultType)
 	special string // "", "map", "filter", "fold", "ctor"
+}
+
+// resultType returns the builtin's result type. Each empty_dict gets its
+// own key and value variables, fixed by the dict's first typed use.
+func (s builtinSig) resultType() *Type {
+	if s.result == nil {
+		return &Type{Kind: Dict, Key: &Type{Kind: Any, free: true}, Val: &Type{Kind: Any, free: true}}
+	}
+	return s.result
 }
 
 var builtinSigs = map[string]builtinSig{
 	"hash":          {params: []*Type{TAny}, result: TInt},
 	"len":           {params: []*Type{TAny}, result: TInt},
-	"empty_dict":    {params: nil, result: TDictAA},
+	"empty_dict":    {params: nil},
 	"string_to_int": {params: []*Type{TStr}, result: TInt},
 	"int_to_string": {params: []*Type{TInt}, result: TStr},
 	"instance_id":   {params: nil, result: TInt},

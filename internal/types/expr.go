@@ -23,7 +23,7 @@ func (c *checker) checkExpr(e lang.Expr, sc *scope) (*Type, error) {
 		// Niladic builtins may be written without parentheses
 		// (Listing 1: `global cache := empty_dict`).
 		if sig, ok := builtinSigs[x.Name]; ok && sig.special == "" && len(sig.params) == 0 {
-			return sig.result, nil
+			return sig.resultType(), nil
 		}
 		return nil, errf(x.Pos, "undefined name %q", x.Name)
 
@@ -31,9 +31,6 @@ func (c *checker) checkExpr(e lang.Expr, sc *scope) (*Type, error) {
 		xt, err := c.checkExpr(x.X, sc)
 		if err != nil {
 			return nil, err
-		}
-		if xt.Kind == Any {
-			return TAny, nil
 		}
 		if xt.Kind != Record {
 			return nil, errf(x.Pos, "field access on non-record %s", xt)
@@ -75,8 +72,6 @@ func (c *checker) checkExpr(e lang.Expr, sc *scope) (*Type, error) {
 				return nil, errf(x.Pos, "channel array index must be integer, got %s", it)
 			}
 			return &Type{Kind: Chan, Recv: xt.Recv, Send: xt.Send}, nil
-		case Any:
-			return TAny, nil
 		default:
 			return nil, errf(x.Pos, "cannot index %s", xt)
 		}
@@ -207,7 +202,7 @@ func (c *checker) checkCall(x *lang.CallExpr, sc *scope) (*Type, error) {
 			}
 		}
 	}
-	return sig.result, nil
+	return sig.resultType(), nil
 }
 
 // checkIterBuiltin types map/filter/fold: the function argument must be a
@@ -238,13 +233,10 @@ func (c *checker) checkIterBuiltin(x *lang.CallExpr, sc *scope, which string) (*
 	if err != nil {
 		return nil, err
 	}
-	if lt.Kind != List && lt.Kind != Any {
+	if lt.Kind != List {
 		return nil, errf(listArg.Position(), "%s iterates a list, got %s", which, lt)
 	}
-	elem := TAny
-	if lt.Kind == List {
-		elem = lt.Elem
-	}
+	elem := lt.Elem
 	switch which {
 	case "map":
 		if len(params) != 1 || !compatible(params[0], elem) {

@@ -42,6 +42,7 @@ const (
 	Any
 )
 
+// String names the kind as the language spells it.
 func (k Kind) String() string {
 	switch k {
 	case Invalid:
@@ -82,6 +83,11 @@ type Type struct {
 	Recv  *Type  // channel produce side (nil when write-only)
 	Send  *Type  // channel accept side (nil when read-only)
 	Array bool   // channel array
+	// free marks a type variable: an empty_dict's key or value type, fixed
+	// in place by its first typed use (bind) for every expression sharing
+	// the node. peers are the variables unified with it while unknown.
+	free  bool
+	peers []*Type
 }
 
 // Dir derives a channel type's direction from its populated sides.
@@ -98,14 +104,13 @@ func (t *Type) Dir() lang.ChanDir {
 
 // Convenient singletons.
 var (
-	TInt    = &Type{Kind: Int}
-	TStr    = &Type{Kind: Str}
-	TBool   = &Type{Kind: Bool}
-	TBytes  = &Type{Kind: Bytes}
-	TUnit   = &Type{Kind: Unit}
-	TNone   = &Type{Kind: None}
-	TAny    = &Type{Kind: Any}
-	TDictAA = &Type{Kind: Dict, Key: TAny, Val: TAny}
+	TInt   = &Type{Kind: Int}
+	TStr   = &Type{Kind: Str}
+	TBool  = &Type{Kind: Bool}
+	TBytes = &Type{Kind: Bytes}
+	TUnit  = &Type{Kind: Unit}
+	TNone  = &Type{Kind: None}
+	TAny   = &Type{Kind: Any}
 )
 
 // String renders the type.
@@ -136,9 +141,23 @@ func (t *Type) String() string {
 }
 
 // compatible reports whether a value of type got can be supplied where want
-// is expected. Any unifies with everything; None is accepted where dict
-// values flow (lookup misses).
+// is expected. A free variable meeting a concrete type is bound to it, so a
+// dict's first typed use pins its type and a later use at another type is
+// rejected; records read out of it then have the layout their type names.
+// The builtins' Any parameters accept everything.
 func compatible(want, got *Type) bool {
+	if got.free {
+		want, got = got, want // unifying a variable is symmetric
+	}
+	if want.free {
+		switch {
+		case got.free && got != want:
+			want.peers, got.peers = append(want.peers, got), append(got.peers, want)
+		case concrete(got):
+			return bind(want, got)
+		}
+		return true
+	}
 	if want.Kind == Any || got.Kind == Any {
 		return true
 	}
@@ -170,6 +189,29 @@ func compatible(want, got *Type) bool {
 	return true
 }
 
+// bind fixes the free variable v to the concrete type t in place, then
+// fixes or checks the variables unified with v.
+func bind(v, t *Type) bool {
+	peers := v.peers
+	*v = *t
+	for _, p := range peers {
+		if !compatible(p, v) {
+			return false
+		}
+	}
+	return true
+}
+
+// concrete reports whether t holds no Any, free or not.
+func concrete(t *Type) bool {
+	for _, sub := range []*Type{t.Elem, t.Key, t.Val, t.Recv, t.Send} {
+		if sub != nil && !concrete(sub) {
+			return false
+		}
+	}
+	return t.Kind != Any
+}
+
 // Checked is the result of a successful check: symbol tables the compiler
 // consumes.
 type Checked struct {
@@ -179,9 +221,9 @@ type Checked struct {
 	Procs map[string]*lang.ProcDecl
 	// GlobalTypes maps proc name → global name → type.
 	GlobalTypes map[string]map[string]*Type
-	// FieldRecs maps each field access whose base the checker typed as a
-	// record to that record's type name, so the compiler can resolve the
-	// field's slot once. Accesses on Any-typed bases are absent.
+	// FieldRecs maps each field access to the record type of its base, so
+	// the compiler resolves the field's slot once. Every access is in it: a
+	// base of unknown type is a compile error.
 	FieldRecs map[*lang.FieldExpr]string
 }
 

@@ -460,20 +460,78 @@ fun f: (x: t) -> (integer)
 `, "undefined name")
 }
 
-func TestHTTPStyleProgramChecks(t *testing.T) {
-	// The HTTP LB declares only the fields it touches (§4.2: explicit
-	// field accesses let the compiler prune the parser).
-	mustCheck(t, `
-type request: record
-    uri : string
-    keep_alive : integer
+// dictTwoTypes declares two record types of different layouts and the
+// functions that use a dict at each of them.
+const dictTwoTypes = `
+type a: record
+    x : integer
 
-proc http_lb: (request/request client, [request/request] backends)
-    | client => route(backends)
-    | backends => client
+type b: record
+    y : string
 
-fun route: ([-/request] backends, req: request) -> ()
-    let target = instance_id() mod len(backends)
-    req => backends[target]
+fun put_b: (d: ref dict<string*b>, m: b) -> ()
+    d["k"] := m
+
+fun read_a: (d: ref dict<string*a>) -> (integer)
+    d["k"].x
+
+fun x_of: (v: a, m: b) -> (b)
+    m
+`
+
+// TestDictTypeFixedByFirstTypedUse: an empty_dict's key and value types
+// are fixed by its first typed use, whichever use comes first and through
+// whichever alias, and a use at another type is rejected.
+func TestDictTypeFixedByFirstTypedUse(t *testing.T) {
+	// A lookup read as a, then the global passed on as a dict of b.
+	mustFail(t, dictTwoTypes+`
+proc p: (b/b c, b/b c2)
+    global d := empty_dict
+    | c => x_of(d["k"]) => c
+    | c2 => put_b(d) => c2
+`, "have dict<string*a>, want dict<string*b>")
+	// Two names for one dict.
+	mustFail(t, dictTwoTypes+`
+fun f: (m: b) -> (integer)
+    let d = empty_dict
+    let e = d
+    put_b(e, m)
+    read_a(d)
+`, "have dict<string*b>, want dict<string*a>")
+	// Two dicts whose values were unified before either was fixed.
+	mustFail(t, dictTwoTypes+`
+fun f: (m: b) -> (integer)
+    let d = empty_dict
+    let e = empty_dict
+    d["k"] := e["k"]
+    put_b(e, m)
+    read_a(d)
+`, "have dict<string*b>, want dict<string*a>")
+	// One type throughout, as Listing 1 uses its cache.
+	mustCheck(t, dictTwoTypes+`
+fun f: (m: b) -> (b)
+    let d = empty_dict
+    put_b(d, m)
+    put_b(d, m)
+    m
 `)
+}
+
+// TestUnknownTypeNotTakenApart: a value read from a dict no typed use has
+// fixed cannot be indexed or iterated either.
+func TestUnknownTypeNotTakenApart(t *testing.T) {
+	mustFail(t, dictTwoTypes+`
+fun f: (m: b) -> (integer)
+    let d = empty_dict
+    d["k"]["j"]
+`, "cannot index any")
+	mustFail(t, dictTwoTypes+`
+fun g: (s: string) -> (string)
+    s
+
+fun f: (m: b) -> (b)
+    let d = empty_dict
+    let l = map(g, d["k"])
+    m
+`, "map iterates a list, got any")
 }
