@@ -24,7 +24,9 @@
 //     list over HTTP (and GET /topology, /counters, /healthz inspect the
 //     live state). See ARCHITECTURE.md's control-plane section.
 //   - HTTP poll: -topology-poll-url follows another instance's admin
-//     GET /topology, so a fleet tracks one source of truth.
+//     GET /topology, so a fleet tracks one source of truth. It accepts
+//     http:// URLs only (the admin API is plain HTTP); any other scheme
+//     exits at start-up with status 1.
 //
 // Example:
 //
@@ -87,7 +89,7 @@ func main() {
 		liveTop = flag.Bool("live-topology", false, "route via a consistent-hash ring and accept topology updates while serving")
 		maxBack = flag.Int("max-backends", 0, "channel-array capacity for -live-topology (0: current backend count)")
 		topFile = flag.String("topology-file", "", "topology file (\"addr\" or \"addr weight\" per line), re-read on SIGHUP")
-		pollURL = flag.String("topology-poll-url", "", "follow another instance's admin GET /topology at this URL")
+		pollURL = flag.String("topology-poll-url", "", "follow another instance's admin GET /topology at this http:// URL")
 		pollIv  = flag.Duration("topology-poll-interval", 2*time.Second, "poll period for -topology-poll-url")
 		probeIv = flag.Duration("probe-interval", 0, "proactive upstream health-probe period (0: disabled)")
 		adminAd = flag.String("admin-addr", "", "serve the admin HTTP API (GET/PUT /topology, /counters, /healthz) on this address")
@@ -103,6 +105,11 @@ func main() {
 	)
 	flag.Var(&backends, "backend", "backend address (repeatable)")
 	flag.Parse()
+	if *pollURL != "" {
+		if err := (topology.Poll{URL: *pollURL}).Validate(); err != nil {
+			fatal(err)
+		}
+	}
 
 	if *memProf != "" {
 		if !heapProfiling {

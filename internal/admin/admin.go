@@ -1,5 +1,6 @@
 // Package admin is the platform's control-plane HTTP listener: a small
-// stdlib net/http server exposing a running service's live state — the
+// HTTP/1.1 server, built on the platform's own HTTP codec
+// (internal/proto/http), exposing a running service's live state — the
 // backend topology with weights, health verdicts and ring shares, and
 // every registered counter set — and accepting topology updates over the
 // same drain-correct path a SIGHUP re-read uses.
@@ -16,16 +17,20 @@
 // instance's control plane can feed another's (topology.Poll does exactly
 // this). The package knows nothing about the platform beyond the
 // Controller interface; internal/apps implements it.
+//
+// The server does not link net/http: each connection is one goroutine
+// decoding requests with http.RequestFormat from a queue on the server's
+// own buffer pool, never buffer.Global, so admin scrapes leave the data
+// plane's pool counters untouched. Responses carry Content-Length;
+// keep-alive, pipelining, "Connection: close", HTTP/1.0 and
+// "Expect: 100-continue" behave as in net/http. A request's header block
+// must arrive within 5 s and fit the codec's MaxHeaderBytes (431
+// otherwise); a PUT body is capped at 1 MiB (413).
 package admin
 
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
-	"net"
-	"net/http"
-	"time"
 
 	"flick/internal/core"
 	"flick/internal/metrics"
@@ -102,80 +107,89 @@ type Controller interface {
 // maxBody bounds a PUT /topology request body.
 const maxBody = 1 << 20
 
-// Handler builds the admin API's http.Handler around a controller.
-func Handler(ctl Controller) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			methodNotAllowed(w, http.MethodGet)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		io.WriteString(w, "ok\n")
-	})
-	mux.HandleFunc("/topology", func(w http.ResponseWriter, r *http.Request) {
-		switch r.Method {
-		case http.MethodGet:
-			writeJSON(w, http.StatusOK, viewJSON(ctl.View()))
-		case http.MethodPut:
-			handlePut(w, r, ctl)
-		default:
-			methodNotAllowed(w, "GET, PUT")
-		}
-	})
-	mux.HandleFunc("/counters", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			methodNotAllowed(w, http.MethodGet)
-			return
-		}
-		raw, err := metrics.MarshalNamed(ctl.Counters())
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		writeJSON(w, http.StatusOK, raw)
-	})
-	mux.HandleFunc("/latency", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			methodNotAllowed(w, http.MethodGet)
-			return
-		}
-		raw, err := metrics.MarshalNamedHists(ctl.Latency())
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		writeJSON(w, http.StatusOK, raw)
-	})
-	return mux
+// Content types of the admin API's replies.
+const (
+	textPlain = "text/plain; charset=utf-8"
+	appJSON   = "application/json"
+)
+
+// request is what a route sees of an admin request.
+type request struct {
+	// query is the raw query string after '?' ("" when absent).
+	query string
+	// body is the request body, valid only during the call.
+	body []byte
 }
 
-// handlePut applies a PUT /topology body and answers with the resulting
-// view, so a successful PUT's response is the post-change GET.
-func handlePut(w http.ResponseWriter, r *http.Request, ctl Controller) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody+1))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
+// reply is a route's answer; the server frames it with Content-Length.
+type reply struct {
+	status int
+	ctype  string
+	allow  string // Allow header, set on 405 only
+	body   []byte
+}
+
+// route answers one method on one path.
+type route struct {
+	method, path string
+	serve        func(request) reply
+}
+
+// routes is the admin API around a controller. An endpoint is one line
+// here; a path's methods are listed in the order its 405 Allow header
+// names them.
+func routes(ctl Controller) []route {
+	return []route{
+		{"GET", "/healthz", func(request) reply { return reply{status: 200, ctype: textPlain, body: []byte("ok\n")} }},
+		{"GET", "/topology", func(request) reply { return jsonReply(200, viewJSON(ctl.View())) }},
+		{"PUT", "/topology", func(r request) reply { return putTopology(ctl, r.body) }},
+		{"GET", "/counters", func(request) reply { return marshaled(metrics.MarshalNamed(ctl.Counters())) }},
+		{"GET", "/latency", func(request) reply { return marshaled(metrics.MarshalNamedHists(ctl.Latency())) }},
 	}
+}
+
+// dispatch routes one request: the route for its method and path, else
+// 405 naming the path's methods, else 404.
+func dispatch(routes []route, method, path string, req request) reply {
+	allow := ""
+	for _, rt := range routes {
+		if rt.path != path {
+			continue
+		}
+		if rt.method == method {
+			return rt.serve(req)
+		}
+		if allow != "" {
+			allow += ", "
+		}
+		allow += rt.method
+	}
+	if allow == "" {
+		return errorReply(404, "not found")
+	}
+	r := errorReply(405, "method not allowed")
+	r.allow = allow
+	return r
+}
+
+// putTopology applies a PUT /topology body and answers with the resulting
+// view, so a successful PUT's response is the post-change GET.
+func putTopology(ctl Controller, body []byte) reply {
 	if len(body) > maxBody {
-		httpError(w, http.StatusRequestEntityTooLarge, "topology body exceeds 1MiB")
-		return
+		return errorReply(413, "topology body exceeds 1MiB")
 	}
 	list, err := topology.DecodeJSON(body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
+		return errorReply(400, err.Error())
 	}
 	if err := ctl.Apply(list); err != nil {
-		status := http.StatusBadRequest
+		status := 400
 		if errors.Is(err, core.ErrCapacity) {
-			status = http.StatusConflict
+			status = 409
 		}
-		httpError(w, status, err.Error())
-		return
+		return errorReply(status, err.Error())
 	}
-	writeJSON(w, http.StatusOK, viewJSON(ctl.View()))
+	return jsonReply(200, viewJSON(ctl.View()))
 }
 
 // viewJSON marshals a TopologyView (never fails: the view is plain data).
@@ -187,54 +201,26 @@ func viewJSON(v TopologyView) []byte {
 	return raw
 }
 
-func writeJSON(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(body)
-	if len(body) == 0 || body[len(body)-1] != '\n' {
-		io.WriteString(w, "\n")
+// marshaled answers with an already-marshaled JSON document, or 500.
+func marshaled(raw []byte, err error) reply {
+	if err != nil {
+		return errorReply(500, err.Error())
 	}
+	return jsonReply(200, raw)
 }
 
-func httpError(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
+// jsonReply answers with a JSON body, newline-terminated.
+func jsonReply(status int, body []byte) reply {
+	if len(body) == 0 || body[len(body)-1] != '\n' {
+		body = append(body, '\n')
+	}
+	return reply{status: status, ctype: appJSON, body: body}
+}
+
+// errorReply answers with {"error": msg}.
+func errorReply(status int, msg string) reply {
 	raw, _ := json.Marshal(struct {
 		Error string `json:"error"`
 	}{msg})
-	w.Write(raw)
-	io.WriteString(w, "\n")
+	return jsonReply(status, raw)
 }
-
-func methodNotAllowed(w http.ResponseWriter, allow string) {
-	w.Header().Set("Allow", allow)
-	httpError(w, http.StatusMethodNotAllowed, "method not allowed")
-}
-
-// Server is a running admin listener.
-type Server struct {
-	l   net.Listener
-	srv *http.Server
-}
-
-// Start listens on addr and serves the admin API in the background. The
-// returned server reports its bound address (Addr) and shuts down with
-// Close.
-func Start(addr string, ctl Controller) (*Server, error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("admin: listen %s: %w", addr, err)
-	}
-	srv := &http.Server{
-		Handler:           Handler(ctl),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	go srv.Serve(l)
-	return &Server{l: l, srv: srv}, nil
-}
-
-// Addr returns the listener's bound address (useful with ":0").
-func (s *Server) Addr() string { return s.l.Addr().String() }
-
-// Close stops the listener and closes open admin connections.
-func (s *Server) Close() error { return s.srv.Close() }

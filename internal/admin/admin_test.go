@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -58,12 +57,21 @@ func (f *fakeController) Latency() []metrics.NamedHist {
 	}
 }
 
-func testServer(t *testing.T) (*httptest.Server, *fakeController) {
+// testSrv is a started admin server and its base URL.
+type testSrv struct {
+	*Server
+	URL string
+}
+
+func testServer(t *testing.T) (*testSrv, *fakeController) {
 	t.Helper()
 	ctl := &fakeController{list: topology.Uniform([]string{"a:1", "b:1"})}
-	srv := httptest.NewServer(Handler(ctl))
-	t.Cleanup(srv.Close)
-	return srv, ctl
+	s, err := Start("127.0.0.1:0", ctl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return &testSrv{Server: s, URL: "http://" + s.Addr()}, ctl
 }
 
 func get(t *testing.T, url string) (int, string) {

@@ -32,6 +32,9 @@ func NewQueue(pool *Pool) *Queue {
 // Len returns the number of buffered bytes.
 func (q *Queue) Len() int { return q.size }
 
+// Pool returns the pool the queue draws its chunks from.
+func (q *Queue) Pool() *Pool { return q.pool }
+
 // push appends a chunk+ref pair, keeping the parallel slices compacted at
 // the front so steady-state appends reuse slice capacity without allocating.
 func (q *Queue) push(c []byte, r *Ref) {

@@ -198,9 +198,9 @@ func (d *decoder) Decode(q *buffer.Queue) (value.Value, bool, error) {
 // one view. A body of at most one data chunk stays zero-copy — the body
 // field sub-slices the view between the chunk-size line and its trailing
 // CRLF. A multi-chunk body is discontiguous on the wire, so the wire image
-// and the stitched-together payload are copied once into a fresh pooled
-// region; the record still carries the verbatim chunked wire in _raw, so
-// proxy forwarding stays byte-exact.
+// and the stitched-together payload are copied once into a fresh region
+// from the queue's own pool; the record still carries the verbatim
+// chunked wire in _raw, so proxy forwarding stays byte-exact.
 func (d *decoder) decodeChunked(q *buffer.Queue) (value.Value, bool, error) {
 	n, dataLen, chunks, err := frameChunked(q, d.headerEnd)
 	if err != nil {
@@ -216,7 +216,7 @@ func (d *decoder) decodeChunked(q *buffer.Queue) (value.Value, bool, error) {
 	var body []byte
 	switch {
 	case chunks > 1:
-		nref := buffer.Global.GetRef(total + dataLen)
+		nref := q.Pool().GetRef(total + dataLen)
 		nb := nref.Bytes()
 		copy(nb, raw)
 		dechunkInto(nb[total:total+dataLen], raw[d.headerEnd:])
@@ -590,7 +590,12 @@ func Header(msg value.Value, name string) string {
 // present — the allocation-free counterpart of Header for hot paths. The
 // view is valid only while the message is.
 func HeaderBytes(msg value.Value, name string) ([]byte, bool) {
-	block := msg.BytesAt(SlotHeaders)
+	return findHeader(msg.BytesAt(SlotHeaders), name)
+}
+
+// findHeader returns the named header's trimmed value within a block of
+// header lines, and whether the header is present.
+func findHeader(block []byte, name string) ([]byte, bool) {
 	for len(block) > 0 {
 		var line []byte
 		line, block = splitLine(block)

@@ -2,11 +2,17 @@ package topology
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
-	"net/http"
+	"net"
+	"net/url"
 	"os"
 	"time"
+
+	"flick/internal/buffer"
+	"flick/internal/proto/http"
+	"flick/internal/value"
 )
 
 // Source is a feed of backend topologies. Watch returns a channel that
@@ -118,43 +124,84 @@ func (f File) report(err error) {
 // whenever the decoded list differs from the last emission. A fleet of
 // flickruns pointed at one admin endpoint follows its topology within one
 // poll interval of a PUT.
+//
+// The client is the platform's own HTTP/1.1 codec over a plain TCP dial,
+// so only http:// URLs are accepted (the admin API is plain HTTP). Each
+// poll is one "Connection: close" GET; the answer must be a 200 framed by
+// Content-Length or chunked encoding, with a body of at most 1 MiB.
+// Redirects are not followed: any other status is an error.
 type Poll struct {
 	// URL is polled with GET.
 	URL string
 	// Interval between polls (default 2s).
 	Interval time.Duration
-	// Client overrides http.DefaultClient.
-	Client *http.Client
 	// OnError, when non-nil, observes fetch/decode failures (polling
 	// continues).
 	OnError func(error)
 }
 
-// maxPollBody bounds a poll response read (a topology is small; a
-// misconfigured URL pointing at a large file must not balloon memory).
-const maxPollBody = 1 << 20
+const (
+	// maxPollBody bounds a poll response body (a topology is small; a
+	// misconfigured URL pointing at a large file must not balloon
+	// memory).
+	maxPollBody = 1 << 20
+	// fetchTimeout bounds one poll, dial to last byte.
+	fetchTimeout = 5 * time.Second
+	// pollReadChunk is the size of one socket read.
+	pollReadChunk = 4 << 10
+)
+
+// target is a parsed poll URL: the address to dial, the Host header and
+// the request target.
+type target struct {
+	addr, host, uri string
+}
+
+// Validate reports whether the poll source can start: it needs an
+// http:// URL with a host.
+func (p Poll) Validate() error {
+	_, err := p.target()
+	return err
+}
+
+func (p Poll) target() (target, error) {
+	if p.URL == "" {
+		return target{}, fmt.Errorf("topology: poll source needs a URL")
+	}
+	u, err := url.Parse(p.URL)
+	if err != nil {
+		return target{}, fmt.Errorf("topology: poll URL %q: %w", p.URL, err)
+	}
+	if u.Scheme != "http" || u.Host == "" {
+		return target{}, fmt.Errorf("topology: poll URL %q: only http://host[:port]/path URLs are supported", p.URL)
+	}
+	port := u.Port()
+	if port == "" {
+		port = "80"
+	}
+	return target{addr: net.JoinHostPort(u.Hostname(), port), host: u.Host, uri: u.RequestURI()}, nil
+}
 
 // Watch implements Source.
 func (p Poll) Watch(ctx context.Context) (<-chan []Backend, error) {
-	if p.URL == "" {
-		return nil, fmt.Errorf("topology: poll source needs a URL")
+	t, err := p.target()
+	if err != nil {
+		return nil, err
 	}
 	interval := p.Interval
 	if interval <= 0 {
 		interval = 2 * time.Second
 	}
-	client := p.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
+	// A private pool keeps polls out of buffer.Global's counters.
+	pool := buffer.NewPool(2)
 	ch := make(chan []Backend, 1)
 	go func() {
 		defer close(ch)
-		t := time.NewTicker(interval)
-		defer t.Stop()
+		tick := time.NewTicker(interval)
+		defer tick.Stop()
 		var last []Backend
 		for {
-			list, err := p.fetch(ctx, client)
+			list, err := p.fetch(ctx, t, pool)
 			switch {
 			case err != nil:
 				if ctx.Err() != nil {
@@ -174,34 +221,65 @@ func (p Poll) Watch(ctx context.Context) (<-chan []Backend, error) {
 			select {
 			case <-ctx.Done():
 				return
-			case <-t.C:
+			case <-tick.C:
 			}
 		}
 	}()
 	return ch, nil
 }
 
-func (p Poll) fetch(ctx context.Context, client *http.Client) ([]Backend, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.URL, nil)
+// fetch performs one poll and decodes its body.
+func (p Poll) fetch(ctx context.Context, t target, pool *buffer.Pool) ([]Backend, error) {
+	ctx, cancel := context.WithTimeout(ctx, fetchTimeout)
+	defer cancel()
+	var d net.Dialer
+	c, err := d.DialContext(ctx, "tcp", t.addr)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("topology: GET %s: %w", p.URL, err)
 	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, err
+	defer c.Close()
+	// Cancellation or the timeout interrupts a blocked read or write.
+	defer context.AfterFunc(ctx, func() { c.SetDeadline(time.Unix(1, 0)) })()
+
+	if _, err := c.Write(http.BuildRequest(nil, "GET", t.uri, t.host, false, nil)); err != nil {
+		return nil, fmt.Errorf("topology: GET %s: %w", p.URL, err)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxPollBody))
-	if err != nil {
-		return nil, err
+	q := buffer.NewQueue(pool)
+	defer q.Reset()
+	dec := http.ResponseFormat{}.NewDecoder()
+	for {
+		msg, ok, err := dec.Decode(q)
+		if err != nil {
+			return nil, fmt.Errorf("topology: GET %s: %w", p.URL, err)
+		}
+		if ok {
+			defer msg.Release()
+			return p.decode(&msg)
+		}
+		if q.Len() > http.MaxHeaderBytes+maxPollBody {
+			return nil, fmt.Errorf("topology: GET %s: response exceeds 1MiB", p.URL)
+		}
+		r := pool.GetRef(pollReadChunk)
+		n, rerr := c.Read(r.Bytes())
+		q.AppendRead(r, n)
+		if rerr != nil {
+			if errors.Is(rerr, io.EOF) {
+				rerr = io.ErrUnexpectedEOF
+			}
+			return nil, fmt.Errorf("topology: GET %s: %w", p.URL, rerr)
+		}
 	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("topology: GET %s: %s", p.URL, resp.Status)
-	}
-	return p.decode(body)
 }
 
-func (p Poll) decode(body []byte) ([]Backend, error) {
+// decode checks a poll response's status and size and decodes its body.
+func (p Poll) decode(msg *value.Value) ([]Backend, error) {
+	if status := msg.IntAt(http.SlotStatus); status != 200 {
+		return nil, fmt.Errorf("topology: GET %s: status %d", p.URL, status)
+	}
+	body := msg.BytesAt(http.SlotBody)
+	if len(body) > maxPollBody {
+		return nil, fmt.Errorf("topology: GET %s: body of %d bytes exceeds 1MiB", p.URL, len(body))
+	}
 	list, err := DecodeJSON(body)
 	if err != nil {
 		return nil, fmt.Errorf("topology: GET %s: %w", p.URL, err)

@@ -9,6 +9,10 @@
 #   4. PUT /topology grows the backend set 2 -> 3.
 #   5. GET /topology shows the third backend.
 #   6. PUT /topology with more backends than -max-backends answers 409.
+#   7. One curl invocation fetches /healthz and /counters over one
+#      kept-alive connection (the admin server's keep-alive, seen by a
+#      real client).
+#   8. A PUT whose JSON body is over 1 KiB applies.
 #
 # Backends are fake addresses: upstream dials are lazy, so the control
 # plane is fully exercisable without live backends. Run from the repo
@@ -94,4 +98,28 @@ case $topo in
     *'"a:1"'*) fail "rejected PUT changed the topology: $topo" ;;
 esac
 
-echo "admin-smoke: ok (healthz, counters, latency shape, PUT 2->3, weight visible, 409 on overflow)"
+# 7. Two requests, one curl invocation: curl reuses the connection
+# ("Re-using existing connection" in its verbose log) and both answer.
+both=$(curl -sfv "http://$ADMIN/healthz" "http://$ADMIN/counters" 2>/tmp/admin_smoke_v.$$) ||
+    fail "two-URL curl failed: $(cat /tmp/admin_smoke_v.$$)"
+case $both in
+    'ok'*'"sched"'*) ;;
+    *) fail "two-URL curl answers: $both" ;;
+esac
+grep -qi 're-using existing connection' /tmp/admin_smoke_v.$$ ||
+    fail "curl did not reuse the admin connection: $(cat /tmp/admin_smoke_v.$$)"
+rm -f /tmp/admin_smoke_v.$$
+
+# 8. A PUT body over 1 KiB: weighted entries padded with JSON whitespace.
+pad=$(printf '%1200s' '')
+big='{"backends":["127.0.0.1:29001",'"$pad"'{"addr":"127.0.0.1:29002","weight":3}]}'
+[ ${#big} -gt 1024 ] || fail "large PUT body is only ${#big} bytes"
+code=$(curl -s -o /tmp/admin_smoke_put.$$ -w '%{http_code}' -X PUT -d "$big" "http://$ADMIN/topology")
+[ "$code" = "200" ] || fail "large PUT /topology = $code: $(cat /tmp/admin_smoke_put.$$)"
+case $(cat /tmp/admin_smoke_put.$$) in
+    *'"weight":3'*) ;;
+    *) fail "large PUT not applied: $(cat /tmp/admin_smoke_put.$$)" ;;
+esac
+rm -f /tmp/admin_smoke_put.$$
+
+echo "admin-smoke: ok (healthz, counters, latency shape, PUT 2->3, weight visible, 409 on overflow, keep-alive reuse, 1 KiB+ PUT)"
