@@ -34,12 +34,12 @@ alloc-gate:
 	$(GO) test -count=1 -run 'ZeroAlloc|Allocs|TestValueSize|TestFieldSlotsMatchDesc|TestEntryHeaderSize|TestCacheHeapPerEntry' ./...
 
 # Race matrix: the packages whose tests share state across goroutines —
-# scheduler, refcounted buffers, codecs, client fleets, upstream pools,
+# scheduler, the kernel pump (netstack.Events), refcounted buffers, codecs, client fleets, upstream pools,
 # cache, topology sources, admin handlers, wait-free histograms. The gate
 # script fails on any failure or any listed package that ran no tests, and
 # ends with one line: "race matrix: <pkgs> packages, <tests> tests, 0 failed".
 # CI calls this target, so the list is written here only.
-RACE_PKGS = ./internal/core/... ./internal/buffer/... ./internal/proto/... \
+RACE_PKGS = ./internal/core/... ./internal/netstack/... ./internal/buffer/... ./internal/proto/... \
 	./internal/loadgen/... ./internal/upstream/... ./internal/backend/... \
 	./internal/apps/... ./internal/cache/... ./internal/topology/... \
 	./internal/admin/... ./internal/metrics/...
@@ -128,7 +128,7 @@ examples-smoke:
 # Documentation gate: every relative markdown link (and intra-doc
 # anchor) resolves and every exported identifier in the data-path
 # packages has a doc comment.
-DOC_PKGS = .,internal/compiler,internal/types,internal/lang,internal/value,internal/grammar,internal/upstream,internal/backend,internal/buffer,internal/core,internal/apps,internal/bench,internal/cache,internal/metrics,internal/admin,internal/topology,internal/proto/memcache,internal/proto/http,internal/tools/docscheck
+DOC_PKGS = .,internal/compiler,internal/types,internal/lang,internal/value,internal/grammar,internal/netstack,internal/upstream,internal/backend,internal/buffer,internal/core,internal/apps,internal/bench,internal/cache,internal/metrics,internal/admin,internal/topology,internal/proto/memcache,internal/proto/http,internal/tools/docscheck
 
 check-docs:
 	$(GO) run ./internal/tools/docscheck -pkgs $(DOC_PKGS) README.md docs/ARCHITECTURE.md docs/PERFORMANCE.md

@@ -119,15 +119,11 @@ type inputState struct {
 	mu   sync.Mutex
 	q    *buffer.Queue
 	eof  bool
-	conn net.Conn
+	conn netstack.Readable
 	dec  grammar.StreamDecoder
-	evt  bool // event-driven (UserNet) vs pump-goroutine (kernel)
 	port int
 	raw  int // the codec's "_raw" image slot (-1: none), for cache fills
 }
-
-// readChunk is the pooled read-buffer size for input connections.
-const readChunk = 32 << 10
 
 // outputState is the runtime of one output node. Encoded messages
 // accumulate in a pooled scatter list — raw-captured messages as zero-copy
@@ -251,7 +247,6 @@ func (inst *Instance) Reset() {
 			st.dec = n.Codec.NewDecoder()
 			st.eof = false
 			st.conn = nil
-			st.evt = false
 			st.port = -1
 			st.mu.Unlock()
 		case NodeOutput:
@@ -293,7 +288,7 @@ func (inst *Instance) DebugString() string {
 			n.ID, n.Kind, n.Name, t.state.Load(), t.done.Load(), t.runs.Load())
 		if st := inst.inputRT[n.ID]; st != nil {
 			st.mu.Lock()
-			fmt.Fprintf(&sb, " qlen=%d eof=%v evt=%v conn=%v", st.q.Len(), st.eof, st.evt, st.conn != nil)
+			fmt.Fprintf(&sb, " qlen=%d eof=%v conn=%v", st.q.Len(), st.eof, st.conn != nil)
 			st.mu.Unlock()
 		}
 		for i, ch := range inst.nodeIn[n.ID] {
@@ -332,24 +327,27 @@ func (inst *Instance) PortHomeWorker(port int) int {
 }
 
 // Bind attaches conn to port (nil: unbound), closing what an earlier Bind
-// left there. Call before Start; the first Bind takes idle → bound.
+// left there. A port the graph reads is bound as netstack.Events(conn), so
+// a blocking connection's pump starts here. Call before Start; the first
+// Bind takes idle → bound.
 func (inst *Instance) Bind(port int, conn net.Conn) {
 	if w := inst.state.Load(); phase(w>>32) == phaseIdle {
 		inst.transition(w, phaseBound, 0)
+	}
+	p, at := inst.tmpl.ports[port], port
+	if conn == nil {
+		at = -1
+	} else if p.In >= 0 {
+		conn = netstack.Events(conn, buffer.Global)
 	}
 	if old := inst.conns[port]; old != nil && old != conn {
 		old.Close()
 	}
 	inst.conns[port] = conn
-	p, at := inst.tmpl.ports[port], port
-	if conn == nil {
-		at = -1
-	}
 	if p.In >= 0 {
 		st := inst.inputRT[p.In]
-		st.conn = conn
+		st.conn, _ = conn.(netstack.Readable)
 		st.port = at
-		_, st.evt = conn.(netstack.Readable)
 	}
 	if p.Out >= 0 {
 		st := inst.outputRT[p.Out]
@@ -358,12 +356,12 @@ func (inst *Instance) Bind(port int, conn net.Conn) {
 	}
 }
 
-// Start activates a bound instance: event callbacks are registered, pump
-// goroutines start for kernel connections, and every input task is
-// scheduled once to consume any pending bytes. The binding is read only
-// while bound, when no task can run or finish; after bound → running a
-// graph whose peer already hung up may be recycled under the last loop,
-// which reads only the immutable task list.
+// Start activates a bound instance: every bound input's readable callback
+// is registered, and every input task is scheduled once to consume any
+// pending bytes. The binding is read only while bound, when no task can
+// run or finish; after bound → running a graph whose peer already hung up
+// may be recycled under the last loop, which reads only the immutable
+// task list.
 func (inst *Instance) Start() {
 	w := inst.state.Load()
 	for _, n := range inst.tmpl.nodes {
@@ -377,42 +375,14 @@ func (inst *Instance) Start() {
 			st.mu.Lock()
 			st.eof = true
 			st.mu.Unlock()
-		case st.evt:
-			st.conn.(netstack.Readable).SetReadableCallback(func() { inst.sched.Schedule(task) })
 		default:
-			go inst.pump(st, task)
+			st.conn.SetReadableCallback(func() { inst.sched.Schedule(task) })
 		}
 	}
 	inst.transition(w, phaseRunning, uint32(len(inst.tasks)))
 	for _, n := range inst.tmpl.nodes {
 		if n.Kind == NodeInput {
 			inst.sched.Schedule(inst.tasks[n.ID])
-		}
-	}
-}
-
-// pump bridges a kernel (blocking) connection into the task world: it
-// blocks on Read and schedules the input task as bytes arrive. This is the
-// kernel-stack analogue of mTCP's event loop (one goroutine per connection
-// instead of one epoll event). Bulk reads land in a fresh pooled chunk that
-// is handed to the byte queue by reference — no copy between the socket and
-// the decoded message views; short reads are compacted instead so a
-// trickling peer cannot pin a near-empty chunk per segment.
-func (inst *Instance) pump(st *inputState, task *Task) {
-	for {
-		ref := buffer.Global.GetRef(readChunk)
-		n, err := st.conn.Read(ref.Bytes())
-		st.mu.Lock()
-		st.q.AppendRead(ref, n) // small reads compact, large ones hand over the ref
-		if err != nil {
-			st.eof = true
-		}
-		st.mu.Unlock()
-		if n > 0 || err != nil {
-			inst.sched.Schedule(task)
-		}
-		if err != nil {
-			return
 		}
 	}
 }
@@ -466,8 +436,8 @@ func (inst *Instance) beginShutdown() {
 			continue
 		}
 		st := inst.inputRT[n.ID]
-		if st.evt && st.conn != nil {
-			st.conn.(netstack.Readable).SetReadableCallback(nil)
+		if st.conn != nil {
+			st.conn.SetReadableCallback(nil)
 		}
 		inst.sched.Schedule(inst.tasks[n.ID])
 	}
@@ -478,8 +448,8 @@ func (inst *Instance) Close() { inst.beginShutdown() }
 
 // --- task bodies ---
 
-// runInput drains bytes from the connection, decodes complete messages and
-// pushes them downstream.
+// runInput takes the bytes that have arrived on the connection, decodes
+// complete messages and pushes them downstream.
 func (inst *Instance) runInput(ctx *ExecCtx, n *Node) RunResult {
 	if !inst.bindingLive() {
 		return RunIdle // stale wakeup (see bindingLive)
@@ -493,11 +463,16 @@ func (inst *Instance) runInput(ctx *ExecCtx, n *Node) RunResult {
 	// together, so they share an arrival stamp.
 	stampPrimary := inst.lrt != nil && st.port >= 0 && inst.tmpl.ports[st.port].Primary
 	lnow := int64(-1)
-	for {
+	// A wakeup means bytes arrived: the activation takes them before its
+	// first decode, which would otherwise fail for want of them.
+	for fresh := true; ; fresh = false {
 		if out.Saturated() {
 			return RunYield
 		}
 		st.mu.Lock()
+		if fresh {
+			st.pull()
+		}
 		msg, ok, derr := st.dec.Decode(st.q)
 		if ok {
 			st.mu.Unlock()
@@ -552,41 +527,30 @@ func (inst *Instance) runInput(ctx *ExecCtx, n *Node) RunResult {
 			// connection, the only safe framing recovery.
 			st.eof = true
 		}
+		if st.pull() {
+			st.mu.Unlock()
+			lnow = -1 // fresh bytes: the next decode batch re-reads the clock
+			continue
+		}
 		if st.eof {
 			st.mu.Unlock()
 			return inst.finishInput(st, out)
 		}
-		if st.evt {
-			// Event-driven: pull bytes non-blockingly from the stack. A
-			// RefReader (upstream session) moves its already-pooled views
-			// into the parse queue by reference; other stacks read into a
-			// pooled chunk appended by reference (zero copy either way).
-			var (
-				nread int
-				rerr  error
-			)
-			if rr, ok := st.conn.(netstack.RefReader); ok {
-				nread, rerr = rr.TryReadRefs(st.q)
-			} else {
-				ref := buffer.Global.GetRef(readChunk)
-				nread, rerr = st.conn.(netstack.Readable).TryRead(ref.Bytes())
-				st.q.AppendRead(ref, nread) // small reads compact, large ones hand over the ref
-			}
-			if nread > 0 {
-				st.mu.Unlock()
-				lnow = -1 // fresh bytes: the next decode batch re-reads the clock
-				continue
-			}
-			if rerr != nil {
-				// EOF and hard errors end the stream alike.
-				st.eof = true
-				st.mu.Unlock()
-				return inst.finishInput(st, out)
-			}
-		}
 		st.mu.Unlock()
 		return RunIdle
 	}
+}
+
+// pull moves the bytes that have arrived on the connection into the parse
+// queue by reference, reporting whether any did; EOF and hard errors end
+// the stream alike. st.mu must be held.
+func (st *inputState) pull() bool {
+	if st.eof {
+		return false
+	}
+	n, err := st.conn.TryReadRefs(st.q)
+	st.eof = err != nil
+	return n > 0
 }
 
 // finishInput propagates EOF downstream and triggers instance shutdown for

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -139,6 +140,34 @@ func TestInstanceFinishesOnClientClose(t *testing.T) {
 	client.Close()
 	if !waitPhase(inst, phaseFinished, 2*time.Second) {
 		t.Fatal("instance did not finish after client close")
+	}
+}
+
+// TestInstanceServesNetPipe: a connection that is neither kernel TCP nor
+// UserNet (net.Pipe) is read through netstack.Events' pump like any
+// blocking socket; the instance serves it, finishes when the client hangs
+// up, and leaves no pump goroutine behind.
+func TestInstanceServesNetPipe(t *testing.T) {
+	p := startPlatform(t, netstack.NewUserNet())
+	base := runtime.NumGoroutine()
+	inst := NewInstance(echoTemplate(t), p.Scheduler())
+	client, server := net.Pipe()
+	inst.Bind(0, server)
+	inst.Start()
+	if _, err := client.Write([]byte("pipe\n")); err != nil {
+		t.Fatal(err)
+	}
+	if got := readLines(t, client, 1); got[0] != "PIPE" {
+		t.Fatalf("got %q", got)
+	}
+	client.Close()
+	if !waitPhase(inst, phaseFinished, 2*time.Second) {
+		t.Fatalf("instance did not finish after client close:\n%s", inst.DebugString())
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the instance finished, %d before it started", runtime.NumGoroutine(), base)
+		}
 	}
 }
 
@@ -478,7 +507,21 @@ func TestGraphPoolReuse(t *testing.T) {
 func BenchmarkGraphPoolReuse(b *testing.B) {
 	tmpl := echoTemplate(b)
 	sched := NewScheduler(1, Cooperative)
-	conn, peer := net.Pipe()
+	// A UserNet connection is already a netstack.Readable, so Bind starts
+	// no pump goroutine: the loops price the pool alone.
+	u := netstack.NewUserNet()
+	l, err := u.Listen("pool:1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	conn, err := u.Dial("pool:1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	peer, err := l.Accept()
+	if err != nil {
+		b.Fatal(err)
+	}
 	defer peer.Close()
 	b.Run("reuse", func(b *testing.B) {
 		pool := NewGraphPool(tmpl, sched)

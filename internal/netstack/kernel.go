@@ -1,10 +1,6 @@
 package netstack
 
-import (
-	"net"
-
-	"flick/internal/buffer"
-)
+import "net"
 
 // KernelTCP is the operating-system TCP stack. Benchmarks use it on loopback
 // ("127.0.0.1:0"); every operation is a real syscall, so it carries the
@@ -26,39 +22,3 @@ func (KernelTCP) Dial(addr string) (net.Conn, error) {
 }
 
 var _ Transport = KernelTCP{}
-
-// Readable is implemented by connections that support event-driven read
-// notification (the UserNet stack). The FLICK platform uses it to schedule
-// input tasks from the stack's event loop instead of blocking a goroutine;
-// kernel connections fall back to a pump goroutine.
-type Readable interface {
-	// SetReadableCallback registers fn to run when bytes or EOF arrive.
-	SetReadableCallback(fn func())
-	// TryRead performs a non-blocking read; (0, nil) means "would block".
-	TryRead(p []byte) (int, error)
-}
-
-var _ Readable = (*userConn)(nil)
-
-// RefReader is implemented by connections that can hand buffered inbound
-// bytes to a byte queue by reference: already-pooled views move into the
-// caller's queue without copying (upstream sessions deliver demultiplexed
-// response views this way). Implementations also implement Readable; the
-// platform's event-driven input path prefers RefReader when present.
-type RefReader interface {
-	// TryReadRefs moves all currently buffered bytes into q, reporting the
-	// byte count; (0, nil) means "would block", errors end the stream.
-	TryReadRefs(q *buffer.Queue) (int, error)
-}
-
-// BatchWriter is implemented by connections that accept a whole scatter
-// list in one operation (the UserNet stack takes its connection lock once
-// for the batch). Kernel TCP connections don't need it: net.Buffers.WriteTo
-// maps to a single writev syscall on *net.TCPConn.
-type BatchWriter interface {
-	// WriteBatch writes every buffer in order, blocking until all bytes
-	// are accepted or the connection fails.
-	WriteBatch(bufs [][]byte) (int64, error)
-}
-
-var _ BatchWriter = (*userConn)(nil)

@@ -16,6 +16,14 @@
 // Both transports implement Transport and produce net.Conn values, so every
 // server, baseline and load generator in the repository runs unmodified on
 // either stack.
+//
+// The platform itself reads every socket one way, as a Readable: a
+// readable callback schedules the reader, which takes the bytes that have
+// arrived into its parse queue by reference (TryReadRefs). UserNet
+// connections are Readable natively. Events wraps any other connection
+// with the one kernel pump — a goroutine blocked in Read into a pooled
+// ReadChunk — so replacing that goroutine (with epoll, say) changes Events
+// alone.
 package netstack
 
 import (

@@ -262,9 +262,9 @@ func (c *userConn) Read(p []byte) (int, error) {
 	}
 }
 
-// TryRead reads without blocking; n == 0 with nil error means "would block".
-// EOF is reported as (0, io.EOF-equivalent).
-func (c *userConn) TryRead(p []byte) (int, error) {
+// TryReadRefs implements Readable: one non-blocking read of up to
+// ReadChunk bytes into a chunk from q's pool, appended with AppendRead.
+func (c *userConn) TryReadRefs(q *buffer.Queue) (int, error) {
 	h := c.in
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -272,7 +272,9 @@ func (c *userConn) TryRead(p []byte) (int, error) {
 		return 0, ErrClosed
 	}
 	if h.ring.Len() > 0 {
-		n, _ := h.ring.Read(p)
+		ref := q.Pool().GetRef(ReadChunk)
+		n, _ := h.ring.Read(ref.Bytes())
+		q.AppendRead(ref, n)
 		h.canWrite.Broadcast()
 		return n, nil
 	}
@@ -356,7 +358,7 @@ func (c *userConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// WriteBatch implements netstack.BatchWriter: it writes every buffer in
+// WriteBatch implements BatchWriter: it writes every buffer in
 // order while holding the connection lock once for the whole batch — the
 // user-space analogue of writev. Semantics match Write (per-op cost burned
 // once, blocks until everything is accepted, honours the write deadline).
@@ -409,11 +411,9 @@ func (c *userConn) Close() error {
 	return nil
 }
 
-// SetReadableCallback registers fn to run whenever bytes (or EOF) become
-// available for reading. This is the event-loop hook: the FLICK platform's
-// input tasks are scheduled from here rather than parking a goroutine per
-// connection. Passing nil clears the callback. If data is already buffered,
-// fn fires immediately.
+// SetReadableCallback implements Readable. This is the event-loop hook:
+// the platform's input tasks are scheduled from here rather than parking a
+// goroutine per connection.
 func (c *userConn) SetReadableCallback(fn func()) {
 	h := c.in
 	h.mu.Lock()

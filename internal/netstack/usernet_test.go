@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"flick/internal/buffer"
 )
 
 func TestUserNetListenDial(t *testing.T) {
@@ -226,27 +228,28 @@ func TestUserNetReadableCallback(t *testing.T) {
 	if got == 0 {
 		t.Fatal("callback never fired")
 	}
-	// TryRead drains without blocking.
-	buf := make([]byte, 8)
-	n, err := srv.(Readable).TryRead(buf)
-	if err != nil || n != 1 || buf[0] != 'x' {
-		t.Fatalf("TryRead = %d, %v", n, err)
+	// TryReadRefs drains without blocking.
+	q := buffer.NewQueue(nil)
+	defer q.Reset()
+	n, err := srv.(Readable).TryReadRefs(q)
+	if b, _ := q.PeekByte(0); err != nil || n != 1 || b != 'x' {
+		t.Fatalf("TryReadRefs = %d, %v", n, err)
 	}
 	// Empty: would-block.
-	n, err = srv.(Readable).TryRead(buf)
+	n, err = srv.(Readable).TryReadRefs(q)
 	if n != 0 || err != nil {
-		t.Fatalf("TryRead empty = %d, %v", n, err)
+		t.Fatalf("TryReadRefs empty = %d, %v", n, err)
 	}
-	// EOF surfaces through TryRead after peer closes.
+	// EOF surfaces through TryReadRefs after peer closes.
 	c.Close()
 	deadline := time.Now().Add(time.Second)
 	for {
-		_, err = srv.(Readable).TryRead(buf)
+		_, err = srv.(Readable).TryReadRefs(q)
 		if err == io.EOF {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("TryRead after close = %v, want EOF", err)
+			t.Fatalf("TryReadRefs after close = %v, want EOF", err)
 		}
 	}
 }

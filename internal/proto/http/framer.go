@@ -92,7 +92,7 @@ func FrameResponseLen(q *buffer.Queue, from int, ctx upstream.Context) (int, err
 		}
 		if f.status >= 100 && f.status < 200 {
 			if f.status == 101 {
-				return 0, fmt.Errorf("%w: 101 switching protocols", ErrUnframeable)
+				return 0, unframeable(f)
 			}
 			// Interim response: keep scanning; it and the final response
 			// deliver to the requesting session as one view.
@@ -116,7 +116,7 @@ func FrameResponseLen(q *buffer.Queue, from int, ctx upstream.Context) (int, err
 		case f.hasCL:
 			return total + headLen + f.bodyLen, nil
 		default:
-			return 0, fmt.Errorf("%w: status %d with neither Content-Length nor chunked encoding", ErrUnframeable, f.status)
+			return 0, unframeable(f)
 		}
 	}
 }

@@ -180,3 +180,55 @@ func TestFrameResponseLenUnframeable(t *testing.T) {
 		t.Fatalf("close-delimited framing error = %v; want ErrUnframeable", err)
 	}
 }
+
+// TestDecoderAgreesWithFramer runs every neutral-context response row of
+// the framer tests through both the response decoder and FrameResponseLen:
+// they must refuse the same responses with the same error kind, and where
+// the framer frames a unit, the decoder's messages must end exactly where
+// it ends (an interim 1xx decodes as a message of its own). The CtxHEAD
+// row is left out: the decoder is not request-aware.
+func TestDecoderAgreesWithFramer(t *testing.T) {
+	rows := []struct{ name, wire string }{
+		{"content-length", string(BuildResponse(nil, 200, "OK", true, []byte("hello body")))},
+		{"get-of-head-bytes", "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello"},
+		{"204", "HTTP/1.1 204 No Content\r\nContent-Length: 1234\r\nETag: \"x\"\r\n\r\n"},
+		{"304", "HTTP/1.1 304 Not Modified\r\nContent-Length: 1234\r\nETag: \"x\"\r\n\r\n"},
+		{"interim+final", "HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"},
+		{"101", "HTTP/1.1 101 Switching Protocols\r\nUpgrade: h2c\r\n\r\n"},
+		{"chunked", "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n4\r\nwiki\r\n10\r\n0123456789abcdef\r\n0\r\nTrailer: v\r\n\r\n"},
+		{"close-delimited", "HTTP/1.1 200 OK\r\nConnection: close\r\n\r\nhello world"},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			q := buffer.NewQueue(nil)
+			defer q.Reset()
+			q.Append([]byte(r.wire))
+			n, ferr := FrameResponseLen(q, 0, 0)
+			if ferr == nil && n != len(r.wire) {
+				t.Fatalf("framer framed %d of %d bytes", n, len(r.wire))
+			}
+			dec := ResponseFormat{}.NewDecoder()
+			consumed := 0
+			for {
+				before := q.Len()
+				msg, ok, derr := dec.Decode(q)
+				if derr != nil {
+					if ferr == nil || !errors.Is(derr, ErrUnframeable) || !errors.Is(ferr, ErrUnframeable) {
+						t.Fatalf("decoder error %v, framer error %v", derr, ferr)
+					}
+					return
+				}
+				if !ok {
+					t.Fatalf("decoder wants more after %d bytes; framer: n=%d err=%v", consumed, n, ferr)
+				}
+				msg.Release()
+				if consumed += before - q.Len(); consumed >= n {
+					break
+				}
+			}
+			if ferr != nil || consumed != n {
+				t.Fatalf("decoder consumed %d bytes ok; framer: n=%d err=%v", consumed, n, ferr)
+			}
+		})
+	}
+}

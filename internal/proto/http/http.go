@@ -162,6 +162,12 @@ func (d *decoder) Decode(q *buffer.Queue) (value.Value, bool, error) {
 			d.reset()
 			return value.Null, false, fmt.Errorf("%w: body of %d bytes", ErrTooLarge, f.bodyLen)
 		}
+		if !d.isRequest {
+			if err := unframeable(f); err != nil {
+				d.reset()
+				return value.Null, false, err
+			}
+		}
 		d.keepAlive = f.keepAlive
 		switch {
 		case !d.isRequest && bodilessStatus(f.status):
@@ -276,6 +282,21 @@ func chunkSizeOf(line []byte) int {
 // never carrying a body, whatever their headers declare.
 func bodilessStatus(status int) bool {
 	return (status >= 100 && status < 200) || status == 204 || status == 304
+}
+
+// unframeable reports why a response with framing f has no findable end —
+// a 101 protocol switch, or a body-bearing status with neither
+// Content-Length nor chunked encoding, framed by connection close — or nil
+// when it has one. The decoder and FrameResponseLen refuse the same
+// responses through it.
+func unframeable(f framing) error {
+	switch {
+	case f.status == 101:
+		return fmt.Errorf("%w: 101 switching protocols", ErrUnframeable)
+	case bodilessStatus(f.status) || f.chunked || f.hasCL:
+		return nil
+	}
+	return fmt.Errorf("%w: status %d with neither Content-Length nor chunked encoding", ErrUnframeable, f.status)
 }
 
 // scanCRLFCRLF looks for the header terminator, resuming from *scanned.

@@ -46,7 +46,7 @@ func TestLeasedSessionZeroAlloc(t *testing.T) {
 	reqWire := frame("get key-000042")
 	respWire := frame("VALUE key-000042 hello")
 	rbuf := make([]byte, len(reqWire))
-	sbuf := make([]byte, len(respWire))
+	rq := buffer.NewQueue(pool)
 
 	allocs := testing.AllocsPerRun(1000, func() {
 		if _, err := sess.Write(reqWire); err != nil {
@@ -60,10 +60,11 @@ func TestLeasedSessionZeroAlloc(t *testing.T) {
 		if _, err := be.Write(respWire); err != nil {
 			t.Fatalf("backend write: %v", err)
 		}
-		n, err := sess.TryRead(sbuf)
+		n, err := sess.TryReadRefs(rq)
 		if err != nil || n != len(respWire) {
 			t.Fatalf("session read: n=%d err=%v", n, err)
 		}
+		rq.Reset()
 	})
 	if allocs != 0 {
 		t.Fatalf("leased-session round trip allocates %.1f/op, want 0", allocs)

@@ -19,9 +19,9 @@ import (
 // delivers the matching response views into the session's inbound queue,
 // still as retained references into the pooled read chunks.
 //
-// Session implements netstack.Readable (the platform's event-driven input
-// path — no goroutine per session) and netstack.RefReader (response views
-// move into the input task's parse queue by reference). Closing a session
+// Session implements netstack.Readable (the platform's one input path — no
+// goroutine per session — with response views moving into the input
+// task's parse queue by reference). Closing a session
 // never closes the shared socket; responses to requests the session no
 // longer waits for are consumed and dropped to keep FIFO correlation intact
 // for its neighbours.
@@ -179,7 +179,9 @@ func (s *Session) writeLocked(bufs [][]byte) (int64, error) {
 		c.load.Add(int64(k))
 		c.mu.Unlock()
 		s.wviews = s.wq.AppendViews(s.wviews[:0], nb)
-		_, werr := c.writeRaw(s.wviews)
+		// Every Readable a Transport's socket becomes is a BatchWriter:
+		// one vectored write per flush.
+		_, werr := c.raw.(netstack.BatchWriter).WriteBatch(s.wviews)
 		for i := range s.wviews {
 			s.wviews[i] = nil
 		}
@@ -210,26 +212,7 @@ func (s *Session) compactTail() {
 	s.wq.AppendRef(ref, n)
 }
 
-// TryRead implements netstack.Readable: a non-blocking copy out of the
-// delivered response views.
-func (s *Session) TryRead(p []byte) (int, error) {
-	s.rmu.Lock()
-	defer s.rmu.Unlock()
-	if s.closed.Load() {
-		return 0, netstack.ErrClosed
-	}
-	if s.rq.Len() > 0 {
-		n := s.rq.Peek(p)
-		s.rq.Discard(n)
-		return n, nil
-	}
-	if s.eof {
-		return 0, io.EOF
-	}
-	return 0, nil
-}
-
-// TryReadRefs implements netstack.RefReader: every delivered response view
+// TryReadRefs implements netstack.Readable: every delivered response view
 // moves into q by reference — the zero-copy hand-over into an input task's
 // parse queue.
 func (s *Session) TryReadRefs(q *buffer.Queue) (int, error) {
@@ -345,5 +328,4 @@ var (
 	_ net.Conn             = (*Session)(nil)
 	_ netstack.Readable    = (*Session)(nil)
 	_ netstack.BatchWriter = (*Session)(nil)
-	_ netstack.RefReader   = (*Session)(nil)
 )

@@ -343,7 +343,7 @@ func TestLeaseRacingRetireNeverBornAtEOF(t *testing.T) {
 		}
 	}()
 	bornAtEOF := 0
-	var buf [8]byte
+	q := buffer.NewQueue(nil)
 	for i := int64(1); i <= iters; i++ {
 		m.SetBackends([]string{"sh:race"})
 		warm, err := m.Lease("sh:race") // dial the socket the race leases
@@ -354,10 +354,11 @@ func TestLeaseRacingRetireNeverBornAtEOF(t *testing.T) {
 		gate.Store(i)
 		m.SetBackends(nil)
 		if s := <-leased; s != nil {
-			if _, err := s.TryRead(buf[:]); err == io.EOF {
+			if _, err := s.TryReadRefs(q); err == io.EOF {
 				bornAtEOF++
 			}
 			s.Close()
+			q.Reset()
 		}
 	}
 	if bornAtEOF > 0 {

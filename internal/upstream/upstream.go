@@ -81,9 +81,6 @@ var (
 	errManagerClosed = errors.New("upstream: manager closed")
 )
 
-// readChunk is the pooled read-buffer size for shared-socket reads.
-const readChunk = 32 << 10
-
 // Config parameterises a Manager.
 type Config struct {
 	// Transport dials backend sockets.
@@ -620,7 +617,9 @@ func (p *pool) dialSlot(slot int) (*Session, error) {
 	closed, retired := p.m.closed.Load(), p.retired
 	s := c.newSession()
 	p.mu.Unlock()
-	c.start()
+	// Arm the demultiplexer: on a kernel socket, Events' one pump goroutine
+	// runs ingest — per shared socket, not per client, which is the point.
+	c.raw.SetReadableCallback(c.ingest)
 	if closed {
 		c.fail(errManagerClosed)
 		return nil, errManagerClosed
@@ -637,17 +636,12 @@ func (p *pool) dialSlot(slot int) (*Session, error) {
 type conn struct {
 	p    *pool
 	m    *Manager
-	raw  net.Conn
-	load *atomic.Int64 // the per-address in-flight gauge (Manager.loads)
-	evt  bool          // event-driven demux (netstack.Readable) vs pump goroutine
+	raw  netstack.Readable // netstack.Events of the dialled socket
+	load *atomic.Int64     // the per-address in-flight gauge (Manager.loads)
 
 	// wmu serialises socket writes. It is held across FIFO reservation AND
 	// the write itself, so FIFO order always matches socket byte order.
 	wmu sync.Mutex
-	// wbuf is writeRaw's vectored-write list (guarded by wmu). A local
-	// net.Buffers escapes through the writer interface and costs one
-	// allocation per write; a field lives in the conn.
-	wbuf net.Buffers
 
 	mu       sync.Mutex // fifo ring, window accounting, session set, broken
 	cond     *sync.Cond // window space / failure wakeup
@@ -667,7 +661,7 @@ func newConn(p *pool, raw net.Conn) *conn {
 	c := &conn{
 		p:        p,
 		m:        p.m,
-		raw:      raw,
+		raw:      netstack.Events(raw, p.m.bufs),
 		load:     p.m.loadFor(p.addr),
 		window:   p.m.cfg.Window,
 		sessions: map[*Session]struct{}{},
@@ -677,77 +671,29 @@ func newConn(p *pool, raw net.Conn) *conn {
 	return c
 }
 
-// start arms the demultiplexer: event-driven off the stack's readable
-// callback where the transport supports it (no goroutine at all), a pump
-// goroutine for blocking kernel sockets — per shared socket, not per
-// client, which is the point.
-func (c *conn) start() {
-	if r, ok := c.raw.(netstack.Readable); ok {
-		c.evt = true
-		r.SetReadableCallback(c.ingest)
-	} else {
-		go c.pump()
-	}
-}
-
 func (c *conn) isBroken() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.broken
 }
 
-// ingest is the event-driven demux step: drain the stack's buffer into
-// pooled chunks and deliver every complete response.
+// ingest is the demux step: take the bytes that have arrived into the
+// inbound stream and deliver every complete response.
 func (c *conn) ingest() {
 	c.dmu.Lock()
 	if c.isBroken() {
 		c.dmu.Unlock()
 		return
 	}
-	r := c.raw.(netstack.Readable)
-	for {
-		ref := c.m.bufs.GetRef(readChunk)
-		n, err := r.TryRead(ref.Bytes())
-		c.rq.AppendRead(ref, n) // consumes the ref in every case
-		if n > 0 {
-			if derr := c.deliver(); derr != nil {
-				c.dmu.Unlock()
-				c.fail(derr)
-				return
-			}
-			continue
+	n, err := 1, error(nil)
+	for n > 0 && err == nil {
+		if n, err = c.raw.TryReadRefs(c.rq); n > 0 {
+			err = c.deliver()
 		}
-		if err != nil {
-			c.dmu.Unlock()
-			c.fail(err)
-			return
-		}
-		c.dmu.Unlock()
-		return
 	}
-}
-
-// pump is the blocking-read demux loop for kernel sockets.
-func (c *conn) pump() {
-	for {
-		ref := c.m.bufs.GetRef(readChunk)
-		n, err := c.raw.Read(ref.Bytes())
-		c.dmu.Lock()
-		if c.isBroken() {
-			c.dmu.Unlock()
-			ref.Release()
-			return
-		}
-		c.rq.AppendRead(ref, n)
-		derr := c.deliver()
-		c.dmu.Unlock()
-		if derr == nil {
-			derr = err
-		}
-		if derr != nil {
-			c.fail(derr)
-			return
-		}
+	c.dmu.Unlock()
+	if err != nil {
+		c.fail(err)
 	}
 }
 
@@ -842,18 +788,6 @@ func (c *conn) popWaiter() (*Session, int64) {
 	return w.s, w.start
 }
 
-// writeRaw performs one vectored write on the shared socket. c.wmu must be
-// held.
-func (c *conn) writeRaw(bufs [][]byte) (int64, error) {
-	if bw, ok := c.raw.(netstack.BatchWriter); ok {
-		return bw.WriteBatch(bufs)
-	}
-	c.wbuf = bufs
-	n, err := c.wbuf.WriteTo(c.raw)
-	c.wbuf = nil
-	return n, err
-}
-
 // fail breaks the shared socket: in-flight FIFO entries are dropped, every
 // session multiplexed on the socket observes EOF, buffered bytes recycle,
 // and the pool slot is left for the next lease to re-dial (with backoff
@@ -878,9 +812,7 @@ func (c *conn) fail(err error) {
 	}
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	if c.evt {
-		c.raw.(netstack.Readable).SetReadableCallback(nil)
-	}
+	c.raw.SetReadableCallback(nil)
 	c.raw.Close()
 	c.dmu.Lock()
 	c.rq.Reset()
