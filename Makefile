@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check test alloc-gate race race-soak bench-selftest bench bench-smoke bench-churn bench-rebalance bench-hotkey bench-shard admin-smoke origin-smoke examples-smoke check-docs fuzz-smoke ci
+.PHONY: all build vet fmt fmt-check test alloc-gate race race-soak bench-selftest bench bench-smoke syscalls bench-churn bench-rebalance bench-hotkey bench-shard admin-smoke origin-smoke examples-smoke check-docs fuzz-smoke ci
 
 all: build test
 
@@ -68,6 +68,14 @@ bench-selftest:
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
+
+# Read and write syscalls per request of the serving proxy over one
+# out-of-process benchmark run of workload W (`bash benchmark/run.sh
+# -workload W -trace 0`, unchanged), sampled from /proc/<pid>/io. Needs jq.
+W ?= mc-small
+
+syscalls:
+	./scripts/syscalls.sh $(W)
 
 bench-smoke:
 	$(GO) test -bench=BenchmarkSchedulerScaling -benchtime=100x -run='^$$' .

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -19,34 +20,35 @@ import (
 )
 
 // allocClient is a closed-loop client whose round trip allocates nothing
-// of its own in steady state: one fixed request, one pooled decode, a
-// status check, release. Driving the proxy and the backend directly with
-// the same client makes the difference of the two allocation counts the
-// proxy's own.
+// of its own in steady state: one fixed batch of window pipelined
+// requests, pooled decodes, a status check each, release. Driving the
+// proxy and the backend directly with the same client makes the
+// difference of the two allocation counts the proxy's own.
 type allocClient struct {
-	conn net.Conn
-	req  []byte
-	q    *buffer.Queue
-	dec  grammar.StreamDecoder
-	ok   func(value.Value) bool
-	rbuf []byte
+	conn   net.Conn
+	req    []byte
+	window int // requests in req, answered before the next round trip
+	q      *buffer.Queue
+	dec    grammar.StreamDecoder
+	ok     func(value.Value) bool
+	rbuf   []byte
 }
 
-func newAllocClient(t *testing.T, u *netstack.UserNet, addr string, req []byte,
+func newAllocClient(t *testing.T, u *netstack.UserNet, addr string, req []byte, window int,
 	dec grammar.StreamDecoder, ok func(value.Value) bool) *allocClient {
 	t.Helper()
 	conn, err := u.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &allocClient{conn: conn, req: req, q: buffer.NewQueue(nil), dec: dec, ok: ok, rbuf: make([]byte, 16<<10)}
+	return &allocClient{conn: conn, req: req, window: window, q: buffer.NewQueue(nil), dec: dec, ok: ok, rbuf: make([]byte, 16<<10)}
 }
 
 func (c *allocClient) roundTrip(t *testing.T) {
 	if _, err := c.conn.Write(c.req); err != nil {
 		t.Fatal(err)
 	}
-	for {
+	for left := c.window; ; {
 		msg, ok, err := c.dec.Decode(c.q)
 		if err != nil {
 			t.Fatal(err)
@@ -57,7 +59,10 @@ func (c *allocClient) roundTrip(t *testing.T) {
 			if !good {
 				t.Fatal("unexpected response")
 			}
-			return
+			if left--; left == 0 {
+				return
+			}
+			continue
 		}
 		n, err := c.conn.Read(c.rbuf)
 		if n > 0 {
@@ -71,8 +76,9 @@ func (c *allocClient) roundTrip(t *testing.T) {
 }
 
 // allocsPerReq runs warm round trips, then reports the process-wide heap
-// allocations per request over n more. MemStats counts every goroutine,
-// so the proxy's workers, the backend and the client are all included.
+// allocations per request over n more round trips. MemStats counts every
+// goroutine, so the proxy's workers, the backend and the client are all
+// included.
 func (c *allocClient) allocsPerReq(t *testing.T, n int) float64 {
 	t.Helper()
 	for i := 0; i < 500; i++ {
@@ -84,7 +90,7 @@ func (c *allocClient) allocsPerReq(t *testing.T, n int) float64 {
 		c.roundTrip(t)
 	}
 	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(n)
+	return float64(after.Mallocs-before.Mallocs) / float64(n*c.window)
 }
 
 // proxyAllocsPerReq is the proxy's share of the heap allocations of one
@@ -141,12 +147,14 @@ func TestProxyZeroAllocPerRequest(t *testing.T) {
 		name   string
 		deploy func(t *testing.T, p *core.Platform, u *netstack.UserNet) (directAddr string, done func())
 		req    []byte
+		window int
 		dec    func() grammar.StreamDecoder
 		ok     func(value.Value) bool
 	}{
-		{"memcachedproxy", deployMemcachedForAlloc(false), mcReq, memcache.Codec.NewDecoder, mcOK},
-		{"memcachedproxy-cache-hit", deployMemcachedForAlloc(true), mcReq, memcache.Codec.NewDecoder, mcOK},
-		{"httplb", deployHTTPLBForAlloc, httpReq, phttp.ResponseFormat{}.NewDecoder, httpOK},
+		{"memcachedproxy", deployMemcachedForAlloc(false), mcReq, 1, memcache.Codec.NewDecoder, mcOK},
+		{"memcachedproxy-pipelined-deferred", deployMemcachedPipelinedForAlloc, allocPipelinedGets(t), len(allocPipelinedKeys), memcache.Codec.NewDecoder, mcOK},
+		{"memcachedproxy-cache-hit", deployMemcachedForAlloc(true), mcReq, 1, memcache.Codec.NewDecoder, mcOK},
+		{"httplb", deployHTTPLBForAlloc, httpReq, 1, phttp.ResponseFormat{}.NewDecoder, httpOK},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -156,16 +164,74 @@ func TestProxyZeroAllocPerRequest(t *testing.T) {
 			directAddr, done := tc.deploy(t, p, u)
 			defer done()
 
-			direct := newAllocClient(t, u, directAddr, tc.req, tc.dec(), tc.ok)
+			direct := newAllocClient(t, u, directAddr, tc.req, tc.window, tc.dec(), tc.ok)
 			defer direct.conn.Close()
-			proxied := newAllocClient(t, u, "proxy:1", tc.req, tc.dec(), tc.ok)
+			proxied := newAllocClient(t, u, "proxy:1", tc.req, tc.window, tc.dec(), tc.ok)
 			defer proxied.conn.Close()
 
 			share := proxyAllocsPerReq(t, proxied, direct)
 			if share > maxProxyAllocsPerReq {
 				t.Fatalf("proxy allocates %.2f/request, want <= %.2f", share, maxProxyAllocsPerReq)
 			}
+			// A pipelined client's first delivery over two backends leaves
+			// its responses to the round end: the pin must cover that path.
+			if st := p.Scheduler().Stats(); tc.window > 1 && st.Deferred == 0 {
+				t.Fatalf("no activation deferred its flush (sched: %v)", st.Metrics())
+			}
 		})
+	}
+}
+
+// allocPipelinedKeys are the keys of the pipelined arm's batch, one GET
+// each; over two backends, both get some.
+var allocPipelinedKeys = []string{"alloc-key-0", "alloc-key-1", "alloc-key-2", "alloc-key-3",
+	"alloc-key-4", "alloc-key-5", "alloc-key-6", "alloc-key-7"}
+
+// allocPipelinedGets is the wire image of the pipelined arm's batch.
+func allocPipelinedGets(t *testing.T) []byte {
+	t.Helper()
+	var b []byte
+	for _, k := range allocPipelinedKeys {
+		var err error
+		if b, err = memcache.Codec.Encode(b, memcache.Request(memcache.OpGet, []byte(k), nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b
+}
+
+// deployMemcachedPipelinedForAlloc deploys the memcached proxy over two
+// backends that both hold every key of the pipelined batch; the direct side
+// dials the first, which answers the whole batch itself.
+func deployMemcachedPipelinedForAlloc(t *testing.T, p *core.Platform, u *netstack.UserNet) (string, func()) {
+	kv := map[string]string{}
+	for _, k := range allocPipelinedKeys {
+		kv[k] = allocValue
+	}
+	var addrs []string
+	var servers []*backend.MemcachedServer
+	for i := 0; i < 2; i++ {
+		s, err := backend.NewMemcachedServer(u, fmt.Sprintf("shard:%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Preload(kv)
+		servers = append(servers, s)
+		addrs = append(addrs, s.Addr())
+	}
+	mp, err := MemcachedProxy(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := mp.Deploy(p, "proxy:1", addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return addrs[0], func() {
+		svc.Close()
+		for _, s := range servers {
+			s.Close()
+		}
 	}
 }
 

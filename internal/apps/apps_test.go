@@ -137,6 +137,7 @@ func TestStaticWebServerServes(t *testing.T) {
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 
 	q := buffer.NewQueue(nil)
+	defer q.Reset()
 	dec := phttp.ResponseFormat{}.NewDecoder()
 	rbuf := make([]byte, 8192)
 	for {
@@ -145,6 +146,7 @@ func TestStaticWebServerServes(t *testing.T) {
 			t.Fatal(derr)
 		}
 		if ok {
+			defer msg.Release()
 			if msg.Field("status").AsInt() != 200 {
 				t.Fatalf("status = %d", msg.Field("status").AsInt())
 			}
@@ -180,6 +182,7 @@ func TestMemcachedProxyRoutesByKey(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer l.Close()
 		go func() {
 			for {
 				raw, err := l.Accept()
@@ -198,6 +201,7 @@ func TestMemcachedProxyRoutesByKey(t *testing.T) {
 						shardKeys[i] <- key
 						c.Send(memcache.Response(req, memcache.StatusOK,
 							[]byte(key), []byte("shard-"+string(rune('0'+i)))))
+						req.Release()
 					}
 				}(raw)
 			}
@@ -227,8 +231,10 @@ func TestMemcachedProxyRoutesByKey(t *testing.T) {
 		if err != nil {
 			t.Fatalf("roundtrip %s: %v", k, err)
 		}
-		if resp.Field("key").AsString() != k {
-			t.Fatalf("response key = %q, want %q", resp.Field("key").AsString(), k)
+		got := resp.Field("key").AsString()
+		resp.Release()
+		if got != k {
+			t.Fatalf("response key = %q, want %q", got, k)
 		}
 	}
 	// Keys are partitioned: the same key always lands on the same shard,

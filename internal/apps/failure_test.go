@@ -65,6 +65,7 @@ func TestProxySurvivesTruncatedMemcachedFrame(t *testing.T) {
 	var srv *net.Conn
 	_ = srv
 	l, _ := u.Listen("shard:0")
+	defer l.Close()
 	go func() {
 		for {
 			raw, err := l.Accept()
@@ -80,6 +81,7 @@ func TestProxySurvivesTruncatedMemcachedFrame(t *testing.T) {
 						return
 					}
 					c.Send(memcache.Response(req, memcache.StatusOK, req.Field("key").AsBytes(), []byte("v")))
+					req.Release()
 				}
 			}(raw)
 		}
@@ -115,6 +117,7 @@ func TestProxySurvivesTruncatedMemcachedFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer resp.Release()
 	if resp.Field("value").AsString() != "v" {
 		t.Fatalf("value = %q", resp.Field("value").AsString())
 	}
@@ -127,6 +130,7 @@ func TestProxySurvivesDeadBackend(t *testing.T) {
 
 	// A backend that accepts and instantly hangs up.
 	l, _ := u.Listen("dead:0")
+	defer l.Close()
 	go func() {
 		for {
 			c, err := l.Accept()

@@ -8,8 +8,10 @@
 // # Layers
 //
 //   - Scheduler: per-worker Chase–Lev deques, bounded overflow inboxes,
-//     per-worker parking with an idle bitmap, and a fairness tick so no
-//     queue starves (sched.go, deque.go, inbox.go).
+//     per-worker parking with an idle bitmap, a fairness tick so no
+//     queue starves, and scheduling rounds: a task returning RunDefer runs
+//     once more when its worker's round ends (sched.go, deque.go,
+//     inbox.go).
 //   - Graphs: Template (blueprint) → Instance (tasks + channels) with a
 //     GraphPool recycling instances across connections (graph.go,
 //     instance.go, pool.go).
@@ -32,16 +34,17 @@
 // upstream sessions, drain delivered response views by reference); output
 // tasks accumulate encoded messages in a pooled scatter list — forwarded
 // messages as references to their original wire bytes — and flush with
-// one vectored write. An instance is Reset only from the finished phase
-// (every task ended) or the bound phase (no task ever ran), and back in
-// idle no task body runs until the next Start — the one release path,
-// GraphPool.Put, guarantees it, and it is what makes buffer reuse across
-// connections safe.
+// one vectored write, the client-facing output once per scheduling round
+// while the client is still owed responses. An instance is Reset only from
+// the finished phase (every task ended) or the bound phase (no task ever
+// ran), and back in idle no task body runs until the next Start — the one
+// release path, GraphPool.Put, guarantees it, and it is what makes buffer
+// reuse across connections safe.
 //
 // # Counters
 //
 // Scheduler.Stats exposes scheduling counters as a metrics.CounterSet via
 // SchedStats.Metrics: scheduled, executed, stolen, parks, wakeups,
-// overflow. Data-path pool counters live in buffer.Pool.Counters; the
-// upstream layer's in upstream.Manager.Counters.
+// overflow, deferred, round_flushes. Data-path pool counters live in
+// buffer.Pool.Counters; the upstream layer's in upstream.Manager.Counters.
 package core

@@ -123,17 +123,23 @@ type inputState struct {
 	dec  grammar.StreamDecoder
 	port int
 	raw  int // the codec's "_raw" image slot (-1: none), for cache fills
+	// reqs counts the requests decoded this binding on a primary port;
+	// the port's output compares it with its resps (see owed). It lives
+	// here, not in Instance, so its per-request add stays off the line
+	// every activation's bindingLive reads.
+	reqs atomic.Uint64
 }
 
 // outputState is the runtime of one output node. Encoded messages
 // accumulate in a pooled scatter list — raw-captured messages as zero-copy
 // references into their region — and leave in batched vectored writes.
 type outputState struct {
-	inst *Instance
-	conn net.Conn
-	sc   *buffer.Scatter
-	wbuf []byte // rebuild-path encode scratch
-	port int
+	inst  *Instance
+	conn  net.Conn
+	sc    *buffer.Scatter
+	wbuf  []byte // rebuild-path encode scratch
+	port  int
+	resps uint64 // responses encoded this binding (primary port only)
 }
 
 // flushBytes is the scatter high-water mark that forces a flush mid-drain.
@@ -248,6 +254,7 @@ func (inst *Instance) Reset() {
 			st.eof = false
 			st.conn = nil
 			st.port = -1
+			st.reqs.Store(0)
 			st.mu.Unlock()
 		case NodeOutput:
 			st := inst.outputRT[n.ID]
@@ -258,6 +265,7 @@ func (inst *Instance) Reset() {
 			st.sc.Reset()
 			st.conn = nil
 			st.port = -1
+			st.resps = 0
 		case NodeCompute:
 			cs := inst.compRT[n.ID]
 			if cs == nil {
@@ -461,7 +469,8 @@ func (inst *Instance) runInput(ctx *ExecCtx, n *Node) RunResult {
 	// The clock is read lazily, once per batch of decodes (lnow resets when
 	// new bytes arrive): requests framed by one socket read arrived
 	// together, so they share an arrival stamp.
-	stampPrimary := inst.lrt != nil && st.port >= 0 && inst.tmpl.ports[st.port].Primary
+	primary := st.port >= 0 && inst.tmpl.ports[st.port].Primary
+	stampPrimary := inst.lrt != nil && primary
 	lnow := int64(-1)
 	// A wakeup means bytes arrived: the activation takes them before its
 	// first decode, which would otherwise fail for want of them.
@@ -476,6 +485,9 @@ func (inst *Instance) runInput(ctx *ExecCtx, n *Node) RunResult {
 		msg, ok, derr := st.dec.Decode(st.q)
 		if ok {
 			st.mu.Unlock()
+			if primary {
+				st.reqs.Add(1)
+			}
 			if stampPrimary {
 				if lnow < 0 {
 					lnow = metrics.Now()
@@ -483,7 +495,7 @@ func (inst *Instance) runInput(ctx *ExecCtx, n *Node) RunResult {
 				inst.lrt.push(lnow)
 			}
 			if crt := inst.crt; crt != nil && st.port >= 0 {
-				if primary := inst.tmpl.ports[st.port].Primary; primary && !crt.fifo {
+				if primary && !crt.fifo {
 					// Client request: serve/coalesce/track before dispatch.
 					if inst.cacheClientRequest(ctx, msg, out) {
 						msg.Release()
@@ -623,18 +635,27 @@ func (inst *Instance) runCompute(ctx *ExecCtx, n *Node) RunResult {
 // flushed in one batched vectored write when the drain pauses (yield, idle,
 // done) or the list passes the high-water mark. A burst of queued responses
 // therefore leaves in a single writev instead of a syscall per message.
+//
+// The client-facing (primary) output goes further: while its instance
+// still owes the client responses — more requests decoded on the primary
+// input than responses encoded here — an idle drain returns RunDefer
+// instead of flushing, and the round-end activation writes whatever the
+// other backends delivered in the same scheduler round along with it. A
+// client owed nothing (window 1, or the last response of a pipeline) is
+// flushed at once, as are upstream ports, yields and close.
 func (inst *Instance) runOutput(ctx *ExecCtx, n *Node) RunResult {
 	if !inst.bindingLive() {
 		return RunIdle // stale wakeup (see bindingLive)
 	}
 	st := inst.outputRT[n.ID]
 	ins := inst.nodeIn[n.ID]
+	primary := st.port >= 0 && inst.tmpl.ports[st.port].Primary
 	// recordPrimary: this output answers the client-facing port of an
 	// instrumented graph, so each encoded response pops its request's
 	// decode stamp and records the elapsed time. The clock is read lazily,
 	// once per flush batch: the batch leaves in one vectored write, so its
 	// responses share a completion stamp.
-	recordPrimary := inst.lrt != nil && st.port >= 0 && inst.tmpl.ports[st.port].Primary
+	recordPrimary := inst.lrt != nil && primary
 	lend := int64(-1)
 	for {
 		progressed := false
@@ -649,7 +670,7 @@ func (inst *Instance) runOutput(ctx *ExecCtx, n *Node) RunResult {
 				continue
 			}
 			progressed = true
-			if crt := inst.crt; crt != nil && crt.fifo && st.port >= 0 && !inst.tmpl.ports[st.port].Primary {
+			if crt := inst.crt; crt != nil && crt.fifo && st.port >= 0 && !primary {
 				// FIFO upstream request: hit/coalesce before it costs a
 				// round trip; consumed requests never reach the wire.
 				if inst.cacheUpstreamRequest(ctx, v, st.port) {
@@ -662,6 +683,9 @@ func (inst *Instance) runOutput(ctx *ExecCtx, n *Node) RunResult {
 				}
 			}
 			st.encode(n.Codec, v)
+			if primary {
+				st.resps++
+			}
 			if recordPrimary {
 				if start, popped := inst.lrt.pop(); popped {
 					if lend < 0 {
@@ -688,10 +712,23 @@ func (inst *Instance) runOutput(ctx *ExecCtx, n *Node) RunResult {
 			return RunDone
 		}
 		if !progressed {
+			// The scatter is below flushBytes here (the drain flushes at
+			// the mark), so an owed client's write can wait for the round.
+			if primary && !ctx.RoundEnd() && st.sc.Len() > 0 && inst.owed(st) {
+				return RunDefer
+			}
 			st.flush()
 			return RunIdle
 		}
 	}
+}
+
+// owed reports whether the client behind primary output st is still owed
+// responses: more requests decoded on its port's input than responses
+// encoded on st.
+func (inst *Instance) owed(st *outputState) bool {
+	in := inst.tmpl.ports[st.port].In
+	return in >= 0 && inst.inputRT[in].reqs.Load() > st.resps
 }
 
 // encode appends v's wire form to the output's scatter list, preferring the

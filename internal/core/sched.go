@@ -52,6 +52,13 @@ func CooperativeQuantum(q time.Duration) Policy {
 //     served in FIFO order (LIFO within a batch), bounding how long any
 //     task can wait behind later arrivals to drainBatch activations.
 //   - Task→worker affinity is a hash of the task id (§5).
+//   - A task may return RunDefer: it waits, Queued, on its worker's
+//     round-end list, and runs once more (ExecCtx.RoundEnd) when the
+//     worker runs out of work — after one runtime.Gosched, so bytes the
+//     netpoller readied together land in the same round — or, under
+//     continuous load, once the round has waited the policy's quantum
+//     (drainBatch activations without one). A client's output defers its
+//     flush this way, so its responses leave in one write per round.
 //   - Idle workers park individually on a per-worker condition variable.
 //     An atomic idle bitmap lets producers wake exactly one sleeper with a
 //     claim CAS instead of broadcasting to the whole pool.
@@ -92,20 +99,35 @@ type worker struct {
 	// worker, overwritten per activation (see ExecCtx).
 	ctx ExecCtx
 
+	// round is the worker's round-end list (owner-only): tasks whose last
+	// activation returned RunDefer, each in state Queued, so Schedule on
+	// them is a no-op until endRound runs them once more. Preallocated;
+	// roundAt (metrics.Now) and roundRuns (activations since) date the
+	// round's first deferral, for the bound under continuous load.
+	round     []*Task
+	roundAt   int64
+	roundRuns int
+
 	// Per-worker counters keep the hot path off shared cache lines; Stats
 	// sums them. scheduled counts enqueues TARGETING this worker — the
 	// enqueuer already touches this worker's inbox line in the same
 	// operation, so the count adds no new cross-core traffic. The padding
 	// separates adjacent workers' counters.
-	executed  atomic.Uint64
-	stolen    atomic.Uint64
-	parks     atomic.Uint64
-	scheduled atomic.Uint64
-	_         [4]uint64 // pad to a cache line with the counters above
+	executed     atomic.Uint64
+	stolen       atomic.Uint64
+	parks        atomic.Uint64
+	scheduled    atomic.Uint64
+	deferred     atomic.Uint64
+	roundFlushes atomic.Uint64
+	_            [2]uint64 // pad to a cache line with the counters above
 }
 
+// roundCap is the round-end list's preallocated length: more deferred
+// tasks than this in one round grow it once, and the worker keeps it.
+const roundCap = 64
+
 func newWorker() *worker {
-	w := &worker{dq: newDeque(), inbox: newInbox()}
+	w := &worker{dq: newDeque(), inbox: newInbox(), round: make([]*Task, 0, roundCap)}
 	w.parkCond = sync.NewCond(&w.parkMu)
 	return w
 }
@@ -149,6 +171,11 @@ type SchedStats struct {
 	Parks     uint64 // times a worker went to sleep
 	Wakeups   uint64 // targeted unparks issued by producers
 	Overflow  uint64 // inbox pushes that overflowed the ring into the spill
+	// Deferred counts activations that returned RunDefer, RoundFlushes
+	// the round ends that ran a non-empty list; Deferred ÷ RoundFlushes
+	// is how many deferred activations one round end serves.
+	Deferred     uint64
+	RoundFlushes uint64
 }
 
 // Stats returns a snapshot of scheduler counters.
@@ -162,6 +189,8 @@ func (s *Scheduler) Stats() SchedStats {
 		st.Executed += w.executed.Load()
 		st.Stolen += w.stolen.Load()
 		st.Parks += w.parks.Load()
+		st.Deferred += w.deferred.Load()
+		st.RoundFlushes += w.roundFlushes.Load()
 	}
 	return st
 }
@@ -176,6 +205,8 @@ func (st SchedStats) Metrics() metrics.CounterSet {
 		"parks", st.Parks,
 		"wakeups", st.Wakeups,
 		"overflow", st.Overflow,
+		"deferred", st.Deferred,
+		"round_flushes", st.RoundFlushes,
 	)
 }
 
@@ -187,7 +218,9 @@ func (s *Scheduler) Start() {
 	}
 }
 
-// Stop terminates the workers. Queued tasks are abandoned.
+// Stop terminates the workers. Queued tasks are abandoned; a task on a
+// round-end list is run once more (RoundEnd true) before its worker exits,
+// so a deferred flush never pins what it holds.
 func (s *Scheduler) Stop() {
 	s.stopped.Store(true)
 	for _, w := range s.workers {
@@ -414,7 +447,20 @@ func (s *Scheduler) workerLoop(wid int) {
 	defer s.wg.Done()
 	me := s.workers[wid]
 	for {
+		if len(me.round) > 0 && s.roundDue(me) {
+			s.endRound(wid)
+		}
 		t := s.find(wid)
+		if t == nil && len(me.round) > 0 {
+			// Out of work with a round open: yield the processor once, so
+			// pumps the netpoller readied in the same poll hand their
+			// bytes into this round, and end it only if that brought none.
+			runtime.Gosched()
+			if t = s.find(wid); t == nil {
+				s.endRound(wid)
+				continue
+			}
+		}
 		if t == nil {
 			if s.stopped.Load() {
 				return
@@ -436,12 +482,38 @@ func (s *Scheduler) workerLoop(wid int) {
 				return
 			}
 		}
-		s.run(t, wid)
+		me.roundRuns++
+		s.run(t, wid, false)
 	}
 }
 
-// run executes one activation of t on worker wid.
-func (s *Scheduler) run(t *Task, wid int) {
+// roundDue reports whether worker me's open round has waited its bound
+// under continuous load: the policy's quantum since its first deferral, or
+// drainBatch activations under a policy without one.
+func (s *Scheduler) roundDue(me *worker) bool {
+	if q := s.policy.Quantum; q > 0 {
+		return time.Duration(metrics.Now()-me.roundAt) >= q
+	}
+	return me.roundRuns >= drainBatch
+}
+
+// endRound runs every task on worker wid's round-end list once, with
+// ExecCtx.RoundEnd true, and empties the list. A round-end activation
+// cannot defer again (run treats RunDefer there as RunIdle), so nothing
+// joins the list while it runs.
+func (s *Scheduler) endRound(wid int) {
+	me := s.workers[wid]
+	me.roundFlushes.Add(1)
+	for i, t := range me.round {
+		me.round[i] = nil
+		s.run(t, wid, true)
+	}
+	me.round = me.round[:0]
+}
+
+// run executes one activation of t on worker wid; roundEnd marks the
+// activation endRound gives a deferred task.
+func (s *Scheduler) run(t *Task, wid int, roundEnd bool) {
 	if !t.state.CompareAndSwap(int32(TaskQueued), int32(TaskRunning)) {
 		return // defensive: stale pointer in a queue
 	}
@@ -462,9 +534,25 @@ func (s *Scheduler) run(t *Task, wid int) {
 		started:  metrics.Now(),
 		quantum:  s.policy.Quantum,
 		maxItems: s.policy.MaxItems,
+		roundEnd: roundEnd,
 	}
 	res := t.fn(ctx)
 	t.itemsRun.Add(uint64(ctx.items))
+
+	if res == RunDefer {
+		if !roundEnd {
+			// Queued, whatever arrived mid-run: Schedule is a no-op until
+			// the round-end activation, which takes what lands meanwhile.
+			me.deferred.Add(1)
+			t.state.Store(int32(TaskQueued))
+			if len(me.round) == 0 {
+				me.roundAt, me.roundRuns = metrics.Now(), 0
+			}
+			me.round = append(me.round, t)
+			return
+		}
+		res = RunIdle
+	}
 
 	if res == RunDone {
 		t.done.Store(true)

@@ -241,11 +241,12 @@ func TestFairnessTickUnstarvesForeignQueue(t *testing.T) {
 
 // TestSchedStatsMetrics checks the stats→metrics.CounterSet plumbing.
 func TestSchedStatsMetrics(t *testing.T) {
-	st := SchedStats{Scheduled: 1, Executed: 2, Stolen: 3, Parks: 4, Wakeups: 5, Overflow: 6}
+	st := SchedStats{Scheduled: 1, Executed: 2, Stolen: 3, Parks: 4, Wakeups: 5, Overflow: 6, Deferred: 7, RoundFlushes: 8}
 	cs := st.Metrics()
 	for name, want := range map[string]uint64{
 		"scheduled": 1, "executed": 2, "stolen": 3,
 		"parks": 4, "wakeups": 5, "overflow": 6,
+		"deferred": 7, "round_flushes": 8,
 	} {
 		if v, ok := cs.Get(name); !ok || v != want {
 			t.Fatalf("%s = %d (present=%v), want %d", name, v, ok, want)

@@ -15,7 +15,8 @@ type TaskState int32
 //	Idle      --Schedule-->  Queued
 //	Queued    --worker-->    Running
 //	Running   --Schedule-->  RunningDirty   (data arrived mid-run)
-//	Running   --finish-->    Idle | Queued  (Queued when the run yielded)
+//	Running   --finish-->    Idle | Queued  (Queued when the run yielded
+//	                                         or deferred to its round end)
 //	RunningDirty --finish--> Queued
 //
 // The CAS discipline guarantees a task is never on two worker queues and
@@ -42,6 +43,12 @@ const (
 	// RunDone means the task is finished forever (inputs closed and
 	// drained); it will not be scheduled again.
 	RunDone
+	// RunDefer means the task is idle for now but wants one more
+	// activation at the end of its worker's round (ExecCtx.RoundEnd),
+	// whatever arrives meanwhile: it stays Queued until then, so Schedule
+	// on it is a no-op. A round-end activation cannot defer again; RunDefer
+	// there counts as RunIdle.
+	RunDefer
 )
 
 // TaskFunc is a task body. It must bound its own work using ctx's quantum
@@ -107,6 +114,7 @@ type ExecCtx struct {
 	started  int64         // activation start, metrics.Now nanoseconds
 	quantum  time.Duration // 0 = unbounded
 	maxItems int           // 0 = unbounded
+	roundEnd bool
 	items    int
 	// opsSinceCheck throttles time syscalls in tight loops.
 	opsSinceCheck int
@@ -120,6 +128,10 @@ func (c *ExecCtx) Scheduler() *Scheduler { return c.sched }
 // cache) key their lock-local fast paths on. Valid for stolen activations
 // too: it names the executing worker, not the task's home.
 func (c *ExecCtx) Worker() int { return c.worker }
+
+// RoundEnd reports whether this is the activation the worker gives a task
+// at the end of the round in which it returned RunDefer.
+func (c *ExecCtx) RoundEnd() bool { return c.roundEnd }
 
 // CountItem records one processed input item and reports whether the task
 // should yield under the current policy (item quota or quantum exhausted).
