@@ -136,7 +136,7 @@ examples-smoke:
 # Documentation gate: every relative markdown link (and intra-doc
 # anchor) resolves and every exported identifier in the data-path
 # packages has a doc comment.
-DOC_PKGS = .,internal/compiler,internal/types,internal/lang,internal/value,internal/grammar,internal/netstack,internal/upstream,internal/backend,internal/buffer,internal/core,internal/apps,internal/bench,internal/cache,internal/metrics,internal/admin,internal/topology,internal/proto/memcache,internal/proto/http,internal/tools/docscheck
+DOC_PKGS = .,internal/compiler,internal/types,internal/lang,internal/value,internal/grammar,internal/netstack,internal/upstream,internal/backend,internal/buffer,internal/core,internal/apps,internal/bench,internal/cache,internal/metrics,internal/leakcheck,internal/admin,internal/topology,internal/proto/memcache,internal/proto/http,internal/tools/docscheck
 
 check-docs:
 	$(GO) run ./internal/tools/docscheck -pkgs $(DOC_PKGS) README.md docs/ARCHITECTURE.md docs/PERFORMANCE.md

@@ -142,6 +142,9 @@ func TestProxyZeroAllocPerRequest(t *testing.T) {
 	mcOK := func(m value.Value) bool { return memcache.Status(m) == memcache.StatusOK }
 	httpReq := phttp.BuildRequest(nil, "GET", "/alloc.html", "alloctest", true, nil)
 	httpOK := func(m value.Value) bool { return m.Field("status").AsInt() == 200 }
+	// The deep batch is deeper than the request ledger's first array, so
+	// the client port's ledger grows during warm-up and not after.
+	shallow, deep := allocPipelinedKeys(8), allocPipelinedKeys(32)
 
 	cases := []struct {
 		name   string
@@ -152,7 +155,8 @@ func TestProxyZeroAllocPerRequest(t *testing.T) {
 		ok     func(value.Value) bool
 	}{
 		{"memcachedproxy", deployMemcachedForAlloc(false), mcReq, 1, memcache.Codec.NewDecoder, mcOK},
-		{"memcachedproxy-pipelined-deferred", deployMemcachedPipelinedForAlloc, allocPipelinedGets(t), len(allocPipelinedKeys), memcache.Codec.NewDecoder, mcOK},
+		{"memcachedproxy-pipelined-deferred", deployMemcachedPipelinedForAlloc(shallow), allocPipelinedGets(t, shallow), len(shallow), memcache.Codec.NewDecoder, mcOK},
+		{"memcachedproxy-pipelined-deep", deployMemcachedPipelinedForAlloc(deep), allocPipelinedGets(t, deep), len(deep), memcache.Codec.NewDecoder, mcOK},
 		{"memcachedproxy-cache-hit", deployMemcachedForAlloc(true), mcReq, 1, memcache.Codec.NewDecoder, mcOK},
 		{"httplb", deployHTTPLBForAlloc, httpReq, 1, phttp.ResponseFormat{}.NewDecoder, httpOK},
 	}
@@ -170,6 +174,7 @@ func TestProxyZeroAllocPerRequest(t *testing.T) {
 			defer proxied.conn.Close()
 
 			share := proxyAllocsPerReq(t, proxied, direct)
+			t.Logf("proxy allocates %.3f/request", share)
 			if share > maxProxyAllocsPerReq {
 				t.Fatalf("proxy allocates %.2f/request, want <= %.2f", share, maxProxyAllocsPerReq)
 			}
@@ -182,16 +187,21 @@ func TestProxyZeroAllocPerRequest(t *testing.T) {
 	}
 }
 
-// allocPipelinedKeys are the keys of the pipelined arm's batch, one GET
+// allocPipelinedKeys are the n keys of a pipelined arm's batch, one GET
 // each; over two backends, both get some.
-var allocPipelinedKeys = []string{"alloc-key-0", "alloc-key-1", "alloc-key-2", "alloc-key-3",
-	"alloc-key-4", "alloc-key-5", "alloc-key-6", "alloc-key-7"}
+func allocPipelinedKeys(n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("alloc-key-%d", i)
+	}
+	return keys
+}
 
-// allocPipelinedGets is the wire image of the pipelined arm's batch.
-func allocPipelinedGets(t *testing.T) []byte {
+// allocPipelinedGets is the wire image of a pipelined arm's batch.
+func allocPipelinedGets(t *testing.T, keys []string) []byte {
 	t.Helper()
 	var b []byte
-	for _, k := range allocPipelinedKeys {
+	for _, k := range keys {
 		var err error
 		if b, err = memcache.Codec.Encode(b, memcache.Request(memcache.OpGet, []byte(k), nil)); err != nil {
 			t.Fatal(err)
@@ -201,36 +211,38 @@ func allocPipelinedGets(t *testing.T) []byte {
 }
 
 // deployMemcachedPipelinedForAlloc deploys the memcached proxy over two
-// backends that both hold every key of the pipelined batch; the direct side
+// backends that both hold every key of a pipelined batch; the direct side
 // dials the first, which answers the whole batch itself.
-func deployMemcachedPipelinedForAlloc(t *testing.T, p *core.Platform, u *netstack.UserNet) (string, func()) {
-	kv := map[string]string{}
-	for _, k := range allocPipelinedKeys {
-		kv[k] = allocValue
-	}
-	var addrs []string
-	var servers []*backend.MemcachedServer
-	for i := 0; i < 2; i++ {
-		s, err := backend.NewMemcachedServer(u, fmt.Sprintf("shard:%d", i))
+func deployMemcachedPipelinedForAlloc(keys []string) func(*testing.T, *core.Platform, *netstack.UserNet) (string, func()) {
+	return func(t *testing.T, p *core.Platform, u *netstack.UserNet) (string, func()) {
+		kv := map[string]string{}
+		for _, k := range keys {
+			kv[k] = allocValue
+		}
+		var addrs []string
+		var servers []*backend.MemcachedServer
+		for i := 0; i < 2; i++ {
+			s, err := backend.NewMemcachedServer(u, fmt.Sprintf("shard:%d", i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Preload(kv)
+			servers = append(servers, s)
+			addrs = append(addrs, s.Addr())
+		}
+		mp, err := MemcachedProxy(2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Preload(kv)
-		servers = append(servers, s)
-		addrs = append(addrs, s.Addr())
-	}
-	mp, err := MemcachedProxy(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := mp.Deploy(p, "proxy:1", addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return addrs[0], func() {
-		svc.Close()
-		for _, s := range servers {
-			s.Close()
+		svc, err := mp.Deploy(p, "proxy:1", addrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return addrs[0], func() {
+			svc.Close()
+			for _, s := range servers {
+				s.Close()
+			}
 		}
 	}
 }

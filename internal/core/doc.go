@@ -35,11 +35,15 @@
 // tasks accumulate encoded messages in a pooled scatter list — forwarded
 // messages as references to their original wire bytes — and flush with
 // one vectored write, the client-facing output once per scheduling round
-// while the client is still owed responses. An instance is Reset only from
-// the finished phase (every task ended) or the bound phase (no task ever
-// ran), and back in idle no task body runs until the next Start — the one
-// release path, GraphPool.Put, guarantees it, and it is what makes buffer
-// reuse across connections safe.
+// while the client is still owed responses. Each primary port keeps one
+// request ledger, written by its input task and read by its output task
+// without a lock: it says whether the client is owed, and the flush that
+// writes a response records its decode→flush latency (latency.go).
+//
+// An instance is Reset only from the finished phase (every task ended) or
+// the bound phase (no task ever ran), and back in idle no task body runs
+// until the next Start — the one release path, GraphPool.Put, guarantees
+// it, and it is what makes buffer reuse across connections safe.
 //
 // # Counters
 //

@@ -7,8 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"time"
-
 	"flick/internal/buffer"
 	"flick/internal/grammar"
 	"flick/internal/metrics"
@@ -40,11 +38,10 @@ type Instance struct {
 	// is written between pool Get and Start and read by task bodies after
 	// Start, so it needs no extra synchronisation; Reset clears it.
 	router func(hash int64) int
-	// crt (response cache) and lrt (live latency) are installed once, when
-	// the pool builds the instance (nil: uncached, uninstrumented), and
-	// persist across Reset — only their per-binding state clears.
+	// crt (response cache) is installed once, when the pool builds the
+	// instance (nil: uncached), and persists across Reset — only its
+	// per-binding state clears.
 	crt   *cacheRT
-	lrt   *latencyRT
 	pool  *GraphPool // where a finished instance goes (nil: NewInstance)
 	id    int64
 	state atomic.Uint64 // phase << 32 | live tasks; only transition writes it
@@ -122,24 +119,20 @@ type inputState struct {
 	conn netstack.Readable
 	dec  grammar.StreamDecoder
 	port int
-	raw  int // the codec's "_raw" image slot (-1: none), for cache fills
-	// reqs counts the requests decoded this binding on a primary port;
-	// the port's output compares it with its resps (see owed). It lives
-	// here, not in Instance, so its per-request add stays off the line
-	// every activation's bindingLive reads.
-	reqs atomic.Uint64
+	raw  int     // the codec's "_raw" image slot (-1: none), for cache fills
+	led  *ledger // a primary port's request ledger (nil: other ports); writer
 }
 
 // outputState is the runtime of one output node. Encoded messages
 // accumulate in a pooled scatter list — raw-captured messages as zero-copy
 // references into their region — and leave in batched vectored writes.
 type outputState struct {
-	inst  *Instance
-	conn  net.Conn
-	sc    *buffer.Scatter
-	wbuf  []byte // rebuild-path encode scratch
-	port  int
-	resps uint64 // responses encoded this binding (primary port only)
+	inst *Instance
+	conn net.Conn
+	sc   *buffer.Scatter
+	wbuf []byte // rebuild-path encode scratch
+	port int
+	led  *ledger // the input's ledger on a primary port (nil: other ports); reader
 }
 
 // flushBytes is the scatter high-water mark that forces a flush mid-drain.
@@ -206,6 +199,14 @@ func NewInstance(tmpl *Template, sched *Scheduler) *Instance {
 		}
 	}
 	inst.Reset()
+	// One ledger per primary port, in its own allocation: the per-request
+	// counts stay off the line every activation's bindingLive reads.
+	for _, p := range tmpl.ports {
+		if p.Primary && p.In >= 0 && p.Out >= 0 {
+			led := &ledger{}
+			inst.inputRT[p.In].led, inst.outputRT[p.Out].led = led, led
+		}
+	}
 	return inst
 }
 
@@ -226,9 +227,6 @@ func (inst *Instance) Reset() {
 	// pushed before losing the race is released by the channel Reset
 	// below, and nothing lands after it.
 	inst.resetCache()
-	if inst.lrt != nil {
-		inst.lrt.reset()
-	}
 	for _, t := range inst.tasks {
 		t.done.Store(false)
 		t.state.Store(int32(TaskIdle))
@@ -254,7 +252,9 @@ func (inst *Instance) Reset() {
 			st.eof = false
 			st.conn = nil
 			st.port = -1
-			st.reqs.Store(0)
+			if st.led != nil {
+				st.led.reset()
+			}
 			st.mu.Unlock()
 		case NodeOutput:
 			st := inst.outputRT[n.ID]
@@ -265,7 +265,6 @@ func (inst *Instance) Reset() {
 			st.sc.Reset()
 			st.conn = nil
 			st.port = -1
-			st.resps = 0
 		case NodeCompute:
 			cs := inst.compRT[n.ID]
 			if cs == nil {
@@ -464,13 +463,11 @@ func (inst *Instance) runInput(ctx *ExecCtx, n *Node) RunResult {
 	}
 	st := inst.inputRT[n.ID]
 	out := inst.nodeOut[n.ID][0]
-	// stampPrimary: this input feeds the client-facing port of an
-	// instrumented graph, so every decoded request pushes a latency stamp.
-	// The clock is read lazily, once per batch of decodes (lnow resets when
-	// new bytes arrive): requests framed by one socket read arrived
-	// together, so they share an arrival stamp.
+	// On a primary port every decoded request enters the ledger with its
+	// decode stamp. The clock is read lazily, once per batch of decodes
+	// (lnow resets when new bytes arrive): requests framed by one socket
+	// read arrived together, so they share an arrival stamp.
 	primary := st.port >= 0 && inst.tmpl.ports[st.port].Primary
-	stampPrimary := inst.lrt != nil && primary
 	lnow := int64(-1)
 	// A wakeup means bytes arrived: the activation takes them before its
 	// first decode, which would otherwise fail for want of them.
@@ -485,14 +482,11 @@ func (inst *Instance) runInput(ctx *ExecCtx, n *Node) RunResult {
 		msg, ok, derr := st.dec.Decode(st.q)
 		if ok {
 			st.mu.Unlock()
-			if primary {
-				st.reqs.Add(1)
-			}
-			if stampPrimary {
+			if st.led != nil {
 				if lnow < 0 {
 					lnow = metrics.Now()
 				}
-				inst.lrt.push(lnow)
+				st.led.push(lnow)
 			}
 			if crt := inst.crt; crt != nil && st.port >= 0 {
 				if primary && !crt.fifo {
@@ -636,13 +630,14 @@ func (inst *Instance) runCompute(ctx *ExecCtx, n *Node) RunResult {
 // done) or the list passes the high-water mark. A burst of queued responses
 // therefore leaves in a single writev instead of a syscall per message.
 //
-// The client-facing (primary) output goes further: while its instance
-// still owes the client responses — more requests decoded on the primary
-// input than responses encoded here — an idle drain returns RunDefer
-// instead of flushing, and the round-end activation writes whatever the
-// other backends delivered in the same scheduler round along with it. A
-// client owed nothing (window 1, or the last response of a pipeline) is
-// flushed at once, as are upstream ports, yields and close.
+// The client-facing (primary) output goes further: while its ledger says
+// the client is still owed responses — more requests decoded on the
+// primary input than responses encoded here — an idle drain returns
+// RunDefer instead of flushing, and the round-end activation writes
+// whatever the other backends delivered in the same scheduler round along
+// with it. A client owed nothing (window 1, or the last response of a
+// pipeline) is flushed at once, as are upstream ports, yields and close.
+// Each flush records its responses' latency (see ledger).
 func (inst *Instance) runOutput(ctx *ExecCtx, n *Node) RunResult {
 	if !inst.bindingLive() {
 		return RunIdle // stale wakeup (see bindingLive)
@@ -650,13 +645,7 @@ func (inst *Instance) runOutput(ctx *ExecCtx, n *Node) RunResult {
 	st := inst.outputRT[n.ID]
 	ins := inst.nodeIn[n.ID]
 	primary := st.port >= 0 && inst.tmpl.ports[st.port].Primary
-	// recordPrimary: this output answers the client-facing port of an
-	// instrumented graph, so each encoded response pops its request's
-	// decode stamp and records the elapsed time. The clock is read lazily,
-	// once per flush batch: the batch leaves in one vectored write, so its
-	// responses share a completion stamp.
-	recordPrimary := inst.lrt != nil && primary
-	lend := int64(-1)
+	w := ctx.Worker()
 	for {
 		progressed := false
 		closedCount := 0
@@ -676,36 +665,27 @@ func (inst *Instance) runOutput(ctx *ExecCtx, n *Node) RunResult {
 				if inst.cacheUpstreamRequest(ctx, v, st.port) {
 					v.Release()
 					if ctx.CountItem() {
-						st.flush()
+						st.flush(w)
 						return RunYield
 					}
 					continue
 				}
 			}
 			st.encode(n.Codec, v)
-			if primary {
-				st.resps++
-			}
-			if recordPrimary {
-				if start, popped := inst.lrt.pop(); popped {
-					if lend < 0 {
-						lend = metrics.Now()
-					}
-					inst.lrt.sl.record(ctx.Worker(), time.Duration(lend-start))
-				}
+			if st.led != nil {
+				st.led.answer()
 			}
 			v.Release()
 			if st.sc.Len() >= flushBytes {
-				st.flush()
-				lend = -1 // batch left the process; re-stamp the next one
+				st.flush(w)
 			}
 			if ctx.CountItem() {
-				st.flush()
+				st.flush(w)
 				return RunYield
 			}
 		}
 		if closedCount == len(ins) {
-			st.flush()
+			st.flush(w)
 			if st.conn != nil {
 				st.conn.Close()
 			}
@@ -714,21 +694,13 @@ func (inst *Instance) runOutput(ctx *ExecCtx, n *Node) RunResult {
 		if !progressed {
 			// The scatter is below flushBytes here (the drain flushes at
 			// the mark), so an owed client's write can wait for the round.
-			if primary && !ctx.RoundEnd() && st.sc.Len() > 0 && inst.owed(st) {
+			if st.led != nil && !ctx.RoundEnd() && st.sc.Len() > 0 && st.led.owed() {
 				return RunDefer
 			}
-			st.flush()
+			st.flush(w)
 			return RunIdle
 		}
 	}
-}
-
-// owed reports whether the client behind primary output st is still owed
-// responses: more requests decoded on its port's input than responses
-// encoded on st.
-func (inst *Instance) owed(st *outputState) bool {
-	in := inst.tmpl.ports[st.port].In
-	return in >= 0 && inst.inputRT[in].reqs.Load() > st.resps
 }
 
 // encode appends v's wire form to the output's scatter list, preferring the
@@ -750,7 +722,8 @@ func (st *outputState) encode(codec grammar.WireFormat, v value.Value) {
 
 // flush writes the accumulated scatter list to the connection as one
 // vectored write and resets it (releasing retained message regions). With
-// no connection the list is dropped so regions still recycle.
+// no connection the list is dropped so regions still recycle. A primary
+// output first records its responses' latency into worker's shard.
 //
 // A write error may leave a message half-sent (a batch can fail between —
 // or inside — iovecs), so continuing on this connection would emit bytes
@@ -761,7 +734,10 @@ func (st *outputState) encode(codec grammar.WireFormat, v value.Value) {
 // answered — until the peer happens to hang up, pinning the instance and
 // its pooled buffers. Non-primary drops still propagate as EOF through the
 // normal teardown path.
-func (st *outputState) flush() {
+func (st *outputState) flush(worker int) {
+	if st.led != nil {
+		st.led.flushed(worker)
+	}
 	if st.conn == nil {
 		st.sc.Reset()
 		return

@@ -246,6 +246,7 @@ func TestProxyGraphWithBackendDial(t *testing.T) {
 
 	// Echo backend that shouts.
 	bl, _ := u.Listen("backend:1")
+	defer bl.Close()
 	go func() {
 		for {
 			c, err := bl.Accept()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"log"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -12,7 +11,7 @@ import (
 // ServiceLatency is a service's live request-latency signal: every
 // PerConnection instance stamps client requests at decode (runInput) and
 // records the elapsed time into a per-worker histogram shard when the
-// response is encoded for the flush batch (runOutput). Record is wait-free
+// response's batch is flushed (runOutput; see ledger). Record is wait-free
 // and allocation-free, so the zero-copy data path stays 0 allocs/req with
 // instrumentation always on; reads aggregate the shards (see
 // metrics.ShardedHistogram).
@@ -62,72 +61,99 @@ func (sl *ServiceLatency) record(worker int, d time.Duration) {
 	}
 }
 
-// latencyRT is an instance's per-binding latency bookkeeping: a FIFO ring
-// of decode timestamps. Proxy-style graphs answer each client in request
-// order, so the stamp pushed when request k decodes is popped when response
-// k encodes. Known skews, by protocol: memcached quiet gets decode a stamp
-// but elicit no response (the leftover stamp inflates the next response's
-// reading until the binding resets), and HTTP informational (1xx) responses
-// pop one stamp early; pops on an empty ring are skipped. The ring's
-// backing array is retained across Reset (only the contents clear), so
-// steady-state push/pop allocates nothing.
-type latencyRT struct {
-	sl *ServiceLatency
+// ledger is a primary port's request ledger. Each client has its own graph
+// instance, which answers the client's requests in order (§5), so the
+// decode stamp of request k belongs to the k-th response. The port's input
+// task is the only writer and its output task the only reader, and three
+// counts that only grow index one array of stamps with no lock:
+//
+//   - decoded: requests decoded; the writer bumps it after storing the
+//     request's stamp.
+//   - answered: responses encoded, clamped at decoded: a response with no
+//     unanswered request left (the final response after an HTTP 1xx
+//     interim) neither advances it nor is recorded.
+//   - recorded: responses flushed; the flush records decode→flush for each
+//     before the write.
+//
+// The client is owed responses while decoded > answered. When the stamps
+// not yet recorded fill the array, the writer alone grows it: it copies
+// them into one twice the size and publishes that, so no stamp is dropped.
+// The array is allocated on first use and kept across Reset.
+type ledger struct {
+	sl *ServiceLatency // nil (a bare GraphPool): counts only, nothing recorded
 
-	mu     sync.Mutex
-	stamps []int64
-	head   int
-	n      int
+	stamps   atomic.Pointer[[]int64] // length a power of two
+	decoded  atomic.Uint64
+	recorded atomic.Uint64
+	answered uint64 // reader-owned
 }
 
-// push appends one decode timestamp (monotonic ns, metrics.Now).
-func (rt *latencyRT) push(stamp int64) {
-	rt.mu.Lock()
-	if rt.n == len(rt.stamps) {
-		grown := make([]int64, max(16, 2*len(rt.stamps)))
-		for i := 0; i < rt.n; i++ {
-			grown[i] = rt.stamps[(rt.head+i)%len(rt.stamps)]
+// push stores the stamp of the next decoded request (writer only).
+func (l *ledger) push(stamp int64) {
+	d := l.decoded.Load()
+	s := l.stamps.Load()
+	if s == nil || d-l.recorded.Load() == uint64(len(*s)) {
+		s = l.grow(s, d)
+	}
+	(*s)[d&uint64(len(*s)-1)] = stamp
+	l.decoded.Store(d + 1)
+}
+
+// grow publishes a copy of old (nil: none yet) twice its size, holding the
+// stamps of requests [recorded, d).
+func (l *ledger) grow(old *[]int64, d uint64) *[]int64 {
+	n := 16
+	if old != nil {
+		n = 2 * len(*old)
+	}
+	s := make([]int64, n)
+	for i := l.recorded.Load(); i < d; i++ {
+		s[i&uint64(n-1)] = (*old)[i&uint64(len(*old)-1)]
+	}
+	l.stamps.Store(&s)
+	return &s
+}
+
+// owed reports whether the client is still owed responses (reader only).
+func (l *ledger) owed() bool { return l.decoded.Load() > l.answered }
+
+// answer counts one encoded response (reader only).
+func (l *ledger) answer() {
+	if l.owed() {
+		l.answered++
+	}
+}
+
+// flushed records decode→flush, at one clock read, for every response
+// answered since the last flush, into worker's histogram shard (reader
+// only).
+func (l *ledger) flushed(worker int) {
+	r := l.recorded.Load()
+	if r == l.answered {
+		return
+	}
+	if l.sl != nil {
+		s, now := *l.stamps.Load(), metrics.Now()
+		for ; r < l.answered; r++ {
+			l.sl.record(worker, time.Duration(now-s[r&uint64(len(s)-1)]))
 		}
-		rt.stamps = grown
-		rt.head = 0
 	}
-	rt.stamps[(rt.head+rt.n)%len(rt.stamps)] = stamp
-	rt.n++
-	rt.mu.Unlock()
+	l.recorded.Store(l.answered)
 }
 
-// pop removes the oldest stamp; ok is false when the ring is empty (an
-// uncorrelated response: pass-through with no tracked request).
-func (rt *latencyRT) pop() (stamp int64, ok bool) {
-	rt.mu.Lock()
-	if rt.n == 0 {
-		rt.mu.Unlock()
-		return 0, false
-	}
-	stamp = rt.stamps[rt.head]
-	rt.head = (rt.head + 1) % len(rt.stamps)
-	rt.n--
-	rt.mu.Unlock()
-	return stamp, true
+// reset zeroes the counts for the next binding, keeping the array.
+func (l *ledger) reset() {
+	l.decoded.Store(0)
+	l.recorded.Store(0)
+	l.answered = 0
 }
 
-// reset clears the ring's contents, keeping its capacity for the next
-// binding.
-func (rt *latencyRT) reset() {
-	rt.mu.Lock()
-	rt.head = 0
-	rt.n = 0
-	rt.mu.Unlock()
-}
-
-// installLatency installs the service's latency signal (GraphPool.build).
-// Graphs without a primary in/out port pair are left uninstrumented.
+// installLatency hands the service's latency signal to the instance's
+// ledgers (GraphPool.build).
 func (inst *Instance) installLatency(sl *ServiceLatency) {
-	for i := range inst.tmpl.ports {
-		p := inst.tmpl.ports[i]
-		if p.Primary && p.In >= 0 && p.Out >= 0 {
-			inst.lrt = &latencyRT{sl: sl}
-			return
+	for _, st := range inst.outputRT {
+		if st != nil && st.led != nil {
+			st.led.sl = sl
 		}
 	}
 }

@@ -121,6 +121,7 @@ func TestSharedDispatchSecondWave(t *testing.T) {
 	defer p.Close()
 
 	sink, _ := u.Listen("sink:w")
+	defer sink.Close()
 	got := make(chan string, 4)
 	go func() {
 		for {
