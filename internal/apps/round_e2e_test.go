@@ -39,24 +39,26 @@ func (l countingListener) Accept() (net.Conn, error) {
 	if err != nil {
 		return c, err
 	}
-	return &countingConn{Readable: c.(netstack.Readable), n: l.n}, nil
+	return &countingConn{Conn: c, bound: c.(netstack.Conn), n: l.n}, nil
 }
 
-// countingConn stays a netstack.Readable, so the proxy reads it exactly as
-// it reads an unwrapped UserNet connection.
+// countingConn is both faces of a UserNet connection — the net.Conn a
+// listener returns and the netstack.Conn the proxy binds — so the proxy
+// binds it as it binds an unwrapped one, and every write it makes is
+// counted.
 type countingConn struct {
-	netstack.Readable
+	net.Conn
+	bound
 	n *countingNet
 }
 
+type bound = netstack.Conn
+
+func (c *countingConn) Close() error { return c.Conn.Close() }
+
 func (c *countingConn) WriteBatch(bufs [][]byte) (int64, error) {
 	c.n.writes.Add(1)
-	return c.Readable.(netstack.BatchWriter).WriteBatch(bufs)
-}
-
-func (c *countingConn) Write(p []byte) (int, error) {
-	c.n.writes.Add(1)
-	return c.Readable.Write(p)
+	return c.bound.WriteBatch(bufs)
 }
 
 // barrier opens once want callers have arrived, then re-arms.

@@ -21,6 +21,11 @@ func churnKey(i int) []byte { return []byte(fmt.Sprintf("churn-key-%03d", i)) }
 // getkOnce dials addr, issues one GETK for key, and returns the raw
 // bytes of the one complete binary-protocol response frame.
 func getkOnce(u *netstack.UserNet, addr string, key []byte) ([]byte, error) {
+	return getkWithin(u, addr, key, 10*time.Second)
+}
+
+// getkWithin is getkOnce with the response due within timeout.
+func getkWithin(u *netstack.UserNet, addr string, key []byte, timeout time.Duration) ([]byte, error) {
 	raw, err := u.Dial(addr)
 	if err != nil {
 		return nil, err
@@ -33,7 +38,7 @@ func getkOnce(u *netstack.UserNet, addr string, key []byte) ([]byte, error) {
 	if _, err := raw.Write(wire); err != nil {
 		return nil, err
 	}
-	raw.SetReadDeadline(time.Now().Add(10 * time.Second))
+	raw.SetReadDeadline(time.Now().Add(timeout))
 	// Read one complete frame (24-byte header + body length at bytes 8..11).
 	resp := make([]byte, 0, 256)
 	buf := make([]byte, 4096)

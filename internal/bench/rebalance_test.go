@@ -8,10 +8,13 @@ import (
 // TestRebalanceSmoke runs the live scale-out experiment with small
 // parameters and gates its acceptance numbers: the ring moves ≤25% of the
 // key space on a 4→5 scale-out, zero request errors occur during the live
-// update, and the added backend takes traffic.
+// update, and the added backend takes traffic. It runs on UserNet, whose
+// backend addresses are the fixed names rebal-shard:0..4, so the moved
+// fraction is the same on every run; over kernel TCP it depends on which
+// ports the kernel assigns.
 func TestRebalanceSmoke(t *testing.T) {
 	p, err := RunRebalance(RebalanceConfig{
-		System:      SysFlick,
+		System:      SysFlickMTCP,
 		Clients:     8,
 		Backends:    4,
 		Keys:        500,

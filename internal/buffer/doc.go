@@ -23,7 +23,7 @@
 //     pooled chunk per trickled segment; AppendRef clips chunk capacity so
 //     later appends can never scribble into a producer-retained tail.
 //   - A Scatter holds encoded output spans plus the region references
-//     keeping them alive until WriteTo/Reset releases them.
+//     keeping them alive until the flush's Reset releases them.
 //
 // # Counters
 //

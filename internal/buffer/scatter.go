@@ -1,19 +1,14 @@
 package buffer
 
-import (
-	"io"
-	"net"
-
-	"flick/internal/value"
-)
+import "flick/internal/value"
 
 // Scatter is a pooled scatter/gather list for the zero-copy encode path.
 // Encoders append wire bytes either by reference — a view into a message's
 // pooled region, retained until the flush completes — or by copy into
 // pooled tail buffers (for messages rebuilt from modified fields). Output
-// tasks hand the accumulated segment list to one vectored write
-// (net.Buffers / netstack.BatchWriter), so a burst of messages leaves in a
-// single writev instead of one syscall per message.
+// tasks hand the accumulated segment list (Buffers) to one vectored write
+// (netstack.Conn.WriteBatch) and then Reset it, so a burst of messages
+// leaves in a single writev instead of one syscall per message.
 //
 // The segment, region and tail slices all keep their capacity across Reset,
 // so the steady state allocates nothing.
@@ -25,10 +20,6 @@ type Scatter struct {
 	tlen    int            // write offset into the last tail
 	open    bool           // last segment aliases the last tail and may grow
 	total   int
-	// nb is WriteTo's vectored-write list. (*net.Buffers).WriteTo hands its
-	// receiver to the writer through an interface, so a local would escape
-	// and cost one allocation per flush; a field lives in the Scatter.
-	nb net.Buffers
 }
 
 // scatterTail is the pooled tail buffer size; segments copied into tails
@@ -99,34 +90,6 @@ func (s *Scatter) Append(p []byte) {
 // by the Scatter and invalidated by Reset; net.Buffers-style writers may
 // advance its elements in place.
 func (s *Scatter) Buffers() [][]byte { return s.segs }
-
-// WriteTo flushes every segment to w with a single vectored write where the
-// writer supports it (net.Buffers maps to writev on kernel TCP connections)
-// and resets the list, releasing retained regions and recycling tails.
-func (s *Scatter) WriteTo(w io.Writer) (int64, error) {
-	if s.total == 0 {
-		return 0, nil
-	}
-	var (
-		n   int64
-		err error
-	)
-	if bw, ok := w.(batchWriter); ok {
-		n, err = bw.WriteBatch(s.segs)
-	} else {
-		s.nb = s.segs
-		n, err = s.nb.WriteTo(w)
-		s.nb = nil
-	}
-	s.Reset()
-	return n, err
-}
-
-// batchWriter mirrors netstack.BatchWriter without importing it (netstack
-// depends on buffer).
-type batchWriter interface {
-	WriteBatch(bufs [][]byte) (int64, error)
-}
 
 // Reset clears the list: retained regions are released, tail buffers return
 // to the pool, and all slices keep their capacity for reuse.

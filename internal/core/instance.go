@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,6 +24,7 @@ type Instance struct {
 	sched *Scheduler
 
 	tasks   []*Task   // by node ID
+	wakes   []func()  // by node ID: schedules the task (a socket callback)
 	nodeIn  [][]*Chan // per node: in-channels aligned with node.ins
 	nodeOut [][]*Chan // per node: out-channels aligned with node.outs
 
@@ -32,7 +32,7 @@ type Instance struct {
 	outputRT []*outputState // by node ID (outputs only)
 	compRT   []*computeState
 
-	conns []net.Conn // by port index
+	conns []netstack.Conn // by port index
 	// router is the backend-topology router snapshot bound with this
 	// dispatch (nil: fixed topology, plain mod-B routing). Like conns it
 	// is written between pool Get and Start and read by task bodies after
@@ -116,7 +116,7 @@ type inputState struct {
 	mu   sync.Mutex
 	q    *buffer.Queue
 	eof  bool
-	conn netstack.Readable
+	conn netstack.Conn
 	dec  grammar.StreamDecoder
 	port int
 	raw  int     // the codec's "_raw" image slot (-1: none), for cache fills
@@ -128,11 +128,14 @@ type inputState struct {
 // references into their region — and leave in batched vectored writes.
 type outputState struct {
 	inst *Instance
-	conn net.Conn
+	conn netstack.Conn
 	sc   *buffer.Scatter
 	wbuf []byte // rebuild-path encode scratch
 	port int
 	led  *ledger // the input's ledger on a primary port (nil: other ports); reader
+	// blocked: conn holds bytes of the last write (ErrBacklogged); the task
+	// pops nothing until a retry sends them.
+	blocked bool
 }
 
 // flushBytes is the scatter high-water mark that forces a flush mid-drain.
@@ -155,12 +158,13 @@ func NewInstance(tmpl *Template, sched *Scheduler) *Instance {
 		sched:    sched,
 		id:       instanceIDs.Add(1),
 		tasks:    make([]*Task, len(tmpl.nodes)),
+		wakes:    make([]func(), len(tmpl.nodes)),
 		nodeIn:   make([][]*Chan, len(tmpl.nodes)),
 		nodeOut:  make([][]*Chan, len(tmpl.nodes)),
 		inputRT:  make([]*inputState, len(tmpl.nodes)),
 		outputRT: make([]*outputState, len(tmpl.nodes)),
 		compRT:   make([]*computeState, len(tmpl.nodes)),
-		conns:    make([]net.Conn, len(tmpl.ports)),
+		conns:    make([]netstack.Conn, len(tmpl.ports)),
 	}
 	// Channels: one per edge, owned (as input) by the downstream node.
 	type edge struct{ from, to int }
@@ -194,6 +198,7 @@ func NewInstance(tmpl *Template, sched *Scheduler) *Instance {
 		t := sched.NewTask(tmpl.Name+"/"+n.Name, body)
 		t.onDone = inst.taskDone
 		inst.tasks[n.ID] = t
+		inst.wakes[n.ID] = func() { sched.Schedule(t) }
 		for _, ch := range inst.nodeIn[n.ID] {
 			ch.SetConsumer(t, sched)
 		}
@@ -204,6 +209,8 @@ func NewInstance(tmpl *Template, sched *Scheduler) *Instance {
 	for _, p := range tmpl.ports {
 		if p.Primary && p.In >= 0 && p.Out >= 0 {
 			led := &ledger{}
+			led.in, _ = tmpl.nodes[p.In].Codec.(quieter)
+			led.out, _ = tmpl.nodes[p.Out].Codec.(quieter)
 			inst.inputRT[p.In].led, inst.outputRT[p.Out].led = led, led
 		}
 	}
@@ -265,6 +272,7 @@ func (inst *Instance) Reset() {
 			st.sc.Reset()
 			st.conn = nil
 			st.port = -1
+			st.blocked = false
 		case NodeCompute:
 			cs := inst.compRT[n.ID]
 			if cs == nil {
@@ -334,18 +342,14 @@ func (inst *Instance) PortHomeWorker(port int) int {
 }
 
 // Bind attaches conn to port (nil: unbound), closing what an earlier Bind
-// left there. A port the graph reads is bound as netstack.Events(conn), so
-// a blocking connection's pump starts here. Call before Start; the first
-// Bind takes idle → bound.
-func (inst *Instance) Bind(port int, conn net.Conn) {
+// left there. Call before Start; the first Bind takes idle → bound.
+func (inst *Instance) Bind(port int, conn netstack.Conn) {
 	if w := inst.state.Load(); phase(w>>32) == phaseIdle {
 		inst.transition(w, phaseBound, 0)
 	}
 	p, at := inst.tmpl.ports[port], port
 	if conn == nil {
 		at = -1
-	} else if p.In >= 0 {
-		conn = netstack.Events(conn, buffer.Global)
 	}
 	if old := inst.conns[port]; old != nil && old != conn {
 		old.Close()
@@ -353,7 +357,7 @@ func (inst *Instance) Bind(port int, conn net.Conn) {
 	inst.conns[port] = conn
 	if p.In >= 0 {
 		st := inst.inputRT[p.In]
-		st.conn, _ = conn.(netstack.Readable)
+		st.conn = conn
 		st.port = at
 	}
 	if p.Out >= 0 {
@@ -364,26 +368,27 @@ func (inst *Instance) Bind(port int, conn net.Conn) {
 }
 
 // Start activates a bound instance: every bound input's readable callback
-// is registered, and every input task is scheduled once to consume any
-// pending bytes. The binding is read only while bound, when no task can
-// run or finish; after bound → running a graph whose peer already hung up
-// may be recycled under the last loop, which reads only the immutable
-// task list.
+// and every bound output's writable callback is registered, and every
+// input task is scheduled once to consume any pending bytes. The binding
+// is read only while bound, when no task can run or finish; after bound →
+// running a graph whose peer already hung up may be recycled under the
+// last loop, which reads only the immutable task list.
 func (inst *Instance) Start() {
 	w := inst.state.Load()
 	for _, n := range inst.tmpl.nodes {
+		if n.Kind == NodeOutput && inst.outputRT[n.ID].conn != nil {
+			inst.outputRT[n.ID].conn.SetWritableCallback(inst.wakes[n.ID])
+		}
 		if n.Kind != NodeInput {
 			continue
 		}
-		st := inst.inputRT[n.ID]
-		switch task := inst.tasks[n.ID]; {
-		case st.conn == nil:
+		if st := inst.inputRT[n.ID]; st.conn == nil {
 			// Unbound input (write-only benchmark graphs): treat as EOF.
 			st.mu.Lock()
 			st.eof = true
 			st.mu.Unlock()
-		default:
-			st.conn.SetReadableCallback(func() { inst.sched.Schedule(task) })
+		} else {
+			st.conn.SetReadableCallback(inst.wakes[n.ID])
 		}
 	}
 	inst.transition(w, phaseRunning, uint32(len(inst.tasks)))
@@ -486,7 +491,7 @@ func (inst *Instance) runInput(ctx *ExecCtx, n *Node) RunResult {
 				if lnow < 0 {
 					lnow = metrics.Now()
 				}
-				st.led.push(lnow)
+				st.led.push(lnow, msg)
 			}
 			if crt := inst.crt; crt != nil && st.port >= 0 {
 				if primary && !crt.fifo {
@@ -625,19 +630,18 @@ func (inst *Instance) runCompute(ctx *ExecCtx, n *Node) RunResult {
 
 // runOutput serialises values from the node's in-edges onto its connection.
 // Messages accumulate in the node's pooled scatter list — raw-captured
-// messages as zero-copy references into their pooled wire bytes — and are
-// flushed in one batched vectored write when the drain pauses (yield, idle,
-// done) or the list passes the high-water mark. A burst of queued responses
-// therefore leaves in a single writev instead of a syscall per message.
+// messages as zero-copy references into their pooled wire bytes — and
+// leave in one vectored write when the drain pauses (yield, idle, done) or
+// the list passes the high-water mark.
 //
 // The client-facing (primary) output goes further: while its ledger says
-// the client is still owed responses — more requests decoded on the
-// primary input than responses encoded here — an idle drain returns
-// RunDefer instead of flushing, and the round-end activation writes
-// whatever the other backends delivered in the same scheduler round along
-// with it. A client owed nothing (window 1, or the last response of a
-// pipeline) is flushed at once, as are upstream ports, yields and close.
-// Each flush records its responses' latency (see ledger).
+// the client is still owed responses, an idle drain returns RunDefer
+// instead of flushing, and the round-end activation writes whatever the
+// other backends delivered in the same scheduler round along with it. A
+// client owed nothing (window 1, or the last response of a pipeline) is
+// flushed at once, as are upstream ports, yields and close. While the
+// connection holds a backlog (see flush) the task pops nothing, so the
+// requests behind a full upstream window wait in the channel.
 func (inst *Instance) runOutput(ctx *ExecCtx, n *Node) RunResult {
 	if !inst.bindingLive() {
 		return RunIdle // stale wakeup (see bindingLive)
@@ -647,9 +651,15 @@ func (inst *Instance) runOutput(ctx *ExecCtx, n *Node) RunResult {
 	primary := st.port >= 0 && inst.tmpl.ports[st.port].Primary
 	w := ctx.Worker()
 	for {
+		if st.blocked {
+			st.flush(w)
+		}
 		progressed := false
 		closedCount := 0
 		for _, ch := range ins {
+			if st.blocked {
+				return RunIdle
+			}
 			v, ok, closed := ch.Pop()
 			if closed {
 				closedCount++
@@ -673,7 +683,7 @@ func (inst *Instance) runOutput(ctx *ExecCtx, n *Node) RunResult {
 			}
 			st.encode(n.Codec, v)
 			if st.led != nil {
-				st.led.answer()
+				st.led.answer(v)
 			}
 			v.Release()
 			if st.sc.Len() >= flushBytes {
@@ -721,19 +731,19 @@ func (st *outputState) encode(codec grammar.WireFormat, v value.Value) {
 }
 
 // flush writes the accumulated scatter list to the connection as one
-// vectored write and resets it (releasing retained message regions). With
+// vectored write and resets it (releasing retained message regions); with
 // no connection the list is dropped so regions still recycle. A primary
-// output first records its responses' latency into worker's shard.
+// output first records its responses' latency into worker's shard. A
+// connection that cannot send everything yet (an upstream session at a
+// full window) stages the rest (netstack.ErrBacklogged): the output is
+// blocked until a flush of the empty list, scheduled by the writable
+// callback, sends it.
 //
-// A write error may leave a message half-sent (a batch can fail between —
-// or inside — iovecs), so continuing on this connection would emit bytes
-// the peer cannot frame; the only safe recovery is dropping it. For a
-// primary-port output (the client-facing side of proxy-style graphs) the
-// instance additionally begins shutdown at once: without it the graph
-// lingers half-dead — inputs still parsing a client that can no longer be
-// answered — until the peer happens to hang up, pinning the instance and
-// its pooled buffers. Non-primary drops still propagate as EOF through the
-// normal teardown path.
+// A write error may leave a message half-sent, so the only safe recovery
+// is dropping the connection. A primary-port output also begins shutdown
+// at once, or the instance would linger half-dead — parsing a client that
+// can no longer be answered, pinning its pooled buffers — until the peer
+// hangs up; other outputs' drops propagate as EOF through teardown.
 func (st *outputState) flush(worker int) {
 	if st.led != nil {
 		st.led.flushed(worker)
@@ -742,7 +752,12 @@ func (st *outputState) flush(worker int) {
 		st.sc.Reset()
 		return
 	}
-	if _, err := st.sc.WriteTo(st.conn); err != nil {
+	if st.sc.Len() == 0 && !st.blocked {
+		return
+	}
+	_, err := st.conn.WriteBatch(st.sc.Buffers())
+	st.sc.Reset()
+	if st.blocked = err == netstack.ErrBacklogged; err != nil && !st.blocked {
 		st.conn.Close()
 		st.conn = nil
 		if st.port >= 0 && st.inst.tmpl.ports[st.port].Primary {

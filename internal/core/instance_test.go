@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"flick/internal/buffer"
 	"flick/internal/netstack"
 	"flick/internal/value"
 )
@@ -129,7 +130,7 @@ func TestInstanceFinishesOnClientClose(t *testing.T) {
 	}()
 	client, _ := u.Dial("direct:1")
 	server := <-connCh
-	inst.Bind(0, server)
+	inst.Bind(0, netstack.Events(server, buffer.Global))
 	inst.Start()
 
 	client.Write([]byte("one\n"))
@@ -152,7 +153,7 @@ func TestInstanceServesNetPipe(t *testing.T) {
 	base := runtime.NumGoroutine()
 	inst := NewInstance(echoTemplate(t), p.Scheduler())
 	client, server := net.Pipe()
-	inst.Bind(0, server)
+	inst.Bind(0, netstack.Events(server, buffer.Global))
 	inst.Start()
 	if _, err := client.Write([]byte("pipe\n")); err != nil {
 		t.Fatal(err)
@@ -202,7 +203,7 @@ func TestInstanceResetReuse(t *testing.T) {
 
 	for round := 0; round < 3; round++ {
 		client, server := acceptOne()
-		inst.Bind(0, server)
+		inst.Bind(0, netstack.Events(server, buffer.Global))
 		inst.Start()
 		client.Write([]byte("ping\n"))
 		got := readLines(t, client, 1)
@@ -508,8 +509,8 @@ func TestGraphPoolReuse(t *testing.T) {
 func BenchmarkGraphPoolReuse(b *testing.B) {
 	tmpl := echoTemplate(b)
 	sched := NewScheduler(1, Cooperative)
-	// A UserNet connection is already a netstack.Readable, so Bind starts
-	// no pump goroutine: the loops price the pool alone.
+	// A UserNet connection is already a netstack.Conn, so binding it
+	// starts no pump goroutine: the loops price the pool alone.
 	u := netstack.NewUserNet()
 	l, err := u.Listen("pool:1")
 	if err != nil {
@@ -530,14 +531,14 @@ func BenchmarkGraphPoolReuse(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			inst := pool.Get()
-			inst.Bind(0, conn)
+			inst.Bind(0, conn.(netstack.Conn))
 			pool.Put(inst)
 		}
 	})
 	b.Run("build", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			NewInstance(tmpl, sched).Bind(0, conn)
+			NewInstance(tmpl, sched).Bind(0, conn.(netstack.Conn))
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"flick/internal/metrics"
+	"flick/internal/value"
 )
 
 // ServiceLatency is a service's live request-latency signal: every
@@ -75,12 +76,18 @@ func (sl *ServiceLatency) record(worker int, d time.Duration) {
 //   - recorded: responses flushed; the flush records decode→flush for each
 //     before the write.
 //
-// The client is owed responses while decoded > answered. When the stamps
-// not yet recorded fill the array, the writer alone grows it: it copies
-// them into one twice the size and publishes that, so no stamp is dropped.
-// The array is allocated on first use and kept across Reset.
+// The client is owed responses while decoded > answered. A request that
+// may go unanswered (a memcached quiet GET) has its stamp's sign bit set;
+// a response to any other request first retires the quiet stamps ahead of
+// its own, recorded with it: the server answers in order, so those are
+// done. When the unrecorded stamps fill the array, the writer alone copies
+// them into one twice the size and publishes that; the array is allocated
+// on first use and kept across Reset.
 type ledger struct {
 	sl *ServiceLatency // nil (a bare GraphPool): counts only, nothing recorded
+	// in and out are the port's formats when they have requests that may
+	// go unanswered (nil otherwise).
+	in, out quieter
 
 	stamps   atomic.Pointer[[]int64] // length a power of two
 	decoded  atomic.Uint64
@@ -88,8 +95,20 @@ type ledger struct {
 	answered uint64 // reader-owned
 }
 
-// push stores the stamp of the next decoded request (writer only).
-func (l *ledger) push(stamp int64) {
+// quieter is a format in which some requests may go unanswered, such as
+// the memcached codec: it tells them, and the responses to them, apart.
+type quieter interface {
+	MayGoUnanswered(msg value.Value) bool
+}
+
+// quiet marks the stamp of a request that may go unanswered.
+const quiet = int64(-1) << 63
+
+// push stores the stamp of the next decoded request, req (writer only).
+func (l *ledger) push(stamp int64, req value.Value) {
+	if l.in != nil && l.in.MayGoUnanswered(req) {
+		stamp |= quiet
+	}
 	d := l.decoded.Load()
 	s := l.stamps.Load()
 	if s == nil || d-l.recorded.Load() == uint64(len(*s)) {
@@ -117,11 +136,19 @@ func (l *ledger) grow(old *[]int64, d uint64) *[]int64 {
 // owed reports whether the client is still owed responses (reader only).
 func (l *ledger) owed() bool { return l.decoded.Load() > l.answered }
 
-// answer counts one encoded response (reader only).
-func (l *ledger) answer() {
-	if l.owed() {
-		l.answered++
+// answer counts one encoded response, resp (reader only). Only a quiet
+// oldest stamp needs resp classified.
+func (l *ledger) answer(resp value.Value) {
+	d := l.decoded.Load()
+	if l.answered >= d {
+		return
 	}
+	if s := *l.stamps.Load(); s[l.answered&uint64(len(s)-1)] < 0 && (l.out == nil || !l.out.MayGoUnanswered(resp)) {
+		for l.answered < d-1 && s[l.answered&uint64(len(s)-1)] < 0 {
+			l.answered++
+		}
+	}
+	l.answered++
 }
 
 // flushed records decode→flush, at one clock read, for every response
@@ -135,7 +162,7 @@ func (l *ledger) flushed(worker int) {
 	if l.sl != nil {
 		s, now := *l.stamps.Load(), metrics.Now()
 		for ; r < l.answered; r++ {
-			l.sl.record(worker, time.Duration(now-s[r&uint64(len(s)-1)]))
+			l.sl.record(worker, time.Duration(now-s[r&uint64(len(s)-1)]&^quiet))
 		}
 	}
 	l.recorded.Store(l.answered)

@@ -2,11 +2,15 @@ package core
 
 import (
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"flick/internal/buffer"
+	"flick/internal/grammar"
+	"flick/internal/metrics"
 	"flick/internal/netstack"
 	"flick/internal/value"
 )
@@ -33,7 +37,7 @@ func TestLedgerOneWriterOneReader(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < n; i++ {
-				l.push(int64(i)*3 + 1)
+				l.push(int64(i)*3+1, value.Null)
 			}
 		}()
 		for next := uint64(0); next < n; {
@@ -46,7 +50,7 @@ func TestLedgerOneWriterOneReader(t *testing.T) {
 			if !owed {
 				continue
 			}
-			l.answer()
+			l.answer(value.Null)
 			if l.answered != next+1 {
 				t.Fatalf("answered %d, want %d", l.answered, next+1)
 			}
@@ -59,7 +63,7 @@ func TestLedgerOneWriterOneReader(t *testing.T) {
 			}
 		}
 		wg.Wait()
-		l.answer() // nothing left: clamped
+		l.answer(value.Null) // nothing left: clamped
 		l.flushed(0)
 		if l.owed() || l.answered != n || l.recorded.Load() != n {
 			t.Fatalf("end: owed %v, answered %d, recorded %d, want false, %d, %d", l.owed(), l.answered, l.recorded.Load(), n, n)
@@ -80,8 +84,14 @@ func TestLedgerOneWriterOneReader(t *testing.T) {
 // the final response), and any other line is echoed once.
 func heldTemplate(t *testing.T, onHeld func()) *Template {
 	t.Helper()
+	return heldTemplateOf(t, lineCodec, onHeld)
+}
+
+// heldTemplateOf is heldTemplate speaking codec.
+func heldTemplateOf(t *testing.T, codec grammar.WireFormat, onHeld func()) *Template {
+	t.Helper()
 	tmpl := NewTemplate("held")
-	in := tmpl.AddInput("in", lineCodec)
+	in := tmpl.AddInput("in", codec)
 	comp := tmpl.AddCompute("answer", func(ctx *NodeCtx, v value.Value, _ int) {
 		switch v.Field("line").AsString() {
 		case "held":
@@ -95,7 +105,7 @@ func heldTemplate(t *testing.T, onHeld func()) *Template {
 			ctx.Emit(0, v)
 		}
 	})
-	out := tmpl.AddOutput("out", lineCodec)
+	out := tmpl.AddOutput("out", codec)
 	tmpl.Connect(in, comp)
 	tmpl.Connect(comp, out)
 	tmpl.AddPort("client", in, out, true)
@@ -119,6 +129,13 @@ func startScheduler(t *testing.T, workers int) *Scheduler {
 // is closed, and the instance finished, when the test ends.
 func startHeld(t *testing.T, s *Scheduler, onHeld func()) (net.Conn, *ServiceLatency) {
 	t.Helper()
+	client, sl, _ := startHeldOf(t, s, heldTemplate(t, onHeld))
+	return client, sl
+}
+
+// startHeldOf is startHeld serving tmpl; it also returns the instance.
+func startHeldOf(t *testing.T, s *Scheduler, tmpl *Template) (net.Conn, *ServiceLatency, *Instance) {
+	t.Helper()
 	u := netstack.NewUserNet()
 	l, err := u.Listen("held:1")
 	if err != nil {
@@ -134,10 +151,10 @@ func startHeld(t *testing.T, s *Scheduler, onHeld func()) (net.Conn, *ServiceLat
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst := NewInstance(heldTemplate(t, onHeld), s)
+	inst := NewInstance(tmpl, s)
 	sl := NewServiceLatency("held", s.Workers())
 	inst.installLatency(sl)
-	inst.Bind(0, <-accepted)
+	inst.Bind(0, netstack.Events(<-accepted, buffer.Global))
 	inst.Start()
 	t.Cleanup(func() {
 		client.Close()
@@ -145,7 +162,76 @@ func startHeld(t *testing.T, s *Scheduler, onHeld func()) (net.Conn, *ServiceLat
 			t.Errorf("instance not finished after the client closed:\n%s", inst.DebugString())
 		}
 	})
-	return client, sl
+	return client, sl, inst
+}
+
+// quietLines is the line codec in which "held" and "quiet" lines may go
+// unanswered, as memcached's quiet GETs do: heldTemplate never answers
+// "held" (a miss) and echoes "quiet" (a hit).
+type quietLines struct{ *grammar.Codec }
+
+func (quietLines) MayGoUnanswered(msg value.Value) bool {
+	l := msg.Field("line").AsString()
+	return l == "held" || l == "quiet"
+}
+
+// TestQuietStampsRetiredByLoudResponse: unanswered quiet requests no longer
+// pin the ledger. A client sends 100 batches of ten "held" lines and one
+// answered line; each answer retires its batch's quiet stamps, so the
+// array stays at its first 16 entries, where without the quiet bit the
+// 1 000 owed stamps grow it to 1 024.
+func TestQuietStampsRetiredByLoudResponse(t *testing.T) {
+	s := startScheduler(t, 1)
+	client, sl, inst := startHeldOf(t, s, heldTemplateOf(t, quietLines{lineCodec}, func() {}))
+	batch := []byte(strings.Repeat("held\n", 10) + "a\n")
+	for i := 0; i < 100; i++ {
+		if _, err := client.Write(batch); err != nil {
+			t.Fatal(err)
+		}
+		if line := readLines(t, client, 1)[0]; line != "a" {
+			t.Fatalf("batch %d: got %q, want a", i, line)
+		}
+	}
+	led := inst.inputRT[0].led
+	if n := len(*led.stamps.Load()); n > 16 {
+		t.Fatalf("stamp array of %d entries after 100 answered batches, want <= 16", n)
+	}
+	// Each batch's eleven stamps are recorded with its one answer.
+	deadline := time.Now().Add(2 * time.Second)
+	for sl.Total().Count() != 1100 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := sl.Total().Count(); got != 1100 {
+		t.Fatalf("%d recorded, want 1100", got)
+	}
+}
+
+// TestQuietHitRecordedAgainstItsStamp: the response to a quiet request
+// that hits answers that request's own stamp, and only that one; the loud
+// request behind it stays owed until its own response.
+func TestQuietHitRecordedAgainstItsStamp(t *testing.T) {
+	sl := NewServiceLatency("quiet", 1)
+	l := &ledger{sl: sl, in: quietLines{lineCodec}, out: quietLines{lineCodec}}
+	line := func(s string) value.Value {
+		rec := lineCodec.Desc().New()
+		rec.SetField("line", value.Str(s))
+		return rec
+	}
+	time.Sleep(2 * time.Millisecond) // stamp 1 is then 2 ms older than "a"'s
+	now := metrics.Now()
+	l.push(1, line("quiet"))
+	l.push(now, line("a"))
+	l.answer(line("quiet"))
+	l.flushed(0)
+	if snap := sl.Total().Snapshot(); snap.Count != 1 || snap.Max < time.Duration(now-1) || !l.owed() {
+		t.Fatalf("after the hit: %d recorded, max %v, owed %v; want 1 against its own stamp (>= %v), still owed",
+			snap.Count, snap.Max, l.owed(), time.Duration(now-1))
+	}
+	l.answer(line("a"))
+	l.flushed(0)
+	if got := sl.Total().Count(); got != 2 || l.owed() {
+		t.Fatalf("after the loud answer: %d recorded, owed %v; want 2, not owed", got, l.owed())
+	}
 }
 
 // TestLatencyRecordedAtFlush: a response deferred to its round end is

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"flick/internal/buffer"
 	rcache "flick/internal/cache"
 	"flick/internal/netstack"
 	"flick/internal/upstream"
@@ -277,10 +278,11 @@ func (s *Service) DumpLive() []string {
 // order, since mapper→port assignment is positional.
 func (s *Service) acceptLoop() {
 	for {
-		conn, err := s.listener.Accept()
+		raw, err := s.listener.Accept()
 		if err != nil {
 			return
 		}
+		conn := netstack.Events(raw, buffer.Global)
 		if s.cfg.Dispatch == PerConnection {
 			go s.dispatchPerConn(conn)
 		} else if err := s.dispatchShared(conn); err != nil {
@@ -293,7 +295,7 @@ func (s *Service) acceptLoop() {
 // connections to task graphs, instantiating a new one if none suitable
 // exists"). A failed dispatch hands the instance to GraphPool.Put, which
 // closes conn.
-func (s *Service) dispatchPerConn(conn net.Conn) {
+func (s *Service) dispatchPerConn(conn netstack.Conn) {
 	inst := s.pool.Get()
 	inst.Bind(s.cfg.ClientPort, conn)
 	// Connect backends ("The graph dispatcher also creates new output
@@ -343,7 +345,7 @@ func (s *Service) forget(inst *Instance) bool {
 // wave's first connection. The wave's last connection starts it, published
 // in the live set like a PerConnection instance, so Service.Close reaches
 // it and GraphPool.Put takes it back when it finishes.
-func (s *Service) dispatchShared(conn net.Conn) error {
+func (s *Service) dispatchShared(conn netstack.Conn) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()

@@ -1,9 +1,10 @@
 package core
 
 import (
-	"net"
 	"sync"
 	"sync/atomic"
+
+	"flick/internal/netstack"
 )
 
 // poolCap bounds the idle instances a GraphPool retains.
@@ -71,7 +72,7 @@ func (p *GraphPool) Get() *Instance {
 // connections close, so a client that redials on seeing the close finds it
 // back in the pool.
 func (p *GraphPool) Put(inst *Instance) {
-	var held [8]net.Conn
+	var held [8]netstack.Conn
 	conns := append(held[:0], inst.conns...)
 	if s := p.owner; s == nil || s.forget(inst) {
 		inst.Reset()

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"flick/internal/buffer"
 	"flick/internal/netstack"
 )
 
@@ -230,7 +231,7 @@ func TestOutputWriteErrorShutsDownInstance(t *testing.T) {
 
 	inst := NewInstance(echoTemplate(t), sched)
 	conn := newFailWriteConn()
-	inst.Bind(0, conn)
+	inst.Bind(0, netstack.Events(conn, buffer.Global))
 	inst.Start()
 
 	// The stub feeds one line; the echoed reply hits the failing write.

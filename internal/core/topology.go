@@ -4,6 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+
+	"flick/internal/buffer"
+	"flick/internal/netstack"
 )
 
 // ErrCapacity rejects a topology update holding more backends than the
@@ -153,13 +156,16 @@ func (s *Service) bindBackends(inst *Instance) error {
 // worker that will write the port (Instance.PortHomeWorker), so a sharded
 // upstream layer keeps its write lock on that core, or a dialled socket.
 func (s *Service) bindBackend(inst *Instance, port int, addr string) (err error) {
-	var bc net.Conn
+	var bc netstack.Conn
 	switch {
 	case addr == "":
 	case s.cfg.Upstreams != nil:
 		bc, err = s.cfg.Upstreams.LeaseOn(addr, inst.PortHomeWorker(port))
 	default:
-		bc, err = s.platform.transport.Dial(addr)
+		var raw net.Conn
+		if raw, err = s.platform.transport.Dial(addr); err == nil {
+			bc = netstack.Events(raw, buffer.Global)
+		}
 	}
 	if err != nil {
 		return fmt.Errorf("core: dial backend %s: %w", addr, err)

@@ -1,7 +1,6 @@
 package netstack
 
 import (
-	"errors"
 	"net"
 	"sync"
 
@@ -13,13 +12,13 @@ import (
 // connection's TryReadRefs moves at most this many bytes per call.
 const ReadChunk = 32 << 10
 
-// Readable is a connection the platform reads without blocking: its input
-// tasks and the upstream demultiplexer are scheduled from the readable
-// callback (the analogue of mTCP's event loop) and take the bytes that
-// have arrived by reference. UserNet connections and upstream sessions
-// implement it natively; Events adapts any other connection.
-type Readable interface {
-	net.Conn
+// Conn is a connection as the platform binds it. Input tasks and the
+// upstream demultiplexer are scheduled from its readable callback (the
+// analogue of mTCP's event loop) and take the bytes that have arrived by
+// reference; output tasks hand each flush over as one scatter list.
+// UserNet connections and upstream sessions are Conns natively; Events
+// adapts any other connection.
+type Conn interface {
 	// SetReadableCallback registers fn to run when bytes or EOF arrive.
 	// If some are already pending, fn fires at once. nil clears it.
 	SetReadableCallback(fn func())
@@ -28,49 +27,43 @@ type Readable interface {
 	// compact) and reports the byte count; (0, nil) means "would block",
 	// an error (io.EOF included) ends the stream.
 	TryReadRefs(q *buffer.Queue) (int, error)
-}
-
-// BatchWriter is implemented by connections that accept a whole scatter
-// list in one operation: one vectored write (writev) on a kernel socket
-// wrapped by Events, one lock acquisition on a UserNet connection.
-type BatchWriter interface {
-	// WriteBatch writes every buffer in order, blocking until all bytes
-	// are accepted or the connection fails.
+	// WriteBatch writes every buffer in order: one vectored write on a
+	// kernel socket, one lock acquisition on a UserNet connection. A
+	// connection that cannot send everything yet stages the rest in memory
+	// it owns and returns ErrBacklogged; the writer then writes nothing
+	// more until the writable callback runs, and retries with no buffers.
+	// Either way the caller may reuse bufs once WriteBatch returns.
 	WriteBatch(bufs [][]byte) (int64, error)
+	// SetWritableCallback registers fn to run when a write that returned
+	// ErrBacklogged may be retried. nil clears it.
+	SetWritableCallback(fn func())
+	// Close closes the connection, dropping pending reads and staged writes.
+	Close() error
 }
 
-var (
-	_ Readable    = (*userConn)(nil)
-	_ BatchWriter = (*userConn)(nil)
-	_ BatchWriter = (*pumped)(nil)
-)
-
-// Events returns c as a Readable: c itself when it already is one,
-// otherwise c behind a pump — one goroutine blocked in Read into a chunk
-// from pool, which hands each read over by reference and then fires the
-// readable callback. It is the only code that starts a goroutine blocking
-// in Read on a connection the platform's tasks or upstream demultiplexer
-// read. The pump starts at once and exits when c fails or Close is called;
-// Close also returns every chunk not yet taken.
-func Events(c net.Conn, pool *buffer.Pool) Readable {
-	if r, ok := c.(Readable); ok {
+// Events returns c as a Conn: c itself when it already is one, otherwise
+// c behind a pump — one goroutine blocked in Read into a chunk from pool,
+// which hands each read over by reference and then fires the readable
+// callback. It is the only code that starts a goroutine blocking in Read
+// on a connection the platform reads. The pump starts with the first
+// readable callback, so a connection that is only written never gets one,
+// and exits when c fails or Close is called; Close also returns every
+// chunk not yet taken.
+func Events(c net.Conn, pool *buffer.Pool) Conn {
+	if r, ok := c.(Conn); ok {
 		return r
 	}
-	p := &pumped{Conn: c, pool: pool}
-	go p.pump()
-	return p
+	return &pumped{c: c, pool: pool}
 }
 
-// errPumped fails Read on a pumped connection: the pump owns its reads.
-var errPumped = errors.New("netstack: read a pumped connection through TryReadRefs")
-
-// pumped is the Readable Events makes of a blocking connection.
+// pumped is the Conn Events makes of a blocking connection.
 type pumped struct {
-	net.Conn
+	c    net.Conn
 	pool *buffer.Pool
 
-	mu    sync.Mutex
-	reads []landed // reads not yet taken, in arrival order
+	mu      sync.Mutex
+	pumping bool     // the pump goroutine has started
+	reads   []landed // reads not yet taken, in arrival order
 	// err ends the stream once reads are taken: the read error that ended
 	// the pump, or ErrClosed from Close.
 	err        error
@@ -94,7 +87,7 @@ type landed struct {
 func (p *pumped) pump() {
 	for {
 		ref := p.pool.GetRef(ReadChunk)
-		n, err := p.Conn.Read(ref.Bytes())
+		n, err := p.c.Read(ref.Bytes())
 		p.mu.Lock()
 		if p.err == ErrClosed {
 			p.mu.Unlock()
@@ -122,7 +115,7 @@ func (p *pumped) pump() {
 	}
 }
 
-// TryReadRefs implements Readable.
+// TryReadRefs implements Conn.
 func (p *pumped) TryReadRefs(q *buffer.Queue) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -139,31 +132,37 @@ func (p *pumped) TryReadRefs(q *buffer.Queue) (int, error) {
 	return total, nil
 }
 
-// SetReadableCallback implements Readable.
+// SetReadableCallback implements Conn. The first non-nil fn starts the
+// pump.
 func (p *pumped) SetReadableCallback(fn func()) {
 	p.mu.Lock()
 	p.onReadable = fn
+	start := fn != nil && !p.pumping && p.err == nil
+	p.pumping = p.pumping || start
 	pending := len(p.reads) > 0 || p.err != nil
 	p.mu.Unlock()
+	if start {
+		go p.pump()
+	}
 	if fn != nil && pending {
 		fn()
 	}
 }
 
-// Read implements net.Conn; it always fails (see errPumped).
-func (p *pumped) Read([]byte) (int, error) { return 0, errPumped }
-
-// WriteBatch implements BatchWriter with one vectored write. Callers
-// serialise it (nb is shared); Write stays safe for concurrent use.
+// WriteBatch implements Conn with one vectored write, which blocks until
+// the socket takes every byte. Callers serialise it (nb is shared).
 func (p *pumped) WriteBatch(bufs [][]byte) (int64, error) {
 	p.nb = bufs
-	n, err := p.nb.WriteTo(p.Conn)
+	n, err := p.nb.WriteTo(p.c)
 	p.nb = nil
 	return n, err
 }
 
-// Close implements net.Conn: the socket closes, its untaken chunks return
-// to the pool, and the pump releases its in-flight chunk and exits.
+// SetWritableCallback implements Conn: WriteBatch never backlogs here.
+func (p *pumped) SetWritableCallback(func()) {}
+
+// Close implements Conn: the socket closes, its untaken chunks return to
+// the pool, and the pump releases its in-flight chunk and exits.
 func (p *pumped) Close() error {
 	p.mu.Lock()
 	p.err = ErrClosed
@@ -172,5 +171,5 @@ func (p *pumped) Close() error {
 	}
 	p.reads = nil
 	p.mu.Unlock()
-	return p.Conn.Close()
+	return p.c.Close()
 }

@@ -60,7 +60,7 @@ func TestEventsReturnsUserNetConnUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if r := Events(c, buffer.Global); r != c.(Readable) {
+	if r := Events(c, buffer.Global); r != c.(Conn) {
 		t.Fatalf("Events wrapped a UserNet connection: %T", r)
 	}
 }
@@ -212,13 +212,12 @@ func TestEventsKernelTCPCloseReturnsChunks(t *testing.T) {
 // TestEventsWriteBatchKernelTCPZeroAlloc pins WriteBatch through Events on
 // a kernel socket — one writev through the wrapper's net.Buffers field —
 // at zero allocations per call. The peer reads only afterwards: every byte
-// fits in the loopback socket buffer, and the wrapper's pump stays blocked
-// in Read, so nothing else allocates while AllocsPerRun counts.
+// fits in the loopback socket buffer, and a wrapper that is only written
+// starts no pump, so nothing else allocates while AllocsPerRun counts.
 func TestEventsWriteBatchKernelTCPZeroAlloc(t *testing.T) {
 	client, server := tcpPair(t)
-	w := Events(client, buffer.NewPool(8))
-	defer w.Close()
-	bw := w.(BatchWriter)
+	bw := Events(client, buffer.NewPool(8))
+	defer bw.Close()
 	const runs = 100
 	head, body := []byte("HEAD:"), []byte("body-bytes;")
 	bufs := make([][]byte, 2)

@@ -15,15 +15,10 @@
 //
 // Both transports implement Transport and produce net.Conn values, so every
 // server, baseline and load generator in the repository runs unmodified on
-// either stack.
-//
-// The platform itself reads every socket one way, as a Readable: a
-// readable callback schedules the reader, which takes the bytes that have
-// arrived into its parse queue by reference (TryReadRefs). UserNet
-// connections are Readable natively. Events wraps any other connection
-// with the one kernel pump — a goroutine blocked in Read into a pooled
-// ReadChunk — so replacing that goroutine (with epoll, say) changes Events
-// alone.
+// either stack. The platform itself binds every socket as a Conn. UserNet
+// connections are Conns natively; Events wraps any other connection with
+// the one kernel pump, so replacing that goroutine (with epoll, say)
+// changes Events alone.
 package netstack
 
 import (
@@ -49,6 +44,9 @@ var (
 	ErrNoListener  = errors.New("netstack: connection refused (no listener)")
 	ErrAddrInUse   = errors.New("netstack: address already in use")
 	ErrBacklogFull = errors.New("netstack: accept backlog full")
+	// ErrBacklogged reports a write that a Conn accepted but could not
+	// send yet (see Conn.WriteBatch); it is not a failure.
+	ErrBacklogged = errors.New("netstack: write staged until the connection can take it")
 )
 
 // timeoutError implements net.Error for deadline expiry.

@@ -262,7 +262,7 @@ func (c *userConn) Read(p []byte) (int, error) {
 	}
 }
 
-// TryReadRefs implements Readable: one non-blocking read of up to
+// TryReadRefs implements Conn: one non-blocking read of up to
 // ReadChunk bytes into a chunk from q's pool, appended with AppendRead.
 func (c *userConn) TryReadRefs(q *buffer.Queue) (int, error) {
 	h := c.in
@@ -282,28 +282,6 @@ func (c *userConn) TryReadRefs(q *buffer.Queue) (int, error) {
 		return 0, io.EOF
 	}
 	return 0, nil
-}
-
-// armWriteTimer returns the current write deadline and, when one is set, a
-// timer that wakes blocked writers at expiry (nil timer when no deadline).
-// The expired result reports a deadline already in the past.
-func (c *userConn) armWriteTimer(h *half) (dl time.Time, timer *time.Timer, expired bool) {
-	c.dlMu.Lock()
-	dl = c.writeDeadline
-	c.dlMu.Unlock()
-	if dl.IsZero() {
-		return dl, nil, false
-	}
-	d := time.Until(dl)
-	if d <= 0 {
-		return dl, nil, true
-	}
-	timer = time.AfterFunc(d, func() {
-		h.mu.Lock()
-		h.canWrite.Broadcast()
-		h.mu.Unlock()
-	})
-	return dl, timer, false
 }
 
 // writeLocked copies p into h's ring, blocking on canWrite when full and
@@ -340,36 +318,34 @@ func writeLocked(h *half, p []byte, dl time.Time) (int, error) {
 	return written, nil
 }
 
-// Write implements net.Conn. It blocks until all of p is accepted, the peer
-// stops reading, or the deadline expires.
+// Write implements net.Conn: the one-buffer form of WriteBatch.
 func (c *userConn) Write(p []byte) (int, error) {
-	Spin(c.net.OpCost)
-	h := c.out
-	dl, timer, expired := c.armWriteTimer(h)
-	if expired {
-		return 0, ErrTimeout
-	}
-	if timer != nil {
-		defer timer.Stop()
-	}
-	h.mu.Lock()
-	n, err := writeLocked(h, p, dl)
-	h.mu.Unlock()
-	return n, err
+	n, err := c.WriteBatch([][]byte{p})
+	return int(n), err
 }
 
-// WriteBatch implements BatchWriter: it writes every buffer in
-// order while holding the connection lock once for the whole batch — the
-// user-space analogue of writev. Semantics match Write (per-op cost burned
-// once, blocks until everything is accepted, honours the write deadline).
+// WriteBatch implements Conn: it writes every buffer in order while
+// holding the connection lock once for the whole batch — the user-space
+// analogue of writev — burning the per-op cost once. It blocks until
+// everything is accepted, the peer stops reading, or the write deadline
+// expires.
 func (c *userConn) WriteBatch(bufs [][]byte) (int64, error) {
 	Spin(c.net.OpCost)
 	h := c.out
-	dl, timer, expired := c.armWriteTimer(h)
-	if expired {
-		return 0, ErrTimeout
-	}
-	if timer != nil {
+	c.dlMu.Lock()
+	dl := c.writeDeadline
+	c.dlMu.Unlock()
+	if !dl.IsZero() {
+		d := time.Until(dl)
+		if d <= 0 {
+			return 0, ErrTimeout
+		}
+		// Wake the writer blocked on a full ring at expiry.
+		timer := time.AfterFunc(d, func() {
+			h.mu.Lock()
+			h.canWrite.Broadcast()
+			h.mu.Unlock()
+		})
 		defer timer.Stop()
 	}
 	var total int64
@@ -411,7 +387,10 @@ func (c *userConn) Close() error {
 	return nil
 }
 
-// SetReadableCallback implements Readable. This is the event-loop hook:
+// SetWritableCallback implements Conn: WriteBatch never backlogs here.
+func (c *userConn) SetWritableCallback(func()) {}
+
+// SetReadableCallback implements Conn. This is the event-loop hook:
 // the platform's input tasks are scheduled from here rather than parking a
 // goroutine per connection.
 func (c *userConn) SetReadableCallback(fn func()) {
@@ -460,5 +439,8 @@ func (c *userConn) SetWriteDeadline(t time.Time) error {
 	return nil
 }
 
-var _ net.Conn = (*userConn)(nil)
-var _ Transport = (*UserNet)(nil)
+var (
+	_ net.Conn  = (*userConn)(nil)
+	_ Conn      = (*userConn)(nil)
+	_ Transport = (*UserNet)(nil)
+)

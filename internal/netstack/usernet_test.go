@@ -215,7 +215,7 @@ func TestUserNetReadableCallback(t *testing.T) {
 
 	var mu sync.Mutex
 	events := 0
-	srv.(Readable).SetReadableCallback(func() {
+	srv.(Conn).SetReadableCallback(func() {
 		mu.Lock()
 		events++
 		mu.Unlock()
@@ -231,12 +231,12 @@ func TestUserNetReadableCallback(t *testing.T) {
 	// TryReadRefs drains without blocking.
 	q := buffer.NewQueue(nil)
 	defer q.Reset()
-	n, err := srv.(Readable).TryReadRefs(q)
+	n, err := srv.(Conn).TryReadRefs(q)
 	if b, _ := q.PeekByte(0); err != nil || n != 1 || b != 'x' {
 		t.Fatalf("TryReadRefs = %d, %v", n, err)
 	}
 	// Empty: would-block.
-	n, err = srv.(Readable).TryReadRefs(q)
+	n, err = srv.(Conn).TryReadRefs(q)
 	if n != 0 || err != nil {
 		t.Fatalf("TryReadRefs empty = %d, %v", n, err)
 	}
@@ -244,7 +244,7 @@ func TestUserNetReadableCallback(t *testing.T) {
 	c.Close()
 	deadline := time.Now().Add(time.Second)
 	for {
-		_, err = srv.(Readable).TryReadRefs(q)
+		_, err = srv.(Conn).TryReadRefs(q)
 		if err == io.EOF {
 			break
 		}
@@ -268,7 +268,7 @@ func TestUserNetCallbackFiresImmediatelyWhenPending(t *testing.T) {
 	// Give the write time to land before registering.
 	time.Sleep(5 * time.Millisecond)
 	fired := make(chan struct{}, 1)
-	srv.(Readable).SetReadableCallback(func() {
+	srv.(Conn).SetReadableCallback(func() {
 		select {
 		case fired <- struct{}{}:
 		default:

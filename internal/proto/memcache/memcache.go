@@ -105,7 +105,19 @@ func ProbeRequest() []byte {
 // decoded commands keep a zero-copy view of their wire image, so proxying
 // an unmodified command re-emits the original pooled bytes without
 // re-serialising (and without copying, on the scatter output path).
-var Codec = grammar.MemcachedUnit().MustCompile(grammar.CaptureRaw())
+var Codec = codec{grammar.MemcachedUnit().MustCompile(grammar.CaptureRaw())}
+
+// codec is the compiled grammar plus what the runtime's request ledger
+// reads from the opcode (internal/core): whether a command may go
+// unanswered.
+type codec struct{ *grammar.Codec }
+
+// MayGoUnanswered reports whether msg is a quiet command — answered only
+// on a hit (GetQ, GetKQ) or an error (SetQ, ...) — or the response to one,
+// which carries the same opcode.
+func (codec) MayGoUnanswered(msg value.Value) bool {
+	return quietOpcode(byte(msg.IntAt(SlotOpcode)))
+}
 
 // Desc describes Memcached command records.
 var Desc = Codec.Desc()

@@ -7,17 +7,19 @@
 // A Manager owns Config.Shards independent shards — one per scheduler
 // worker in the platform's default wiring — each holding one pool per
 // backend address. Each pool holds up to Size long-lived sockets; LeaseOn
-// (addr, worker) hands out a lightweight virtual connection (a Session —
-// net.Conn-shaped, so instance binding is untouched at the type level)
-// pinned to a socket of the worker's shard, so the write path of a task
-// graph never takes a lock another core holds. Requests from all sessions
+// (addr, worker) hands out a lightweight virtual connection (a Session,
+// which an instance binds as a netstack.Conn like any socket) pinned to a
+// socket of the worker's shard, so the write path of a task graph never
+// takes a lock another core holds. Requests from all sessions
 // of a socket are framed, counted into a FIFO, and written through a
 // single serialised writer; the demultiplexer frames the pipelined
 // response stream and routes each response view to the session at the
 // FIFO head. This matches the FIFO request/response discipline of
 // memcached-binary and HTTP/1.1 backends, which answer a connection's
-// requests in arrival order. A shard whose backend sockets are down
-// borrows a live sibling-shard socket before failing fast (shardsteals).
+// requests in arrival order. A full in-flight window stages a write
+// (netstack.ErrBacklogged) until a response frees a slot: nothing in the
+// layer waits. A shard whose backend sockets are down borrows a live
+// sibling-shard socket before failing fast (shardsteals).
 //
 // # Request-aware framing
 //
@@ -50,8 +52,8 @@
 // a session closed before delivery drops (Releases) the view itself, so
 // every region's refcount balances whether or not its response was read.
 // Writes stage caller memory by reference only within the locked write
-// call; a trailing partial request is copied into pooled memory the
-// session owns (compactTail) before the lock is released.
+// call; what stays staged is copied into pooled memory the session owns
+// (compactTail) before the lock is released.
 //
 // # Failure handling and topology
 //

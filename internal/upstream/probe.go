@@ -2,6 +2,9 @@ package upstream
 
 import (
 	"time"
+
+	"flick/internal/buffer"
+	"flick/internal/netstack"
 )
 
 // SetBackends reconciles every shard's pool set with a new backend
@@ -98,20 +101,15 @@ func (p *pool) retire() {
 
 // probeLoop drives background health probing (Config.Probe): each tick,
 // every empty or broken slot of every probe target's probing pool
-// (probePool — one shard per address) is dialled and round-tripped. A
-// successful probe repairs the slot in place — the dial resets the pool's
-// backoff, so the fail-fast window closes — and leaves the socket live
-// for the next lease; probes therefore double as connection pre-warming
-// for freshly added backends. Probe dials deliberately ignore the backoff
-// gate: the gate exists so clients never wait on a dead backend's connect
-// timeout, and the probe goroutine is exactly the place where that wait
-// is free.
-//
-// Probes run once per backend, not once per shard: one shard's pool
-// carries the probe stream and the verdict of each probe is broadcast to
-// every shard (broadcastVerdict), so a sharded manager's health traffic
-// is identical to an unsharded one's — it does not multiply with the
-// core count.
+// (probePool) is dialled and round-tripped. A successful probe repairs the
+// slot in place — the dial resets the pool's backoff, closing the
+// fail-fast window — and leaves the socket live for the next lease, so
+// probes double as pre-warming for new backends. Probe dials ignore the
+// backoff gate, which exists so that clients never wait on a dead
+// backend's connect timeout; the probe goroutine is where that wait is
+// free. Probes run once per backend, through one shard's pool, and every
+// verdict is broadcast to every shard (broadcastVerdict), so health
+// traffic does not multiply with the core count.
 func (m *Manager) probeLoop() {
 	t := time.NewTicker(m.cfg.ProbeInterval)
 	defer t.Stop()
@@ -217,23 +215,17 @@ func (m *Manager) probeAll() {
 
 // verifySiblings closes sibling shards' fail-fast windows when the
 // probing pool looks healthy but another shard's pool for the same
-// address is not: one probe round trip over a short-lived dedicated
-// dial confirms the backend accepts and answers, and the success verdict
-// broadcast clears every shard's window. Without it, a window armed by
-// (say) shard 3's failed dial during a backend blip would never be
-// probe-repaired while the probing shard's own sockets stayed live —
-// every shard-3 lease would cross-core-steal for the whole window, the
-// exact lock traffic sharding exists to remove.
+// address is not: one probe round trip over a short-lived dedicated dial
+// confirms the backend answers, and the success verdict clears every
+// shard's window. Without it, a window armed by (say) shard 3's failed
+// dial during a blip would never be repaired while the probing shard's
+// sockets stayed live, and every shard-3 lease would steal cross-core.
 //
-// The verify deliberately does NOT ride an existing shared socket: its
-// response would queue FIFO behind up to Window in-flight client
-// responses (a loaded-but-alive backend would time the probe out and a
-// fail there would EOF every multiplexed client), and its write could
-// block unboundedly on a full in-flight window. A fresh socket's round
-// trip is bounded by the dial and the read deadline, and a failure
-// breaks nothing shared; no verdict is broadcast on failure — the
-// probing pool's own live sockets make the backend's state ambiguous,
-// and probeSlot owns the dead-backend verdict.
+// The verify does not ride a shared socket: its response would queue
+// behind up to Window client responses, so a loaded backend would time it
+// out, and a failure there would EOF every multiplexed client. A failed
+// verify broadcasts nothing: the probing pool's live sockets make the
+// backend's state ambiguous, and probeSlot owns the dead-backend verdict.
 func (p *pool) verifySiblings() {
 	if !p.m.siblingDown(p.addr, p.sh.id) {
 		return
@@ -342,14 +334,34 @@ func (m *Manager) broadcastVerdict(addr string, up bool, until time.Time, backof
 }
 
 // probeSession round-trips the configured no-op request on a fresh
-// session. Any framed response counts as alive — the probe checks
-// liveness, not semantics.
+// session, on the probe goroutine: it waits on the session's callbacks,
+// bounded by ProbeTimeout. Any framed response counts as alive — the
+// probe checks liveness, not semantics.
 func (m *Manager) probeSession(s *Session) error {
-	if _, err := s.Write(m.cfg.Probe); err != nil {
-		return err
+	wake := make(chan struct{}, 1)
+	ping := func() {
+		select {
+		case wake <- struct{}{}:
+		default:
+		}
 	}
-	s.SetReadDeadline(time.Now().Add(m.cfg.ProbeTimeout))
-	var buf [256]byte
-	_, err := s.Read(buf[:])
-	return err
+	s.SetReadableCallback(ping)
+	s.SetWritableCallback(ping)
+	timeout := time.NewTimer(m.cfg.ProbeTimeout)
+	defer timeout.Stop()
+	q := buffer.NewQueue(m.bufs)
+	defer q.Reset()
+	for probe := [][]byte{m.cfg.Probe}; ; probe = nil { // then retry what is staged
+		if _, err := s.WriteBatch(probe); err != nil && err != netstack.ErrBacklogged {
+			return err
+		}
+		if n, err := s.TryReadRefs(q); n > 0 || err != nil {
+			return err
+		}
+		select {
+		case <-wake:
+		case <-timeout.C:
+			return netstack.ErrTimeout
+		}
+	}
 }

@@ -77,7 +77,7 @@ func TestProbeClosesFailFastWindow(t *testing.T) {
 	if _, err := s.Write(frame("hello")); err != nil {
 		t.Fatalf("write after recovery: %v", err)
 	}
-	if got := readFrame(t, s, 2*time.Second); got != "hello" {
+	if got := readFrame(t, NewReader(t, s), 2*time.Second); got != "hello" {
 		t.Fatalf("echo after recovery = %q", got)
 	}
 	ffAfter, _ := m.Counters().Get("failfast")
@@ -133,10 +133,11 @@ func TestSetBackendsDrainsRemovedPools(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ra := NewReader(t, sa)
 	if _, err := sa.Write(frame("one")); err != nil {
 		t.Fatal(err)
 	}
-	if got := readFrame(t, sa, 2*time.Second); got != "one" {
+	if got := readFrame(t, ra, 2*time.Second); got != "one" {
 		t.Fatalf("echo = %q", got)
 	}
 
@@ -147,7 +148,7 @@ func TestSetBackendsDrainsRemovedPools(t *testing.T) {
 	if _, err := sa.Write(frame("two")); err != nil {
 		t.Fatalf("write on draining socket: %v", err)
 	}
-	if got := readFrame(t, sa, 2*time.Second); got != "two" {
+	if got := readFrame(t, ra, 2*time.Second); got != "two" {
 		t.Fatalf("echo on draining socket = %q", got)
 	}
 	if d, _ := m.Counters().Get("drained"); d != 0 {
@@ -181,7 +182,7 @@ func TestSetBackendsDrainsRemovedPools(t *testing.T) {
 	if _, err := sa2.Write(frame("back")); err != nil {
 		t.Fatal(err)
 	}
-	if got := readFrame(t, sa2, 2*time.Second); got != "back" {
+	if got := readFrame(t, NewReader(t, sa2), 2*time.Second); got != "back" {
 		t.Fatalf("echo after re-add = %q", got)
 	}
 }
@@ -207,7 +208,8 @@ func TestCloseSweepsDrainingPools(t *testing.T) {
 	if _, err := sa.Write(frame("up")); err != nil {
 		t.Fatal(err)
 	}
-	if got := readFrame(t, sa, 2*time.Second); got != "up" {
+	ra := NewReader(t, sa)
+	if got := readFrame(t, ra, 2*time.Second); got != "up" {
 		t.Fatalf("echo = %q", got)
 	}
 
@@ -215,9 +217,7 @@ func TestCloseSweepsDrainingPools(t *testing.T) {
 	// close the manager: the session must observe EOF promptly.
 	m.SetBackends(nil)
 	m.Close()
-	sa.SetReadDeadline(time.Now().Add(2 * time.Second))
-	var buf [16]byte
-	if _, err := sa.Read(buf[:]); err == nil {
+	if err := ra.Wait(2 * time.Second); err == nil {
 		t.Fatal("read on a closed manager's draining socket returned data, want EOF")
 	} else if errors.Is(err, netstack.ErrTimeout) {
 		t.Fatal("draining socket survived Manager.Close (read timed out instead of EOF)")

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"flick/internal/buffer"
 	"flick/internal/netstack"
@@ -49,20 +50,19 @@ func benchmarkLeasedRoundTrips(b *testing.B, shards int) {
 			return
 		}
 		defer s.Close()
-		buf := make([]byte, len(req))
+		r := NewReader(b, s)
 		for pb.Next() {
 			if _, err := s.Write(req); err != nil {
 				b.Error(err)
 				return
 			}
-			for got := 0; got < len(buf); {
-				n, err := s.Read(buf[got:])
-				if err != nil {
+			for r.Q.Len() < len(req) { // the echo is as long as the request
+				if err := r.Wait(5 * time.Second); err != nil {
 					b.Error(err)
 					return
 				}
-				got += n
 			}
+			r.Q.Discard(len(req))
 		}
 	})
 }

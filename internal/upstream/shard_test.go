@@ -81,7 +81,7 @@ func TestLeaseOnRoutesToOwnShard(t *testing.T) {
 		if _, err := s.Write(frame(msg)); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
-		if got := readFrame(t, s, 2*time.Second); got != msg {
+		if got := readFrame(t, NewReader(t, s), 2*time.Second); got != msg {
 			t.Fatalf("session %d got %q, want %q", i, got, msg)
 		}
 		s.Close()
@@ -117,7 +117,7 @@ func TestShardStealFallsBackToLiveSibling(t *testing.T) {
 	if _, err := s1.Write(frame("borrowed")); err != nil {
 		t.Fatal(err)
 	}
-	if got := readFrame(t, s1, 2*time.Second); got != "borrowed" {
+	if got := readFrame(t, NewReader(t, s1), 2*time.Second); got != "borrowed" {
 		t.Fatalf("stolen-session echo = %q", got)
 	}
 	// Shard 1's failed dial opened its backoff window; the next lease on
@@ -170,7 +170,7 @@ func TestSetBackendsDrainsEveryShard(t *testing.T) {
 		if _, err := s.Write(frame(msg)); err != nil {
 			t.Fatalf("write on draining shard %d: %v", i, err)
 		}
-		if got := readFrame(t, s, 2*time.Second); got != msg {
+		if got := readFrame(t, NewReader(t, s), 2*time.Second); got != msg {
 			t.Fatalf("draining shard %d echo = %q", i, got)
 		}
 	}
@@ -246,7 +246,8 @@ func TestRetiredPoolReapedWhenSocketBreaksMidDrain(t *testing.T) {
 	if _, err := be.Write(frame("up")); err != nil {
 		t.Fatal(err)
 	}
-	if got := readFrame(t, s, 2*time.Second); got != "up" {
+	r := NewReader(t, s)
+	if got := readFrame(t, r, 2*time.Second); got != "up" {
 		t.Fatalf("echo = %q", got)
 	}
 
@@ -257,9 +258,7 @@ func TestRetiredPoolReapedWhenSocketBreaksMidDrain(t *testing.T) {
 		t.Fatalf("draining pools = %d mid-drain, want 1", n)
 	}
 	be.Close() // backend dies; the shared socket fails
-	s.SetReadDeadline(time.Now().Add(2 * time.Second))
-	var p [8]byte
-	if _, err := s.Read(p[:]); err != io.EOF {
+	if err := r.Wait(2 * time.Second); err != io.EOF {
 		t.Fatalf("read after backend death = %v, want EOF", err)
 	}
 	s.Close() // last detach: the broken socket must still reap the pool
@@ -416,7 +415,7 @@ func TestProbeVerdictBroadcastClosesAllShardWindows(t *testing.T) {
 		if _, err := s.Write(frame("hi")); err != nil {
 			t.Fatalf("shard %d write after recovery: %v", w, err)
 		}
-		if got := readFrame(t, s, 2*time.Second); got != "hi" {
+		if got := readFrame(t, NewReader(t, s), 2*time.Second); got != "hi" {
 			t.Fatalf("shard %d echo = %q", w, got)
 		}
 		s.Close()
@@ -497,7 +496,7 @@ func TestProbeRepairsSiblingWindowWhileProbingShardHealthy(t *testing.T) {
 	if _, err := s1.Write(frame("back")); err != nil {
 		t.Fatal(err)
 	}
-	if got := readFrame(t, s1, 2*time.Second); got != "back" {
+	if got := readFrame(t, NewReader(t, s1), 2*time.Second); got != "back" {
 		t.Fatalf("echo after repair = %q", got)
 	}
 }
@@ -589,17 +588,19 @@ func TestShardedMidStreamFailureBalancesRefs(t *testing.T) {
 
 	m := shardManager(u, pool, shards, 1)
 	var sessions []*Session
+	var readers []*Reader
 	for w := 0; w < shards; w++ {
 		s, err := m.LeaseOn("sh:die", w)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sessions = append(sessions, s)
+		readers = append(readers, NewReader(t, s))
 		msg := fmt.Sprintf("pre-%d", w)
 		if _, err := s.Write(frame(msg)); err != nil {
 			t.Fatal(err)
 		}
-		if got := readFrame(t, s, 2*time.Second); got != msg {
+		if got := readFrame(t, readers[w], 2*time.Second); got != msg {
 			t.Fatalf("shard %d echo = %q", w, got)
 		}
 	}
@@ -617,17 +618,12 @@ func TestShardedMidStreamFailureBalancesRefs(t *testing.T) {
 	bmu.Unlock()
 
 	for w, s := range sessions {
-		s.SetReadDeadline(time.Now().Add(2 * time.Second))
 		// The backend may have echoed the doomed request before it died:
 		// drain whatever arrived, the stream must still end in EOF.
-		var p [16]byte
-		var err error
-		for err == nil {
-			_, err = s.Read(p[:])
-		}
-		if err != io.EOF {
+		if err := readers[w].End(2 * time.Second); err != io.EOF {
 			t.Fatalf("shard %d session read after backend death = %v, want EOF", w, err)
 		}
+		readers[w].Q.Reset()
 		s.Close()
 	}
 	m.Close()
@@ -663,20 +659,13 @@ func TestConcurrentShardLeaseStress(t *testing.T) {
 					errs <- fmt.Errorf("write %s: %w", msg, err)
 					return
 				}
-				s.SetReadDeadline(time.Now().Add(5 * time.Second))
-				var h [4]byte
-				if _, err := io.ReadFull(s, h[:]); err != nil {
+				p, err := NewReader(t, s).Frame(5 * time.Second)
+				if err != nil {
 					s.Close()
 					errs <- fmt.Errorf("read %s: %w", msg, err)
 					return
 				}
-				p := make([]byte, int(uint32(h[0])<<24|uint32(h[1])<<16|uint32(h[2])<<8|uint32(h[3])))
-				if _, err := io.ReadFull(s, p); err != nil {
-					s.Close()
-					errs <- fmt.Errorf("read body %s: %w", msg, err)
-					return
-				}
-				if string(p) != msg {
+				if p != msg {
 					s.Close()
 					errs <- fmt.Errorf("cross-delivery: got %q, want %q", p, msg)
 					return

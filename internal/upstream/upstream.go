@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -100,8 +101,8 @@ type Config struct {
 	// traffic does not multiply with the core count. Shards = 1 is the
 	// single shared pool (the `flickbench churn` ablation).
 	Shards int
-	// Window bounds in-flight (unanswered) requests per shared socket;
-	// writers block when it is full (default 128).
+	// Window bounds in-flight (unanswered) requests per shared socket
+	// (default 128); a write that meets a full window is staged.
 	Window int
 	// RequestFramer frames outgoing requests (FIFO accounting) and
 	// captures each request's demux Context.
@@ -636,20 +637,20 @@ func (p *pool) dialSlot(slot int) (*Session, error) {
 type conn struct {
 	p    *pool
 	m    *Manager
-	raw  netstack.Readable // netstack.Events of the dialled socket
-	load *atomic.Int64     // the per-address in-flight gauge (Manager.loads)
+	raw  netstack.Conn // netstack.Events of the dialled socket
+	load *atomic.Int64 // the per-address in-flight gauge (Manager.loads)
 
 	// wmu serialises socket writes. It is held across FIFO reservation AND
 	// the write itself, so FIFO order always matches socket byte order.
 	wmu sync.Mutex
 
 	mu       sync.Mutex // fifo ring, window accounting, session set, broken
-	cond     *sync.Cond // window space / failure wakeup
 	fifo     []waiter   // ring: one entry per in-flight request (+ its demux context)
 	fhead    int
 	fcount   int
 	window   int
 	sessions map[*Session]struct{}
+	waiting  []*Session // sessions with requests staged behind a full window, oldest first
 	broken   bool
 	draining bool // topology drain claimed this socket's close
 
@@ -658,7 +659,7 @@ type conn struct {
 }
 
 func newConn(p *pool, raw net.Conn) *conn {
-	c := &conn{
+	return &conn{
 		p:        p,
 		m:        p.m,
 		raw:      netstack.Events(raw, p.m.bufs),
@@ -667,8 +668,6 @@ func newConn(p *pool, raw net.Conn) *conn {
 		sessions: map[*Session]struct{}{},
 		rq:       buffer.NewQueue(p.m.bufs),
 	}
-	c.cond = sync.NewCond(&c.mu)
-	return c
 }
 
 func (c *conn) isBroken() bool {
@@ -709,7 +708,9 @@ type waiter struct {
 // deliver frames complete responses off the inbound stream — consulting
 // the FIFO head's request context, since the wire alone cannot frame a
 // HEAD response or a quiet-batch reply — and hands each one, as a retained
-// zero-copy view, to the session at the FIFO head. c.dmu must be held.
+// zero-copy view, to the session at the FIFO head. Each response frees one
+// window slot, which goes to the session that has waited longest for one:
+// its writable callback schedules its writer. c.dmu must be held.
 func (c *conn) deliver() error {
 	for {
 		if c.rq.Len() == 0 {
@@ -740,8 +741,9 @@ func (c *conn) deliver() error {
 			c.m.inflight.Add(-1) // under c.mu: fail() subtracts fcount here too
 			c.load.Add(-1)
 		}
-		c.cond.Signal()
+		wake := c.nextWaiting()
 		c.mu.Unlock()
+		wake()
 		if s == nil {
 			ref.Release()
 			return ErrUnsolicited
@@ -773,6 +775,20 @@ func (c *conn) peekWaiter() (Context, bool) {
 		return 0, false
 	}
 	return c.fifo[c.fhead].ctx, true
+}
+
+// nextWaiting takes the session that has waited longest for window space
+// off the wait queue and returns its writable callback (a no-op when none
+// waits, or it has none). c.mu must be held.
+func (c *conn) nextWaiting() func() {
+	if len(c.waiting) > 0 {
+		s := c.waiting[0]
+		c.waiting = slices.Delete(c.waiting, 0, 1)
+		if s.onWritable != nil {
+			return s.onWritable
+		}
+	}
+	return func() {}
 }
 
 // popWaiter removes the FIFO head, returning its session and round-trip
@@ -810,7 +826,6 @@ func (c *conn) fail(err error) {
 	for c.fcount > 0 {
 		c.popWaiter()
 	}
-	c.cond.Broadcast()
 	c.mu.Unlock()
 	c.raw.SetReadableCallback(nil)
 	c.raw.Close()
@@ -818,7 +833,7 @@ func (c *conn) fail(err error) {
 	c.rq.Reset()
 	c.dmu.Unlock()
 	for _, s := range sessions {
-		s.deliverEOF()
+		s.deliver(nil, nil)
 	}
 	_ = err // the failure surfaces to sessions as EOF; err is for debuggers
 }
@@ -835,19 +850,28 @@ func (c *conn) newSession() *Session {
 	if broken {
 		// The socket died between lease and attach: the session is born at
 		// EOF, exactly as if its dedicated backend connection had dropped.
-		s.deliverEOF()
+		s.deliver(nil, nil)
 	}
 	return s
 }
 
-// removeSession detaches a closed session and wakes writers (a blocked
-// writer must observe the close). On a retired pool the socket drains:
-// the last session's detach closes it.
+// removeSession detaches a closed session. Its writer, if still waiting
+// for window space, is woken to find the close; space it was woken for and
+// will not use passes to the next waiting session. On a retired pool the
+// socket drains: the last session's detach closes it.
 func (c *conn) removeSession(s *Session) {
 	c.mu.Lock()
 	delete(c.sessions, s)
-	c.cond.Broadcast()
+	wake := func() {}
+	if slices.Contains(c.waiting, s) && s.onWritable != nil {
+		wake = s.onWritable
+	} else if c.fcount < c.window {
+		wake = c.nextWaiting()
+	}
+	c.waiting = slices.DeleteFunc(c.waiting, func(w *Session) bool { return w == s })
+	s.onWritable = nil
 	c.mu.Unlock()
+	wake()
 	c.maybeDrain()
 }
 

@@ -39,19 +39,14 @@ func frame(payload string) []byte {
 	return b
 }
 
-// readFrame reads one complete frame off a blocking net.Conn.
-func readFrame(t testing.TB, c net.Conn, timeout time.Duration) string {
+// readFrame reads one complete frame off r.
+func readFrame(t testing.TB, r *Reader, timeout time.Duration) string {
 	t.Helper()
-	c.SetReadDeadline(time.Now().Add(timeout))
-	var h [4]byte
-	if _, err := io.ReadFull(c, h[:]); err != nil {
-		t.Fatalf("readFrame header: %v", err)
+	p, err := r.Frame(timeout)
+	if err != nil {
+		t.Fatalf("readFrame: %v", err)
 	}
-	p := make([]byte, binary.BigEndian.Uint32(h[:]))
-	if _, err := io.ReadFull(c, p); err != nil {
-		t.Fatalf("readFrame body: %v", err)
-	}
-	return string(p)
+	return p
 }
 
 // echoServer answers every frame with its payload, in arrival order.
@@ -138,7 +133,7 @@ func TestLeaseReuseAndCounters(t *testing.T) {
 		if _, err := s.Write(frame(msg)); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
-		if got := readFrame(t, s, 2*time.Second); got != msg {
+		if got := readFrame(t, NewReader(t, s), 2*time.Second); got != msg {
 			t.Fatalf("session %d got %q, want %q", i, got, msg)
 		}
 	}
@@ -167,6 +162,7 @@ func TestFIFOCorrelationInterleaved(t *testing.T) {
 	if d := counter(t, m, "dials"); d != 1 {
 		t.Fatalf("dials = %d, want 1 (both sessions share the socket)", d)
 	}
+	ra, rb := NewReader(t, a), NewReader(t, b)
 	// Interleave: a1, b1, a2 hit the wire in this order.
 	for _, w := range []struct {
 		s   *Session
@@ -176,13 +172,13 @@ func TestFIFOCorrelationInterleaved(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := readFrame(t, a, 2*time.Second); got != "a1" {
+	if got := readFrame(t, ra, 2*time.Second); got != "a1" {
 		t.Fatalf("a first = %q", got)
 	}
-	if got := readFrame(t, b, 2*time.Second); got != "b1" {
+	if got := readFrame(t, rb, 2*time.Second); got != "b1" {
 		t.Fatalf("b = %q", got)
 	}
-	if got := readFrame(t, a, 2*time.Second); got != "a2" {
+	if got := readFrame(t, ra, 2*time.Second); got != "a2" {
 		t.Fatalf("a second = %q", got)
 	}
 	a.Close()
@@ -211,8 +207,9 @@ func TestSplitWritesReassembleFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	r := NewReader(t, s)
 	for _, want := range []string{"one", "twotwo", "three"} {
-		if got := readFrame(t, s, 2*time.Second); got != want {
+		if got := readFrame(t, r, 2*time.Second); got != want {
 			t.Fatalf("got %q, want %q", got, want)
 		}
 	}
@@ -284,6 +281,7 @@ func TestMidStreamFailureEOFsSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ractive, ridle := NewReader(t, active), NewReader(t, idle)
 	if _, err := active.Write(frame("never-answered")); err != nil {
 		t.Fatal(err)
 	}
@@ -294,15 +292,13 @@ func TestMidStreamFailureEOFsSessions(t *testing.T) {
 	}
 	readFrameRaw(t, be)
 	be.Write(frame("never-answered"))
-	if got := readFrame(t, active, 2*time.Second); got != "never-answered" {
+	if got := readFrame(t, ractive, 2*time.Second); got != "never-answered" {
 		t.Fatalf("pre-failure response = %q", got)
 	}
 	be.Close()
 
-	for i, s := range []*Session{active, idle} {
-		s.SetReadDeadline(time.Now().Add(2 * time.Second))
-		var p [16]byte
-		if _, err := s.Read(p[:]); err != io.EOF {
+	for i, r := range []*Reader{ractive, ridle} {
+		if err := r.End(2 * time.Second); err != io.EOF {
 			t.Fatalf("session %d read after backend death = %v, want EOF", i, err)
 		}
 	}
@@ -411,8 +407,11 @@ func TestBackoffPrefersLiveSlot(t *testing.T) {
 	}
 }
 
-// TestWindowBackpressure: a full in-flight window blocks further writes
-// until a response frees a slot.
+// TestWindowBackpressure: a write that meets a full in-flight window is
+// staged, not sent — the backend sees it only after a response frees a
+// slot — and the writer learns so at once (ErrBacklogged) instead of
+// waiting. The freed slot runs the writable callback, and the retry sends
+// the staged request.
 func TestWindowBackpressure(t *testing.T) {
 	u := netstack.NewUserNet()
 	l, err := u.Listen("be:win")
@@ -436,6 +435,13 @@ func TestWindowBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	writable := make(chan struct{}, 1)
+	s.SetWritableCallback(func() {
+		select {
+		case writable <- struct{}{}:
+		default:
+		}
+	})
 	if _, err := s.Write(frame("first")); err != nil {
 		t.Fatal(err)
 	}
@@ -443,28 +449,110 @@ func TestWindowBackpressure(t *testing.T) {
 	defer be.Close()
 	readFrameRaw(t, be)
 
-	wrote := make(chan error, 1)
-	go func() {
-		_, err := s.Write(frame("second"))
-		wrote <- err
-	}()
-	select {
-	case err := <-wrote:
-		t.Fatalf("second write completed with window full (err=%v)", err)
-	case <-time.After(100 * time.Millisecond):
+	if _, err := s.Write(frame("second")); err != netstack.ErrBacklogged {
+		t.Fatalf("second write with the window full = %v, want ErrBacklogged", err)
 	}
-	// Answer the first request: the window frees and the write lands.
+	be.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	var b [1]byte
+	if n, err := be.Read(b[:]); n != 0 || !errors.Is(err, netstack.ErrTimeout) {
+		t.Fatalf("backend read %d bytes with the window full (err=%v)", n, err)
+	}
+	select {
+	case <-writable:
+		t.Fatal("writable callback ran with the window full")
+	default:
+	}
+	// Answer the first request: the window frees and the retry lands.
 	if _, err := be.Write(frame("first")); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-wrote; err != nil {
+	select {
+	case <-writable:
+	case <-time.After(2 * time.Second):
+		t.Fatal("writable callback did not run after the window freed")
+	}
+	if _, err := s.WriteBatch(nil); err != nil {
 		t.Fatalf("second write after window freed: %v", err)
 	}
 	if got := readFrameRaw(t, be); got != "second" {
 		t.Fatalf("backend saw %q, want %q", got, "second")
 	}
-	if got := readFrame(t, s, 2*time.Second); got != "first" {
+	if got := readFrame(t, NewReader(t, s), 2*time.Second); got != "first" {
 		t.Fatalf("response = %q", got)
+	}
+}
+
+// TestWindowWaitersWokenInOrder: sessions whose writes meet a full window
+// on one socket are woken one per freed slot, the longest-waiting first;
+// one that closes instead of retrying passes its slot to the next, and
+// closing a session still waiting wakes its own writer.
+func TestWindowWaitersWokenInOrder(t *testing.T) {
+	u := netstack.NewUserNet()
+	l, err := u.Listen("be:order")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	conns := make(chan net.Conn, 1)
+	go func() {
+		if c, err := l.Accept(); err == nil {
+			conns <- c
+		}
+	}()
+	m := testManager(u, nil, 1, 1)
+	defer m.Close()
+	woken := make(chan string, 8)
+	lease := func(name string) *Session {
+		s, err := m.Lease("be:order")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetWritableCallback(func() { woken <- name })
+		return s
+	}
+	a, b, c, d := lease("a"), lease("b"), lease("c"), lease("d")
+	defer a.Close()
+	defer c.Close()
+	if _, err := a.Write(frame("a")); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*Session{b, c, d} {
+		if _, err := s.Write(frame("staged")); err != netstack.ErrBacklogged {
+			t.Fatalf("write behind a full window = %v, want ErrBacklogged", err)
+		}
+	}
+	expect := func(want string) {
+		t.Helper()
+		select {
+		case got := <-woken:
+			if got != want {
+				t.Fatalf("woke %s, want %s", got, want)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s was not woken", want)
+		}
+	}
+	d.Close() // still waiting: its own writer learns of the close
+	expect("d")
+	be := <-conns
+	defer be.Close()
+	readFrameRaw(t, be)
+	if _, err := be.Write(frame("a")); err != nil {
+		t.Fatal(err)
+	}
+	expect("b")
+	b.Close() // woken, but closes instead of retrying: c gets the slot
+	expect("c")
+	if _, err := c.WriteBatch(nil); err != nil {
+		t.Fatalf("c's retry with the slot free: %v", err)
+	}
+	if got := readFrameRaw(t, be); got != "staged" {
+		t.Fatalf("backend saw %q, want c's staged request", got)
+	}
+	select {
+	case got := <-woken:
+		t.Fatalf("%s woken with no slot free", got)
+	default:
 	}
 }
 
@@ -497,9 +585,7 @@ func TestUnsolicitedResponseBreaksConn(t *testing.T) {
 	if _, err := be.Write(frame("nobody asked")); err != nil {
 		t.Fatal(err)
 	}
-	s.SetReadDeadline(time.Now().Add(2 * time.Second))
-	var p [16]byte
-	if _, err := s.Read(p[:]); err != io.EOF {
+	if err := NewReader(t, s).End(2 * time.Second); err != io.EOF {
 		t.Fatalf("read after unsolicited response = %v, want EOF", err)
 	}
 }
@@ -528,7 +614,7 @@ func TestSessionCloseDropsPendingResponse(t *testing.T) {
 		t.Fatal(err)
 	}
 	quitter.Close() // response to "goodbye" is still in flight
-	if got := readFrame(t, stayer, 2*time.Second); got != "hello" {
+	if got := readFrame(t, NewReader(t, stayer), 2*time.Second); got != "hello" {
 		t.Fatalf("stayer got %q, want %q (FIFO skew after close?)", got, "hello")
 	}
 	stayer.Close()
@@ -574,24 +660,19 @@ func TestConcurrentSessionsStress(t *testing.T) {
 				return
 			}
 			defer s.Close()
+			r := NewReader(t, s)
 			for i := 0; i < rounds; i++ {
 				msg := fmt.Sprintf("g%d-%d", g, i)
 				if _, err := s.Write(frame(msg)); err != nil {
 					errs <- fmt.Errorf("write %s: %w", msg, err)
 					return
 				}
-				s.SetReadDeadline(time.Now().Add(5 * time.Second))
-				var h [4]byte
-				if _, err := io.ReadFull(s, h[:]); err != nil {
+				p, err := r.Frame(5 * time.Second)
+				if err != nil {
 					errs <- fmt.Errorf("read %s: %w", msg, err)
 					return
 				}
-				p := make([]byte, binary.BigEndian.Uint32(h[:]))
-				if _, err := io.ReadFull(s, p); err != nil {
-					errs <- fmt.Errorf("read body %s: %w", msg, err)
-					return
-				}
-				if string(p) != msg {
+				if p != msg {
 					errs <- fmt.Errorf("cross-delivery: got %q, want %q", p, msg)
 					return
 				}
@@ -664,7 +745,7 @@ func TestInflightForAndHealth(t *testing.T) {
 	if _, err := s2.Write(frame("ping")); err != nil {
 		t.Fatal(err)
 	}
-	if got := readFrame(t, s2, 2*time.Second); got != "ping" {
+	if got := readFrame(t, NewReader(t, s2), 2*time.Second); got != "ping" {
 		t.Fatalf("echo got %q", got)
 	}
 	if v := m.InflightFor("be:echo"); v != 0 {

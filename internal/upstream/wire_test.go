@@ -77,11 +77,15 @@ func readRequests(t *testing.T, c net.Conn, count int) []byte {
 // the scripted wire.
 func readExactly(t *testing.T, s *upstream.Session, want []byte, what string) {
 	t.Helper()
-	s.SetReadDeadline(time.Now().Add(2 * time.Second))
-	got := make([]byte, len(want))
-	if _, err := io.ReadFull(s, got); err != nil {
-		t.Fatalf("%s: read: %v", what, err)
+	r := upstream.NewReader(t, s)
+	for r.Q.Len() < len(want) {
+		if err := r.Wait(2 * time.Second); err != nil {
+			t.Fatalf("%s: read: %v", what, err)
+		}
 	}
+	got := make([]byte, len(want))
+	r.Q.Peek(got)
+	r.Q.Discard(len(want))
 	if !bytes.Equal(got, want) {
 		t.Fatalf("%s:\n got %q\nwant %q", what, got, want)
 	}
@@ -257,9 +261,7 @@ func TestWireCloseDelimitedFailsLoudly(t *testing.T) {
 	if _, err := be.Write([]byte("HTTP/1.1 200 OK\r\nConnection: close\r\n\r\npartial body")); err != nil {
 		t.Fatal(err)
 	}
-	s.SetReadDeadline(time.Now().Add(2 * time.Second))
-	var p [16]byte
-	if _, err := s.Read(p[:]); err != io.EOF {
+	if err := upstream.NewReader(t, s).Wait(2 * time.Second); err != io.EOF {
 		t.Fatalf("read of close-delimited response = %v, want EOF", err)
 	}
 }
@@ -322,23 +324,17 @@ func TestWireQuietGetBatch(t *testing.T) {
 	// The batch delivers as one view: the hit's response then the Noop's.
 	readMsgs := func(sess *upstream.Session, want int) []value.Value {
 		t.Helper()
-		q := buffer.NewQueue(nil)
+		r := upstream.NewReader(t, sess)
 		dec := memcache.Codec.NewDecoder()
-		buf := make([]byte, 4096)
 		var msgs []value.Value
-		sess.SetReadDeadline(time.Now().Add(2 * time.Second))
 		for len(msgs) < want {
-			if msg, ok, err := dec.Decode(q); err != nil {
+			if msg, ok, err := dec.Decode(r.Q); err != nil {
 				t.Fatalf("decode: %v", err)
 			} else if ok {
 				msgs = append(msgs, msg)
 				continue
 			}
-			n, err := sess.Read(buf)
-			if n > 0 {
-				q.Append(buf[:n])
-			}
-			if err != nil {
+			if err := r.Wait(2 * time.Second); err != nil {
 				t.Fatalf("session read: %v", err)
 			}
 		}
